@@ -143,7 +143,11 @@ def _cmd_mad(args) -> int:
     g = inst.graph
     if args.threshold:
         num, _, den = args.threshold.partition("/")
-        thr = Fraction(int(num), int(den) if den else 1)
+        try:
+            thr = Fraction(int(num), int(den) if den else 1)
+        except ZeroDivisionError:
+            raise ValueError(
+                f"threshold {args.threshold} has a zero denominator") from None
         witness = density_exceeds(g, thr)
         if witness is None:
             _say(f"maximum average degree does not exceed {thr}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .conflicts import ConflictIndex, edges_within_distance_two
-from .density import mad
+from .density import mad, mad_below_3
 from .graph import Graph, girth as graph_girth
 from .oracle import SearchBudget, list_strong_colorable
 from .reducer import (ClaimTag, ReductionPlan, find_reducible_girth7,
@@ -364,20 +364,20 @@ def solve_mad3(g: Graph, lists: dict[int, Iterable[int]]) -> SolveReport:
 
     Every list must have at least ``3*max_degree(g) + 1`` colors (the
     guaranteed-sufficient budget).  Hypotheses are checked up front — the
-    density certificate exactly, via max flow — and a detector miss after
-    they passed is a hard error, because the theory says it cannot happen.
+    density exactly, by a pebble game, with a max-flow witness only on
+    rejection — and a detector miss after they passed is a hard error,
+    because the theory says it cannot happen.
     """
     delta = g.max_degree()
     if delta > 4:
         raise HypothesisError(
             f"maximum degree {delta} exceeds 4; the sparse pipeline does "
             f"not apply")
-    if g.n > 0 and g.m > 0:
+    if not mad_below_3(g):
         witness = mad(g)
-        if witness.density >= 3:
-            raise HypothesisError(
-                f"maximum average degree is {witness.density} >= 3 on "
-                f"vertices {sorted(witness.vertices)}", witness=witness)
+        raise HypothesisError(
+            f"maximum average degree is {witness.density} >= 3 on "
+            f"vertices {sorted(witness.vertices)}", witness=witness)
     if g.m == 0:
         return SolveReport({}, "mad3", 0, certified=True)
     lists = _normalize_lists(g, lists)

@@ -5,6 +5,10 @@ subsets ``H``.  Everything here is exact rational arithmetic — thresholds
 and densities are :class:`fractions.Fraction` values, and the subgraph
 decision problem is solved by an integer-capacity maximum flow after
 clearing denominators, never by floating point.
+
+The yes/no question ``mad(g) < 3`` that the sparse pipeline and its
+generator ask has a cheaper, incremental answer: :class:`MadBelowThree`
+plays the (3,1)-pebble game of Lee and Streinu on the doubled multigraph.
 """
 
 from __future__ import annotations
@@ -13,10 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import Graph, GraphError
-
-ExactRational = Fraction
-"""Alias used in signatures: reduced-form exact rationals."""
-
 
 @dataclass(frozen=True)
 class DensityWitness:
@@ -61,21 +61,37 @@ class _Dinic:
                     queue.append(v)
         return level if level[t] >= 0 else []
 
-    def _dfs(self, u: int, t: int, f: int, level: list[int],
-             it: list[int]) -> int:
-        if u == t:
-            return f
-        while it[u] < len(self.head[u]):
-            i = self.head[u][it[u]]
-            v = self.to[i]
-            if self.cap[i] > 0 and level[v] == level[u] + 1:
-                d = self._dfs(v, t, min(f, self.cap[i]), level, it)
-                if d > 0:
-                    self.cap[i] -= d
-                    self.cap[i ^ 1] += d
-                    return d
-            it[u] += 1
-        return 0
+    def _augment(self, s: int, t: int, level: list[int],
+                 it: list[int]) -> int:
+        """Push flow along one ``s``-``t`` path of the level graph.
+
+        Depth-first with an explicit stack of arcs, trying each vertex's
+        arcs in insertion order from ``it`` on; a dead end advances its
+        parent's arc pointer.  Returns the amount pushed, 0 if no path.
+        """
+        head, to, cap = self.head, self.to, self.cap
+        path: list[int] = []
+        u = s
+        while u != t:
+            arcs = head[u]
+            while it[u] < len(arcs):
+                i = arcs[it[u]]
+                if cap[i] > 0 and level[to[i]] == level[u] + 1:
+                    break
+                it[u] += 1
+            else:
+                if not path:
+                    return 0
+                u = to[path.pop() ^ 1]  # back to the arc's tail
+                it[u] += 1
+                continue
+            path.append(i)
+            u = to[i]
+        d = min(cap[i] for i in path)
+        for i in path:
+            cap[i] -= d
+            cap[i ^ 1] += d
+        return d
 
     def max_flow(self, s: int, t: int) -> int:
         flow = 0
@@ -85,7 +101,7 @@ class _Dinic:
                 return flow
             it = [0] * self.n
             while True:
-                f = self._dfs(s, t, 1 << 62, level, it)
+                f = self._augment(s, t, level, it)
                 if f == 0:
                     break
                 flow += f
@@ -187,6 +203,81 @@ def mad(g: Graph) -> DensityWitness:
     if witness is None or witness.density != value:  # pragma: no cover
         raise AssertionError("witness extraction disagrees with the search")
     return witness
+
+
+class MadBelowThree:
+    """Incremental test of ``mad < 3``: the (3,1)-pebble game on ``2G``.
+
+    ``mad(G) < 3`` holds exactly when every vertex set ``H`` spans
+    ``2e(H) <= 3|H| - 1`` edges of the doubled multigraph ``2G``, that is,
+    when ``2G`` is (3,1)-sparse (Lee and Streinu, "Pebble game algorithms
+    and sparse graphs", 2008).  Every vertex owns 3 pebbles and each
+    accepted edge is two directed copies, each covered by a pebble of its
+    tail, so a vertex's free pebbles are ``3`` minus its out-degree.  A
+    copy of ``uv`` goes in once ``u`` and ``v`` hold 2 free pebbles
+    between them; pebbles are fetched by reversing out-paths to a vertex
+    that has one.
+    """
+
+    def __init__(self, n: int):
+        self.out: list[list[int]] = [[] for _ in range(n)]
+
+    def try_add(self, u: int, v: int) -> bool:
+        """Add edge ``uv`` if ``mad`` stays below 3; else change nothing."""
+        first = self._add_copy(u, v)
+        if first is None:
+            return False
+        if self._add_copy(u, v) is None:
+            # no search passes through u or v, so the first copy is still
+            # the last out-arc of its tail
+            self.out[first].pop()
+            return False
+        return True
+
+    def _add_copy(self, u: int, v: int) -> int | None:
+        """Insert one directed copy of ``uv``; its tail, or None if refused."""
+        out = self.out
+        while len(out[u]) + len(out[v]) > 4:  # under 2 free pebbles
+            if not (self._fetch(u, v) or self._fetch(v, u)):
+                return None
+        tail, head = (u, v) if len(out[u]) < 3 else (v, u)
+        out[tail].append(head)
+        return tail
+
+    def _fetch(self, root: int, keep: int) -> bool:
+        """Move a free pebble to ``root`` along an out-path avoiding ``keep``.
+
+        Iterative depth-first search; the path found is reversed, which
+        frees a pebble at ``root`` and spends the one at its far end.
+        """
+        out = self.out
+        seen = {root, keep}
+        path, pos = [root], [0]
+        while path:
+            a, i = path[-1], pos[-1]
+            if i == len(out[a]):
+                path.pop()
+                pos.pop()
+                continue
+            pos[-1] = i + 1
+            b = out[a][i]
+            if b in seen:
+                continue
+            seen.add(b)
+            path.append(b)
+            if len(out[b]) < 3:
+                for x, y, j in zip(path, path[1:], pos):
+                    del out[x][j - 1]
+                    out[y].append(x)
+                return True
+            pos.append(0)
+        return False
+
+
+def mad_below_3(g: Graph) -> bool:
+    """Is the maximum average degree of ``g`` below 3?  No flow needed."""
+    checker = MadBelowThree(g.n)
+    return all(checker.try_add(u, v) for u, v in g.edges)
 
 
 def mad_deficit_sum(g: Graph) -> int:

@@ -9,7 +9,8 @@ Five families:
   every pair of edges conflicts, so it needs ``(5/4) * delta^2`` colors.
 * ``sparse-mad3`` — max degree <= ``delta`` (at most 4) and maximum
   average degree certified below 3: grown from a random tree by adding
-  random edges, each kept only if the exact density check still passes.
+  random edges, each kept only if the maximum average degree stays
+  below 3 (an exact pebble-game check, see ``density.MadBelowThree``).
 * ``planar-girth7`` — a planar embedded graph with girth >= 7 and max
   degree <= ``delta``, grown from a 7-cycle by pendant insertions and by
   ears of six edges attached inside a traced face (both operations keep
@@ -22,9 +23,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .density import density_exceeds
+from .density import MadBelowThree
 from .discharge import trace_faces
 from .graph import Graph, build_graph
 from .instances import InstanceFile
@@ -80,10 +80,11 @@ def _sparse_mad3(n: int, delta: int, rng: random.Random) -> Graph:
     g = _tree(n, delta, rng)
     if n < 3:
         return g
-    # subgraph densities e(S)/|S| are spaced at least 1/n^2 apart near 3,
-    # so "maximum average degree >= 3" is exactly "some subgraph is denser
-    # than 3 - 1/n^2" -- one flow check per candidate edge
-    threshold = Fraction(3) - Fraction(1, n * n)
+    # the same predicate as "no subgraph is denser than 3 - 1/n^2", since
+    # 2e(S)/|S| <= 3 - 1/|S| whenever it is below 3
+    checker = MadBelowThree(n)
+    for u, v in g.edges:
+        checker.try_add(u, v)  # a tree always fits
     edges = list(g.edges)
     deg = [g.degree(v) for v in range(n)]
     present = set(g.edges)
@@ -91,19 +92,15 @@ def _sparse_mad3(n: int, delta: int, rng: random.Random) -> Graph:
     while failures < 3 * n:
         u, v = rng.sample(range(n), 2)
         key = (min(u, v), max(u, v))
-        if key in present or deg[u] >= delta or deg[v] >= delta:
+        if (key in present or deg[u] >= delta or deg[v] >= delta
+                or not checker.try_add(u, v)):
             failures += 1
             continue
-        candidate = build_graph(edges + [key], vertices=range(n))
-        if density_exceeds(candidate, threshold) is not None:
-            failures += 1
-            continue
-        g = candidate
         edges.append(key)
         present.add(key)
         deg[u] += 1
         deg[v] += 1
-    return g
+    return build_graph(edges, vertices=range(n))
 
 
 def _planar_girth7(n: int, delta: int, rng: random.Random

@@ -116,6 +116,21 @@ def test_mad_and_threshold(tmp_path, capsys):
     assert "> 1 on vertices" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threshold", ["1/0", "x", "-1"])
+def test_mad_rejects_bad_threshold(tmp_path, capsys, threshold):
+    inst = write(tmp_path, "c5.txt", C5)
+    assert run_command(["mad", inst, "--threshold", threshold]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_mad_on_a_long_path(tmp_path, capsys):
+    path = str(tmp_path / "path.txt")
+    assert run_command(["gen", "tree", "700", "--delta", "2",
+                        "-o", path]) == 0
+    assert run_command(["mad", path]) == 0
+    assert "maximum average degree = 699/350" in capsys.readouterr().err
+
+
 def test_girth_output(tmp_path, capsys):
     assert run_command(["girth", write(tmp_path, "c5.txt", C5)]) == 0
     assert "girth = 5" in capsys.readouterr().err

@@ -92,6 +92,19 @@ def test_hypothesis_rejections():
         solve_girth7(star, uniform_lists(star, 12), delta_cap=4)
 
 
+def test_density_rejection_on_a_long_graph():
+    # the pebble game rejects; the flow witness must still isolate the K4
+    n = 1500
+    k4 = [(n + i, n + j) for i in range(4) for j in range(i + 1, 4)]
+    g = build_graph([(i, i + 1) for i in range(n)] + k4)
+    with pytest.raises(HypothesisError, match="average degree is 3") as info:
+        solve_mad3(g, uniform_lists(g, 13))
+    witness = info.value.witness
+    assert witness.density == 3
+    assert witness.vertices == frozenset(range(n, n + 4))
+    assert witness.check(g)
+
+
 def test_short_and_missing_lists_rejected():
     g = build_graph([(i, (i + 1) % 7) for i in range(7)])
     with pytest.raises(HypothesisError, match="ids \\[3\\]"):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from strongedge import (GraphError, build_graph, density_exceeds, mad,
                         mad_deficit_sum)
+from strongedge.density import MadBelowThree, mad_below_3
 
 from tests.helpers import random_graph, subset_mad
 
@@ -93,3 +96,69 @@ def test_strictness_at_exact_threshold():
     assert density_exceeds(k4, Fraction(3)) is None
     w = density_exceeds(k4, Fraction(3) - Fraction(1, 16))
     assert w is not None and w.vertices == frozenset(range(4))
+
+
+sparse_cases = st.builds(
+    lambda n, p, seed: (n, random_graph(random.Random(seed), n, p)),
+    st.integers(1, 9), st.sampled_from((0.2, 0.35, 0.5, 0.7)),
+    st.integers(0, 10_000))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_cases)
+def test_pebble_game_matches_flow_and_enumeration(case):
+    n, edges = case
+    g = build_graph(edges, vertices=range(n))
+    below = mad_below_3(g)
+    assert below == (subset_mad(edges, n) < 3)
+    assert below == (density_exceeds(g, 3 - Fraction(1, n * n)) is None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_cases, st.randoms(use_true_random=False))
+def test_refused_edge_leaves_no_trace(case, rnd):
+    # after a refusal the checker must answer every further edge exactly
+    # as a fresh checker holding only the accepted edges does
+    n, edges = case
+    rnd.shuffle(edges)
+    checker, accepted = MadBelowThree(n), []
+    for u, v in edges:
+        if checker.try_add(u, v):
+            accepted.append((u, v))
+            continue
+        assert sum(map(len, checker.out)) == 2 * len(accepted)
+        fresh = MadBelowThree(n)
+        assert all(fresh.try_add(a, b) for a, b in accepted)
+        have = {frozenset(e) for e in accepted}
+        for x, y in combinations(range(n), 2):
+            if frozenset((x, y)) not in have:
+                assert copy.deepcopy(checker).try_add(x, y) == \
+                    copy.deepcopy(fresh).try_add(x, y)
+
+
+def test_pebble_game_on_large_inputs():
+    n = 10 ** 5
+    assert mad_below_3(build_graph([(i, i + 1) for i in range(n - 1)]))
+    rng = random.Random(3)
+    tree = [(rng.randrange(v), v) for v in range(1, n)]
+    rng.shuffle(tree)
+    assert mad_below_3(build_graph(tree, vertices=range(n)))
+    # a 2 x k ladder has mad < 3 and stays below 3 with one rung closing
+    # it into a band; the second closing edge makes a prism of density 3
+    k = 10 ** 4
+    ladder = ([(i, i + 1) for i in range(k - 1)]
+              + [(k + i, k + i + 1) for i in range(k - 1)]
+              + [(i, k + i) for i in range(k)])
+    rng.shuffle(ladder)
+    checker = MadBelowThree(2 * k)
+    assert all(checker.try_add(u, v) for u, v in ladder)
+    assert checker.try_add(0, k - 1)
+    assert not checker.try_add(k, 2 * k - 1)
+
+
+def test_mad_on_a_long_path():
+    # labelled i -> 7i mod n, the path sends flow along augmenting paths
+    # hundreds of arcs long, past the default recursion limit
+    n = 1500
+    g = build_graph([(7 * i % n, 7 * (i + 1) % n) for i in range(n - 1)])
+    assert mad(g).density == Fraction(2 * (n - 1), n)
