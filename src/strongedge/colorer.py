@@ -9,24 +9,26 @@ Two certified pipelines plus a greedy baseline:
   never machine-checked);
 - :func:`greedy_color` — no guarantees, works on anything.
 
-The certified pipelines peel one vertex at a time following detector
-plans, then re-color the peeled edges on the way back up, checking at
-every step that the plan's conflict bound held and that a list color was
-spare.  A detector miss is a hard "theorem violation" error on the sparse
+The certified pipelines peel one vertex at a time off a mutable
+:class:`~strongedge.graph.PeelState` per component, following the plans
+of the reducer's matchers, then put the vertices back in reverse order
+and re-color the peeled edges, checking at every step that the plan's
+conflict bound held and that a list color was spare.  A detector miss is a hard "theorem violation" error on the sparse
 pipeline and a documented fallback on the girth-7 pipeline.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .conflicts import ConflictIndex, edges_within_distance_two
 from .density import mad, mad_below_3
-from .graph import Graph, girth as graph_girth
+from .graph import Graph, PeelState, girth as graph_girth
 from .oracle import SearchBudget, list_strong_colorable
-from .reducer import (ClaimTag, ReductionPlan, find_reducible_girth7,
-                      find_reducible_mad)
+from .reducer import (GIRTH7_MATCHERS, MAD_MATCHERS, ClaimTag, Matcher,
+                      ReductionPlan)
 
 ColorLists = dict[int, frozenset[int]]
 """Per-edge allowed colors: edge id -> set of color ids."""
@@ -166,21 +168,20 @@ def greedy_color(g: Graph, lists: ColorLists,
 def extend(g: Graph, partial: PartialColoring, plan: ReductionPlan,
            lists: ColorLists,
            trace: list[ExtensionRecord] | None = None) -> PartialColoring:
-    """Run a plan's extension steps on top of ``partial``.
+    """Run a plan's extension steps on top of ``partial``, in place.
 
     ``partial`` must already be erased according to the plan (its erased
-    edges uncolored).  Each step recounts the colored conflicts of its
-    edge, checks the plan's bound and the list margin, then takes the
-    smallest admissible color.  Violated promises raise
-    :class:`ExtensionError` — loudly, because they mean the machinery's
-    guarantee failed.
+    edges uncolored); it is extended and returned.  Each step recounts
+    the colored conflicts of its edge, checks the plan's bound and the
+    list margin, then takes the smallest admissible color.  Violated
+    promises raise :class:`ExtensionError` — loudly, because they mean
+    the machinery's guarantee failed.
     """
-    out = dict(partial)
     for step in plan.extension_order:
         e = step.edge
         nearby = edges_within_distance_two(g, e)
-        used = {out[f] for f in nearby if f in out}
-        actual = sum(1 for f in nearby if f in out)
+        used = {partial[f] for f in nearby if f in partial}
+        actual = sum(1 for f in nearby if f in partial)
         if actual > step.bound:
             raise ExtensionError(
                 f"extension of edge {g.label_pair(e)} under {plan.claim_tag.value}: "
@@ -199,11 +200,11 @@ def extend(g: Graph, partial: PartialColoring, plan: ReductionPlan,
                 f"edge {g.label_pair(e)} under {plan.claim_tag.value}: no "
                 f"admissible color left", claim_tag=plan.claim_tag, edge=e,
                 bound=step.bound, actual=actual)
-        out[e] = spare[0]
+        partial[e] = spare[0]
         if trace is not None:
             trace.append(ExtensionRecord(plan.claim_tag, g.label_pair(e),
                                          step.bound, actual, spare[0]))
-    return out
+    return partial
 
 
 # ---------------------------------------------------------------------
@@ -211,10 +212,10 @@ def extend(g: Graph, partial: PartialColoring, plan: ReductionPlan,
 # ---------------------------------------------------------------------
 
 class _NoPlan(Exception):
-    """Internal: the detector came up empty at some recursion level."""
+    """Internal: no matcher fired while ``n`` vertices were left."""
 
-    def __init__(self, graph: Graph):
-        self.graph = graph
+    def __init__(self, n: int):
+        self.n = n
 
 
 def _normalize_lists(g: Graph, lists: dict[int, Iterable[int]]) -> ColorLists:
@@ -225,46 +226,63 @@ def _normalize_lists(g: Graph, lists: dict[int, Iterable[int]]) -> ColorLists:
     return {e: frozenset(lists[e]) for e in range(g.m)}
 
 
-def _child_lists(parent: Graph, child: Graph, lists: ColorLists) -> ColorLists:
-    out: ColorLists = {}
-    for e in range(child.m):
-        a, b = child.label_pair(e)
-        pe = parent.edge_id(parent.vertex_of_label(a),
-                            parent.vertex_of_label(b))
-        out[e] = lists[pe]
-    return out
+def _peel(state: PeelState, matchers: tuple[Matcher, ...],
+          delta_cap: int | None) -> list[tuple[ReductionPlan, list[int]]]:
+    """Delete vertices by plans until ``state`` is empty.
 
-
-def _reduce_and_unwind(g: Graph, lists: ColorLists,
-                       detect: Callable[[Graph], ReductionPlan | None],
-                       trace: list[ExtensionRecord]) -> PartialColoring:
-    """Peel vertices by detector plans, then extend back up.
-
-    The recursion is an explicit stack of (graph, lists, plan) levels.
-    Raises :class:`_NoPlan` if the detector misses at any level.
+    Returns the plans in peel order, each with the neighbors its vertex
+    had when deleted.  Plans are made at the state's current maximum
+    degree, or at ``delta_cap`` when given.  Each matcher has a min-heap
+    of vertex ids that holds every vertex it currently fires at (plus
+    stale ones, dropped when they reach the top and no longer fire).  The
+    first tag with a firing vertex wins, at its smallest id — the plan a
+    full scan by ``find_reducible_*`` would find.  After a deletion only
+    the vertices within a matcher's radius of the deleted vertex go back
+    on its heap.  Raises :class:`_NoPlan` when no matcher fires.
     """
-    stack: list[tuple[Graph, ColorLists, ReductionPlan]] = []
-    cur, cur_lists = g, lists
-    while cur.n > 0:
-        plan = detect(cur)
-        if plan is None:
-            raise _NoPlan(cur)
-        stack.append((cur, cur_lists, plan))
-        child = cur.delete_vertex(plan.delete_vertex)
-        cur_lists = _child_lists(cur, child, cur_lists)
-        cur = child
+    adj = state.adj
+    heaps = [list(adj) for _ in matchers]  # ascending: a valid heap
+    queued = [set(adj) for _ in matchers]
+    reach = max(m.radius for m in matchers)
+    stack: list[tuple[ReductionPlan, list[int]]] = []
+    while adj:
+        d = delta_cap if delta_cap is not None else state.max_degree()
+        plan = None
+        for matcher, heap, inq in zip(matchers, heaps, queued):
+            while heap:
+                v = heap[0]
+                if v in adj:
+                    plan = matcher.match(state, v, d)
+                    if plan is not None:
+                        break
+                heapq.heappop(heap)
+                inq.discard(v)
+            if plan is not None:
+                break
+        else:
+            raise _NoPlan(len(adj))
+        x = plan.delete_vertex
+        rings = state.ball(x, reach)
+        stack.append((plan, state.delete(x)))
+        for matcher, heap, inq in zip(matchers, heaps, queued):
+            for ring in rings[1:matcher.radius + 1]:
+                for w in ring:
+                    if w not in inq:
+                        inq.add(w)
+                        heapq.heappush(heap, w)
+    return stack
 
-    by_labels: dict[tuple[int, int], int] = {}
-    for level, level_lists, plan in reversed(stack):
-        partial: PartialColoring = {
-            level.edge_id(level.vertex_of_label(a), level.vertex_of_label(b)): c
-            for (a, b), c in by_labels.items()}
+
+def _unwind(state: PeelState, stack: list[tuple[ReductionPlan, list[int]]],
+            lists: ColorLists, coloring: PartialColoring,
+            trace: list[ExtensionRecord]) -> None:
+    """Put the peeled vertices back in reverse order, extending
+    ``coloring`` over each one's plan."""
+    for plan, nbrs in reversed(stack):
+        state.restore(plan.delete_vertex, nbrs)
         for e in plan.erase_edges:
-            partial.pop(e, None)
-        partial = extend(level, partial, plan, level_lists, trace)
-        by_labels = {level.label_pair(e): c for e, c in partial.items()}
-    return {g.edge_id(g.vertex_of_label(a), g.vertex_of_label(b)): c
-            for (a, b), c in by_labels.items()}
+            coloring.pop(e, None)
+        extend(state, coloring, plan, lists, trace)
 
 
 def _final_checks(g: Graph, lists: ColorLists,
@@ -282,9 +300,9 @@ def _final_checks(g: Graph, lists: ColorLists,
 
 
 def _solve_components(g: Graph, lists: ColorLists, path: str,
-                      detect: Callable[[Graph], ReductionPlan | None],
+                      matchers: tuple[Matcher, ...], delta_cap: int | None,
                       fallback_threshold: int | None) -> SolveReport:
-    """Solve per connected component and merge.
+    """Solve per connected component, all into one coloring.
 
     ``fallback_threshold`` None means a detector miss is fatal (sparse
     pipeline); otherwise it is the component edge count up to which the
@@ -297,55 +315,54 @@ def _solve_components(g: Graph, lists: ColorLists, path: str,
     failed: int | None = None
 
     for comp in g.components():
-        sub = g.induced(comp)
-        if sub.m == 0:
+        m = sum(g.degree(v) for v in comp) // 2
+        if m == 0:
             continue
-        sub_lists = _child_lists(g, sub, lists)
-        if sub.m == 1:
-            sub_coloring = {0: min(sub_lists[0])}
-        else:
-            try:
-                sub_coloring = _reduce_and_unwind(sub, sub_lists, detect,
-                                                  trace)
-            except _NoPlan as miss:
-                if fallback_threshold is None:
-                    raise TheoremViolationError(
-                        f"no reducible configuration found on a "
-                        f"hypothesis-satisfying graph with "
-                        f"{miss.graph.n} vertices — the guarantee this "
-                        f"pipeline rests on failed") from None
-                certified = False
-                if sub.m <= fallback_threshold:
+        if m == 1:
+            e = g.edge_id(*comp)
+            coloring[e] = min(lists[e])
+            continue
+        state = PeelState(g, comp)
+        try:
+            stack = _peel(state, matchers, delta_cap)
+        except _NoPlan as miss:
+            if fallback_threshold is None:
+                raise TheoremViolationError(
+                    f"no reducible configuration found on a "
+                    f"hypothesis-satisfying graph with {miss.n} vertices "
+                    f"— the guarantee this pipeline rests on failed"
+                ) from None
+            certified = False
+            # the component's dense id i is comp[i]: both follow label order
+            sub = g.induced(comp)
+            ids = [g.edge_id(comp[a], comp[b]) for a, b in sub.edges]
+            sub_lists = {i: lists[e] for i, e in enumerate(ids)}
+            if m <= fallback_threshold:
+                notes.append(
+                    f"component {list(comp)}: no reducible configuration "
+                    f"at {miss.n} vertices; exact search fallback")
+                found = list_strong_colorable(
+                    sub, sub_lists, SearchBudget(edge_cap=max(m, 28)))
+                if found is None:
                     notes.append(
-                        f"component {list(comp)}: no reducible "
-                        f"configuration at {miss.graph.n} vertices; exact "
-                        f"search fallback")
-                    found = list_strong_colorable(
-                        sub, sub_lists,
-                        SearchBudget(edge_cap=max(sub.m, 28)))
-                    if found is None:
-                        notes.append(
-                            f"component {list(comp)}: lists admit no "
-                            f"strong coloring")
-                        failed = g.edge_id(*[g.vertex_of_label(x)
-                                             for x in sub.label_pair(0)])
-                        continue
-                    sub_coloring = found
-                else:
-                    notes.append(
-                        f"component {list(comp)}: no reducible "
-                        f"configuration at {miss.graph.n} vertices; greedy "
-                        f"fallback (component too large for exact search)")
-                    rep = greedy_color(sub, sub_lists)
-                    sub_coloring = rep.coloring
-                    if rep.failed_edge is not None:
-                        failed = g.edge_id(*[
-                            g.vertex_of_label(x)
-                            for x in sub.label_pair(rep.failed_edge)])
-        for e, c in sub_coloring.items():
-            a, b = sub.label_pair(e)
-            coloring[g.edge_id(g.vertex_of_label(a),
-                               g.vertex_of_label(b))] = c
+                        f"component {list(comp)}: lists admit no strong "
+                        f"coloring")
+                    failed = ids[0]
+                    continue
+                sub_coloring = found
+            else:
+                notes.append(
+                    f"component {list(comp)}: no reducible configuration "
+                    f"at {miss.n} vertices; greedy fallback (component too "
+                    f"large for exact search)")
+                rep = greedy_color(sub, sub_lists)
+                sub_coloring = rep.coloring
+                if rep.failed_edge is not None:
+                    failed = ids[rep.failed_edge]
+            for i, c in sub_coloring.items():
+                coloring[ids[i]] = c
+            continue
+        _unwind(state, stack, lists, coloring, trace)
 
     if failed is None:
         _final_checks(g, lists, coloring)
@@ -391,7 +408,7 @@ def solve_mad3(g: Graph, lists: dict[int, Iterable[int]]) -> SolveReport:
         raise HypothesisError(
             f"lists must have at least 3*max_degree+1 = {budget} colors; "
             f"too short on edge ids {short}")
-    return _solve_components(g, lists, "mad3", find_reducible_mad,
+    return _solve_components(g, lists, "mad3", MAD_MATCHERS, None,
                              fallback_threshold=None)
 
 
@@ -411,7 +428,7 @@ def solve_girth7(g: Graph, lists: dict[int, Iterable[int]], delta_cap: int,
     if delta > delta_cap:
         raise HypothesisError(
             f"maximum degree {delta} exceeds the cap {delta_cap}")
-    got_girth = graph_girth(g)
+    got_girth = graph_girth(g, limit=7)
     if got_girth < 7:
         raise HypothesisError(
             f"girth {got_girth} is below 7; the girth-7 pipeline does "
@@ -429,7 +446,5 @@ def solve_girth7(g: Graph, lists: dict[int, Iterable[int]], delta_cap: int,
         raise HypothesisError(
             f"lists must have at least 3*delta_cap = {budget} colors; "
             f"too short on edge ids {short}")
-    return _solve_components(
-        g, lists, "girth7",
-        lambda h: find_reducible_girth7(h, delta_cap),
-        fallback_threshold=fallback_threshold)
+    return _solve_components(g, lists, "girth7", GIRTH7_MATCHERS, delta_cap,
+                             fallback_threshold=fallback_threshold)

@@ -336,7 +336,7 @@ def audit(g: Graph, emb: Embedding | None = None, which: str = "mad",
         cap = delta_cap if delta_cap is not None else max(4, delta)
         ledger = apply_rules_girth7(emb, cap)
         identity = euler_charge_identity(emb)
-        got_girth = graph_girth(g)
+        got_girth = graph_girth(g, limit=7)
         if got_girth < 7:
             notes.append(f"girth {got_girth} is below 7")
         if delta > cap:

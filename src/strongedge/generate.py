@@ -22,6 +22,7 @@ Everything is deterministic in ``seed``.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .density import MadBelowThree
@@ -54,11 +55,16 @@ def _tree(n: int, delta: int, rng: random.Random) -> Graph:
         raise ValueError(f"cannot fit {n} tree vertices under degree {delta}")
     deg = [0] * n
     edges = []
+    unsaturated = [0]  # ascending, as the draws need: ids below v, deg < delta
     for v in range(1, n):
-        u = rng.choice([w for w in range(v) if deg[w] < delta])
+        u = rng.choice(unsaturated)
         edges.append((u, v))
         deg[u] += 1
         deg[v] += 1
+        if deg[u] == delta:
+            del unsaturated[bisect_left(unsaturated, u)]
+        if deg[v] < delta:
+            unsaturated.append(v)
     return build_graph(edges, vertices=range(n))
 
 

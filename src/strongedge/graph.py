@@ -5,11 +5,14 @@ from arbitrary integer labels the original labels are kept in a side table
 (``Graph.labels``) so reports can speak the caller's language.  Edges get
 ids ``0 .. m-1`` assigned in sorted order of their endpoint pairs, which
 makes the id assignment canonical: it does not depend on the order edges
-were supplied in.
+were supplied in.  :class:`PeelState` is the one mutable view: a component
+that the reduction engine deletes vertices from and restores, in the
+graph's own ids.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -161,58 +164,127 @@ def build_graph(edge_pairs: Iterable[tuple[int, int]],
     return Graph(len(labels), labels, tuple(edges))
 
 
+class PeelState:
+    """One connected component of a :class:`Graph`, peeled in place.
+
+    The reduction engine deletes vertices from it one at a time and puts
+    them back in reverse order.  Vertex and edge ids stay those of the
+    graph it was made from, so plans built on it need no remapping.
+    ``adj[v]`` lists the alive neighbors of ``v`` in ascending id order,
+    as ``Graph.adj`` does; a deleted vertex has no entry.  The state
+    answers the read-only queries that detectors, plans and extension
+    steps make of a graph (``n``, ``adj``, ``degree``, ``max_degree``,
+    ``edge_id``, ``endpoints``, ``label_pair``).  ``max_degree`` is the
+    maximum over the alive vertices, kept from per-degree counts in O(1)
+    amortized time.
+    """
+
+    __slots__ = ("n", "adj", "edge_id", "endpoints", "label_pair",
+                 "_count", "_max")
+
+    def __init__(self, g: Graph, component: Iterable[int]):
+        self.n = g.n
+        self.adj = {v: list(g.adj[v]) for v in component}
+        self.edge_id = g.edge_id
+        self.endpoints = g.endpoints
+        self.label_pair = g.label_pair
+        self._max = max((len(a) for a in self.adj.values()), default=0)
+        self._count = [0] * (self._max + 1)
+        for a in self.adj.values():
+            self._count[len(a)] += 1
+
+    def degree(self, v: int) -> int:
+        return len(self.adj[v])
+
+    def max_degree(self) -> int:
+        return self._max
+
+    def ball(self, v: int, radius: int) -> list[list[int]]:
+        """``out[r]`` lists the alive vertices at distance ``r`` from ``v``."""
+        seen = {v}
+        out: list[list[int]] = [[v]]
+        for _ in range(radius):
+            ring = []
+            for x in out[-1]:
+                for y in self.adj[x]:
+                    if y not in seen:
+                        seen.add(y)
+                        ring.append(y)
+            out.append(ring)
+        return out
+
+    def delete(self, v: int) -> list[int]:
+        """Delete ``v``; returns its neighbors, for :meth:`restore`."""
+        count, adj = self._count, self.adj
+        nbrs = adj.pop(v)
+        count[len(nbrs)] -= 1
+        for w in nbrs:
+            a = adj[w]
+            count[len(a)] -= 1
+            a.remove(v)
+            count[len(a)] += 1
+        while self._max and not count[self._max]:
+            self._max -= 1
+        return nbrs
+
+    def restore(self, v: int, nbrs: list[int]) -> None:
+        """Undo :meth:`delete` of ``v``; valid in reverse deletion order."""
+        count, adj = self._count, self.adj
+        for w in nbrs:
+            a = adj[w]
+            count[len(a)] -= 1
+            insort(a, v)
+            count[len(a)] += 1
+            self._max = max(self._max, len(a))
+        adj[v] = nbrs
+        count[len(nbrs)] += 1
+        self._max = max(self._max, len(nbrs))
+
+
 @dataclass(frozen=True)
 class DegreeClass:
     """Degree profile of one vertex: its degree and neighbor-degree counts.
 
     ``k`` is the vertex degree and ``t`` the number of degree-2 neighbors,
     so a vertex with ``k=4, t=1`` is a 4-vertex with exactly one degree-2
-    neighbor.  The remaining counts slice the neighborhood by degree:
-    ``n1`` neighbors of degree 1, ``n3plus``/``n4plus``/``n5plus`` of
-    degree at least 3/4/5, and ``ndelta`` of degree exactly the graph's
-    maximum.  ``n1 + t + n3plus == k`` always.
+    neighbor.  ``n1`` counts the neighbors of degree 1 and ``n3plus``
+    those of degree at least 3, so ``n1 + t + n3plus == k`` always.  The
+    profile reads only the vertex and its neighbors, in O(degree) time.
     """
 
     k: int
     t: int
     n1: int
     n3plus: int
-    n4plus: int
-    n5plus: int
-    ndelta: int
 
 
 def degree_class(g: Graph, v: int) -> DegreeClass:
     """Classify vertex ``v`` by its degree and its neighbors' degrees."""
     if not 0 <= v < g.n:
         raise GraphError(f"vertex {v} out of range")
-    delta = g.max_degree()
-    n1 = t = n3 = n4 = n5 = nd = 0
+    n1 = t = n3 = 0
     for w in g.adj[v]:
         d = g.degree(w)
         if d == 1:
             n1 += 1
         elif d == 2:
             t += 1
-        if d >= 3:
+        else:
             n3 += 1
-        if d >= 4:
-            n4 += 1
-        if d >= 5:
-            n5 += 1
-        if d == delta:
-            nd += 1
-    return DegreeClass(k=g.degree(v), t=t, n1=n1, n3plus=n3,
-                       n4plus=n4, n5plus=n5, ndelta=nd)
+    return DegreeClass(k=g.degree(v), t=t, n1=n1, n3plus=n3)
 
 
-def girth(g: Graph) -> int | float:
+def girth(g: Graph, limit: int | float = INFINITY) -> int | float:
     """Length of a shortest cycle, or ``INFINITY`` for forests.
 
     Runs a breadth-first search from every vertex; the shortest cycle
     estimate over all start vertices and all non-tree edges is exact.
+    With a finite ``limit`` each search stops where it could only find
+    cycles of length ``limit`` or more (depth 3 for ``limit=7``), so the
+    cost is O(n * maxdeg**((limit-1)//2)): the result is the exact girth
+    when that is below ``limit``, and ``INFINITY`` otherwise.
     """
-    best: int | float = INFINITY
+    best: int | float = limit
     for s in range(g.n):
         dist = {s: 0}
         parent = {s: -1}
@@ -230,4 +302,4 @@ def girth(g: Graph) -> int | float:
                     cycle = dist[x] + dist[y] + 1
                     if cycle < best:
                         best = cycle
-    return best
+    return best if best < limit else INFINITY

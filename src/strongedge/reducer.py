@@ -9,15 +9,30 @@ edges can conflict with each re-colored edge at its turn.
 Two families exist, one per solving pipeline: ``M1``..``M5`` for the
 sparse pipeline (max degree <= 4, maximum average degree < 3) and
 ``G1``..``G8`` for the planar girth-7 pipeline (degree cap >= 4).
-Detectors are pure queries: they never mutate the graph, and they are
-meaningful on any graph — whether the governing hypotheses hold is the
-caller's business.  Earlier tags win; ties go to the smallest vertex id.
+Each tag is one matcher: ``match(g, v, d)`` asks whether the tag's
+configuration sits at vertex ``v`` and returns its plan or None, where
+``d`` is the degree the bound formulas are evaluated at.  Matchers are
+pure queries: they never mutate the graph, and they are meaningful on any
+graph — whether the governing hypotheses hold is the caller's business.
+A detector tries the tags in order and, within a tag, the vertices by
+ascending id, so earlier tags win and ties go to the smallest vertex id.
+
+Each matcher also has a radius: deleting a vertex can change its answer
+at ``v`` only if ``v`` lies within that distance of the deleted vertex.
+A matcher that reads degrees up to distance ``r`` from ``v`` has radius
+``r + 1``, because a deletion changes exactly the degrees of the deleted
+vertex's neighbors.  Each matcher's docstring names that farthest read:
+1 for M2, M4, G2 and G3 (radius 2), 2 for M3 and G1, G4-G7 (radius 3),
+3 for M5 and G8 (radius 4), and M1 reads only ``v`` (radius 1).  The
+reduction engine uses the radii to re-check only the vertices near each
+deletion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
 
 from .conflicts import edges_within_distance_two
 from .graph import Graph, degree_class
@@ -99,8 +114,255 @@ def _other_neighbor(g: Graph, v: int, not_this: int) -> int:
 
 
 # ---------------------------------------------------------------------
-# sparse pipeline (max degree <= 4, mad < 3): tags M1..M5
+# sparse pipeline (max degree <= 4, mad < 3): tags M1..M5, with d the
+# maximum degree of the graph the plan is made on
 # ---------------------------------------------------------------------
+
+def _m1(g: Graph, v: int, d: int) -> ReductionPlan | None:
+    """An isolated or pendant vertex (reads the degree of ``v``)."""
+    if g.degree(v) <= 1:
+        ext = [((v, u), 3 * d) for u in g.adj[v]]
+        return _plan(g, ClaimTag.M1_PENDANT, v, [], ext)
+    return None
+
+
+def _m2(g: Graph, v: int, d: int) -> ReductionPlan | None:
+    """A 2-vertex whose both neighbors have degree <= 3 (distance 1)."""
+    if g.degree(v) != 2:
+        return None
+    u, w = g.adj[v]
+    if g.degree(u) <= 3 and g.degree(w) <= 3:
+        return _plan(g, ClaimTag.M2_TWO_WEAK, v, [],
+                     [((v, u), 2 * d + 2), ((v, w), 2 * d + 3)])
+    return None
+
+
+def _m3(g: Graph, v1: int, d: int) -> ReductionPlan | None:
+    """A 2-vertex v1 ~ {v, w1} where v has two or more degree-2 neighbors
+    yet w1 still has degree <= 3 (distance 2: the neighbors of v)."""
+    if g.degree(v1) != 2:
+        return None
+    for v, w1 in (g.adj[v1], g.adj[v1][::-1]):
+        if g.degree(w1) <= 3 and degree_class(g, v).t >= 2:
+            return _plan(g, ClaimTag.M3_TWO_TWOS, v1, [],
+                         [((v, v1), 2 * d + 4), ((v1, w1), 2 * d + 4)])
+    return None
+
+
+def _m4(g: Graph, v: int, d: int) -> ReductionPlan | None:
+    """A 4-vertex with four degree-2 neighbors (distance 1)."""
+    if g.degree(v) == 4 and all(g.degree(u) == 2 for u in g.adj[v]):
+        ext = [((v, u), d + 3 + i) for i, u in enumerate(g.adj[v])]
+        return _plan(g, ClaimTag.M4_ALL_TWOS, v, [], ext)
+    return None
+
+
+def _m5(g: Graph, v: int, d: int) -> ReductionPlan | None:
+    """A 4-vertex with exactly three degree-2 neighbors, one of which has
+    its far endpoint w1 outside the "4-vertex with a single degree-2
+    neighbor" class (distance 3: the neighbors of w1)."""
+    if g.degree(v) != 4:
+        return None
+    twos = [u for u in g.adj[v] if g.degree(u) == 2]
+    if len(twos) != 3:
+        return None
+    for v1 in twos:
+        w1 = _other_neighbor(g, v1, v)
+        if g.degree(w1) == 4 and degree_class(g, w1).t == 1:
+            continue
+        v2 = min(u for u in twos if u != v1)
+        return _plan(g, ClaimTag.M5_THREE_TWOS, v1, [(v, v2)],
+                     [((v1, w1), 2 * d + 4),
+                      ((v, v1), 2 * d + 3),
+                      ((v, v2), 2 * d + 4)])
+    return None
+
+
+# ---------------------------------------------------------------------
+# planar girth-7 pipeline (degree cap >= 4): tags G1..G8, with d the cap
+# ---------------------------------------------------------------------
+
+def _g1(g: Graph, v: int, d: int) -> ReductionPlan | None:
+    """An isolated vertex, or a pendant edge with fewer than 3*cap edges
+    within distance two, counted directly (distance 2: the edges at the
+    neighbors of v's neighbor)."""
+    if g.degree(v) == 0:
+        return _plan(g, ClaimTag.G1_PENDANT, v, [], [])
+    if g.degree(v) == 1:
+        u = g.adj[v][0]
+        nearby = len(edges_within_distance_two(g, g.edge_id(u, v)))
+        if nearby < 3 * d:
+            return _plan(g, ClaimTag.G1_PENDANT, v, [], [((u, v), nearby)])
+    return None
+
+
+def _g2(g: Graph, v: int, d: int) -> ReductionPlan | None:
+    """A 2-vertex whose both neighbors have degree <= 3 (distance 1)."""
+    if g.degree(v) != 2:
+        return None
+    u, w = g.adj[v]
+    if g.degree(u) <= 3 and g.degree(w) <= 3:
+        return _plan(g, ClaimTag.G2_TWO_WEAK, v, [],
+                     [((v, u), 2 * d + 2), ((v, w), 2 * d + 3)])
+    return None
+
+
+def _g3(g: Graph, v: int, d: int) -> ReductionPlan | None:
+    """A vertex all of whose neighbors have degree <= 2 (distance 1)."""
+    tau = g.degree(v)
+    if tau >= 1 and all(g.degree(u) <= 2 for u in g.adj[v]):
+        ext = [((v, u), d + tau - 1 + i) for i, u in enumerate(g.adj[v])]
+        return _plan(g, ClaimTag.G3_ALL_WEAK, v, [], ext)
+    return None
+
+
+def _g4(g: Graph, v: int, d: int) -> ReductionPlan | None:
+    """A 2-vertex between a 4-vertex u and a 2-vertex w, where u has more
+    degree-2 neighbors than just v (distance 2: the neighbors of u)."""
+    if g.degree(v) != 2:
+        return None
+    for u, w in (g.adj[v], g.adj[v][::-1]):
+        if (g.degree(u) == 4 and g.degree(w) == 2
+                and degree_class(g, u).t != 1):
+            return _plan(g, ClaimTag.G4_FOUR_AND_TWO, v, [],
+                         [((u, v), 2 * d + 3), ((w, v), d + 4)])
+    return None
+
+
+def _g5(g: Graph, v: int, d: int) -> ReductionPlan | None:
+    """A 2-vertex between a 4-vertex u with three degree-2 neighbors and a
+    3-vertex w (distance 2: the neighbors of u)."""
+    if g.degree(v) != 2:
+        return None
+    for u, w in (g.adj[v], g.adj[v][::-1]):
+        if (g.degree(u) == 4 and g.degree(w) == 3
+                and degree_class(g, u).t == 3):
+            return _plan(g, ClaimTag.G5_FOUR_AND_THREE, v, [],
+                         [((w, v), 2 * d + 3), ((u, v), d + 7)])
+    return None
+
+
+def _g6(g: Graph, v1: int, d: int) -> ReductionPlan | None:
+    """A 2-vertex v1 ~ {v, w1} where v is a 3-vertex with two degree-2
+    neighbors and w1 is neither a 5-or-more-vertex nor a 4-vertex with a
+    single degree-2 neighbor (distance 2: the neighbors of v and w1)."""
+    if g.degree(v1) != 2:
+        return None
+    for v, w1 in (g.adj[v1], g.adj[v1][::-1]):
+        if g.degree(v) != 3 or degree_class(g, v).t != 2:
+            continue
+        if g.degree(w1) >= 5:
+            continue
+        if g.degree(w1) == 4 and degree_class(g, w1).t == 1:
+            continue
+        v2 = next(u for u in g.adj[v] if u != v1 and g.degree(u) == 2)
+        return _plan(g, ClaimTag.G6_THREE_WITH_TWO_TWOS, v1, [(v, v2)],
+                     [((v1, w1), 2 * d + 3),
+                      ((v, v1), d + 5),
+                      ((v, v2), 2 * d + 2)])
+    return None
+
+
+def _g7(g: Graph, v: int, d: int) -> ReductionPlan | None:
+    """A vertex of degree k >= 5 with exactly one neighbor of degree >= 3.
+    Reducible at a pendant neighbor, or at a degree-2 neighbor whose far
+    endpoint has degree <= 3 (distance 2: the far endpoints)."""
+    k = g.degree(v)
+    if k < 5:
+        return None
+    strong = [u for u in g.adj[v] if g.degree(u) >= 3]
+    if len(strong) != 1:
+        return None
+    pendants = [u for u in g.adj[v] if g.degree(u) == 1]
+    if pendants:
+        u = pendants[0]
+        return _plan(g, ClaimTag.G7_ONE_STRONG_NEIGHBOR, u, [],
+                     [((u, v), d + 2 * k - 4)])
+    for v1 in g.adj[v]:
+        if g.degree(v1) != 2:
+            continue
+        w1 = _other_neighbor(g, v1, v)
+        if g.degree(w1) <= 3:
+            return _plan(g, ClaimTag.G7_ONE_STRONG_NEIGHBOR, v1, [],
+                         [((v1, w1), 2 * d + k - 1),
+                          ((v, v1), d + 2 * k - 1)])
+    return None
+
+
+def _g8(g: Graph, v: int, d: int) -> ReductionPlan | None:
+    """A vertex of degree k >= 5 with exactly two neighbors of degree >= 3
+    and ell pendant neighbors.  Reducible at a pendant neighbor when
+    ell >= k-4; when ell == k-5 (so exactly three degree-2 neighbors) it
+    reduces if every far endpoint is a 2-vertex or a 3-vertex with two
+    degree-2 neighbors (distance 3: the neighbors of the far endpoints)."""
+    k = g.degree(v)
+    if k < 5:
+        return None
+    strong = [u for u in g.adj[v] if g.degree(u) >= 3]
+    if len(strong) != 2:
+        return None
+    ell = sum(1 for u in g.adj[v] if g.degree(u) == 1)
+    if ell >= k - 4:
+        u = next(x for x in g.adj[v] if g.degree(x) == 1)
+        return _plan(g, ClaimTag.G8_TWO_STRONG_NEIGHBORS, u, [],
+                     [((u, v), 2 * d + 2 * k - ell - 5)])
+    if ell == k - 5:
+        twos = [u for u in g.adj[v] if g.degree(u) == 2]
+        fars = [_other_neighbor(g, u, v) for u in twos]
+        if all(g.degree(w) == 2
+               or (g.degree(w) == 3 and degree_class(g, w).t == 2)
+               for w in fars):
+            (v1, v2, v3), (w1, w2, w3) = twos, fars
+            return _plan(g, ClaimTag.G8_TWO_STRONG_NEIGHBORS, v1,
+                         [(v2, w2), (v3, w3)],
+                         [((v, v1), 2 * d + k - 1),
+                          ((v1, w1), d + k + 2),
+                          ((v2, w2), d + k + 2),
+                          ((v3, w3), d + k + 2)])
+    return None
+
+
+# ---------------------------------------------------------------------
+# the matchers in priority order, and the detectors over them
+# ---------------------------------------------------------------------
+
+class Matcher(NamedTuple):
+    """One tag's matcher and its radius (see the module docstring)."""
+
+    tag: ClaimTag
+    match: Callable[[Graph, int, int], ReductionPlan | None]
+    radius: int
+
+
+MAD_MATCHERS = (
+    Matcher(ClaimTag.M1_PENDANT, _m1, 1),
+    Matcher(ClaimTag.M2_TWO_WEAK, _m2, 2),
+    Matcher(ClaimTag.M3_TWO_TWOS, _m3, 3),
+    Matcher(ClaimTag.M4_ALL_TWOS, _m4, 2),
+    Matcher(ClaimTag.M5_THREE_TWOS, _m5, 4),
+)
+
+GIRTH7_MATCHERS = (
+    Matcher(ClaimTag.G1_PENDANT, _g1, 3),
+    Matcher(ClaimTag.G2_TWO_WEAK, _g2, 2),
+    Matcher(ClaimTag.G3_ALL_WEAK, _g3, 2),
+    Matcher(ClaimTag.G4_FOUR_AND_TWO, _g4, 3),
+    Matcher(ClaimTag.G5_FOUR_AND_THREE, _g5, 3),
+    Matcher(ClaimTag.G6_THREE_WITH_TWO_TWOS, _g6, 3),
+    Matcher(ClaimTag.G7_ONE_STRONG_NEIGHBOR, _g7, 3),
+    Matcher(ClaimTag.G8_TWO_STRONG_NEIGHBORS, _g8, 4),
+)
+
+
+def _first_match(g: Graph, matchers: tuple[Matcher, ...],
+                 d: int) -> ReductionPlan | None:
+    for matcher in matchers:
+        for v in range(g.n):
+            plan = matcher.match(g, v, d)
+            if plan is not None:
+                return plan
+    return None
+
 
 def find_reducible_mad(g: Graph) -> ReductionPlan | None:
     """First reducible configuration for the sparse pipeline, or None.
@@ -109,65 +371,8 @@ def find_reducible_mad(g: Graph) -> ReductionPlan | None:
     a tag.  Bound formulas are evaluated at the maximum degree of ``g``
     itself; their validity rests on it being at most 4.
     """
-    delta = g.max_degree()
+    return _first_match(g, MAD_MATCHERS, g.max_degree())
 
-    # M1: an isolated or pendant vertex.
-    for v in range(g.n):
-        if g.degree(v) <= 1:
-            ext = [((v, u), 3 * delta) for u in g.adj[v]]
-            return _plan(g, ClaimTag.M1_PENDANT, v, [], ext)
-
-    # M2: a 2-vertex whose both neighbors have degree <= 3.
-    for v in range(g.n):
-        if g.degree(v) != 2:
-            continue
-        u, w = g.adj[v]
-        if g.degree(u) <= 3 and g.degree(w) <= 3:
-            return _plan(g, ClaimTag.M2_TWO_WEAK, v, [],
-                         [((v, u), 2 * delta + 2), ((v, w), 2 * delta + 3)])
-
-    # M3: a 2-vertex v1 ~ {v, w1} where v has two or more degree-2
-    # neighbors yet w1 still has degree <= 3.
-    for v1 in range(g.n):
-        if g.degree(v1) != 2:
-            continue
-        for v, w1 in (g.adj[v1], g.adj[v1][::-1]):
-            if g.degree(w1) <= 3 and degree_class(g, v).t >= 2:
-                return _plan(g, ClaimTag.M3_TWO_TWOS, v1, [],
-                             [((v, v1), 2 * delta + 4),
-                              ((v1, w1), 2 * delta + 4)])
-
-    # M4: a 4-vertex with four degree-2 neighbors.
-    for v in range(g.n):
-        if g.degree(v) == 4 and all(g.degree(u) == 2 for u in g.adj[v]):
-            ext = [((v, u), delta + 3 + i) for i, u in enumerate(g.adj[v])]
-            return _plan(g, ClaimTag.M4_ALL_TWOS, v, [], ext)
-
-    # M5: a 4-vertex with exactly three degree-2 neighbors, one of which
-    # has its far endpoint outside the "4-vertex with a single degree-2
-    # neighbor" class.
-    for v in range(g.n):
-        if g.degree(v) != 4:
-            continue
-        twos = [u for u in g.adj[v] if g.degree(u) == 2]
-        if len(twos) != 3:
-            continue
-        for v1 in twos:
-            w1 = _other_neighbor(g, v1, v)
-            if g.degree(w1) == 4 and degree_class(g, w1).t == 1:
-                continue
-            v2 = min(u for u in twos if u != v1)
-            return _plan(g, ClaimTag.M5_THREE_TWOS, v1, [(v, v2)],
-                         [((v1, w1), 2 * delta + 4),
-                          ((v, v1), 2 * delta + 3),
-                          ((v, v2), 2 * delta + 4)])
-
-    return None
-
-
-# ---------------------------------------------------------------------
-# planar girth-7 pipeline (degree cap >= 4): tags G1..G8
-# ---------------------------------------------------------------------
 
 def find_reducible_girth7(g: Graph, delta_cap: int) -> ReductionPlan | None:
     """First reducible configuration for the girth-7 pipeline, or None.
@@ -181,131 +386,4 @@ def find_reducible_girth7(g: Graph, delta_cap: int) -> ReductionPlan | None:
     if g.max_degree() > delta_cap:
         raise ValueError(
             f"maximum degree {g.max_degree()} exceeds delta_cap {delta_cap}")
-    d = delta_cap
-
-    # G1: an isolated vertex, or a pendant edge with fewer than 3*cap
-    # edges within distance two (counted directly, not via structure).
-    for v in range(g.n):
-        if g.degree(v) == 0:
-            return _plan(g, ClaimTag.G1_PENDANT, v, [], [])
-        if g.degree(v) == 1:
-            u = g.adj[v][0]
-            nearby = len(edges_within_distance_two(g, g.edge_id(u, v)))
-            if nearby < 3 * d:
-                return _plan(g, ClaimTag.G1_PENDANT, v, [],
-                             [((u, v), nearby)])
-
-    # G2: a 2-vertex whose both neighbors have degree <= 3.
-    for v in range(g.n):
-        if g.degree(v) != 2:
-            continue
-        u, w = g.adj[v]
-        if g.degree(u) <= 3 and g.degree(w) <= 3:
-            return _plan(g, ClaimTag.G2_TWO_WEAK, v, [],
-                         [((v, u), 2 * d + 2), ((v, w), 2 * d + 3)])
-
-    # G3: a vertex all of whose neighbors have degree <= 2.
-    for v in range(g.n):
-        tau = g.degree(v)
-        if tau >= 1 and all(g.degree(u) <= 2 for u in g.adj[v]):
-            ext = [((v, u), d + tau - 1 + i) for i, u in enumerate(g.adj[v])]
-            return _plan(g, ClaimTag.G3_ALL_WEAK, v, [], ext)
-
-    # G4: a 2-vertex between a 4-vertex u and a 2-vertex w, where u has
-    # more degree-2 neighbors than just v.
-    for v in range(g.n):
-        if g.degree(v) != 2:
-            continue
-        for u, w in (g.adj[v], g.adj[v][::-1]):
-            if (g.degree(u) == 4 and g.degree(w) == 2
-                    and degree_class(g, u).t != 1):
-                return _plan(g, ClaimTag.G4_FOUR_AND_TWO, v, [],
-                             [((u, v), 2 * d + 3), ((w, v), d + 4)])
-
-    # G5: a 2-vertex between a 4-vertex u with three degree-2 neighbors
-    # and a 3-vertex w.
-    for v in range(g.n):
-        if g.degree(v) != 2:
-            continue
-        for u, w in (g.adj[v], g.adj[v][::-1]):
-            if (g.degree(u) == 4 and g.degree(w) == 3
-                    and degree_class(g, u).t == 3):
-                return _plan(g, ClaimTag.G5_FOUR_AND_THREE, v, [],
-                             [((w, v), 2 * d + 3), ((u, v), d + 7)])
-
-    # G6: a 2-vertex v1 ~ {v, w1} where v is a 3-vertex with two degree-2
-    # neighbors and w1 is neither a 5-or-more-vertex nor a 4-vertex with a
-    # single degree-2 neighbor.
-    for v1 in range(g.n):
-        if g.degree(v1) != 2:
-            continue
-        for v, w1 in (g.adj[v1], g.adj[v1][::-1]):
-            if g.degree(v) != 3 or degree_class(g, v).t != 2:
-                continue
-            if g.degree(w1) >= 5:
-                continue
-            if g.degree(w1) == 4 and degree_class(g, w1).t == 1:
-                continue
-            v2 = next(u for u in g.adj[v]
-                      if u != v1 and g.degree(u) == 2)
-            return _plan(g, ClaimTag.G6_THREE_WITH_TWO_TWOS, v1, [(v, v2)],
-                         [((v1, w1), 2 * d + 3),
-                          ((v, v1), d + 5),
-                          ((v, v2), 2 * d + 2)])
-
-    # G7: a vertex of degree k >= 5 with exactly one neighbor of degree
-    # >= 3.  Reducible at a pendant neighbor, or at a degree-2 neighbor
-    # whose far endpoint has degree <= 3.
-    for v in range(g.n):
-        k = g.degree(v)
-        if k < 5:
-            continue
-        strong = [u for u in g.adj[v] if g.degree(u) >= 3]
-        if len(strong) != 1:
-            continue
-        pendants = [u for u in g.adj[v] if g.degree(u) == 1]
-        if pendants:
-            u = pendants[0]
-            return _plan(g, ClaimTag.G7_ONE_STRONG_NEIGHBOR, u, [],
-                         [((u, v), d + 2 * k - 4)])
-        for v1 in g.adj[v]:
-            if g.degree(v1) != 2:
-                continue
-            w1 = _other_neighbor(g, v1, v)
-            if g.degree(w1) <= 3:
-                return _plan(g, ClaimTag.G7_ONE_STRONG_NEIGHBOR, v1, [],
-                             [((v1, w1), 2 * d + k - 1),
-                              ((v, v1), d + 2 * k - 1)])
-
-    # G8: a vertex of degree k >= 5 with exactly two neighbors of degree
-    # >= 3 and ell pendant neighbors.  Reducible at a pendant neighbor
-    # when ell >= k-4; when ell == k-5 (so exactly three degree-2
-    # neighbors) it reduces if every far endpoint is a 2-vertex or a
-    # 3-vertex with two degree-2 neighbors.
-    for v in range(g.n):
-        k = g.degree(v)
-        if k < 5:
-            continue
-        strong = [u for u in g.adj[v] if g.degree(u) >= 3]
-        if len(strong) != 2:
-            continue
-        ell = sum(1 for u in g.adj[v] if g.degree(u) == 1)
-        if ell >= k - 4:
-            u = next(x for x in g.adj[v] if g.degree(x) == 1)
-            return _plan(g, ClaimTag.G8_TWO_STRONG_NEIGHBORS, u, [],
-                         [((u, v), 2 * d + 2 * k - ell - 5)])
-        if ell == k - 5:
-            twos = [u for u in g.adj[v] if g.degree(u) == 2]
-            fars = [_other_neighbor(g, u, v) for u in twos]
-            if all(g.degree(w) == 2
-                   or (g.degree(w) == 3 and degree_class(g, w).t == 2)
-                   for w in fars):
-                (v1, v2, v3), (w1, w2, w3) = twos, fars
-                return _plan(g, ClaimTag.G8_TWO_STRONG_NEIGHBORS, v1,
-                             [(v2, w2), (v3, w3)],
-                             [((v, v1), 2 * d + k - 1),
-                              ((v1, w1), d + k + 2),
-                              ((v2, w2), d + k + 2),
-                              ((v3, w3), d + k + 2)])
-
-    return None
+    return _first_match(g, GIRTH7_MATCHERS, delta_cap)

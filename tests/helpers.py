@@ -3,8 +3,9 @@
 Everything here is deliberately written with *different* algorithms than
 the library: brute-force subset enumeration instead of max-flow,
 edge-deletion BFS instead of cross-edge girth detection, independent-set
-DP instead of backtracking color search, and the textbook definition of
-a strong edge coloring instead of precomputed conflict sets.  Slow but
+DP instead of backtracking color search, the textbook definition of a
+strong edge coloring instead of precomputed conflict sets, and a graph
+rebuilt at every peel level instead of one mutable peel state.  Slow but
 obviously correct, and only run on small inputs.
 """
 
@@ -14,6 +15,10 @@ import random
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
+
+from strongedge import (SearchBudget, SolveReport, TheoremViolationError,
+                        greedy_color, list_strong_colorable, verify_strong)
+from strongedge.colorer import extend
 
 Edge = tuple[int, int]
 
@@ -121,3 +126,148 @@ def dp_chromatic(n: int, neighbors: list[int]) -> int:
 def random_graph(rng: random.Random, n: int, p: float) -> list[Edge]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)
             if rng.random() < p]
+
+
+
+def random_sparse_graph(rng: random.Random, n: int, cap: int):
+    """Random edges under max degree ``cap`` on ``n`` vertices, some
+    subdivided once or twice; returns ``(edges, vertices)``.  Any girth
+    and any density: rich in the degree-2 vertices the detectors read."""
+    edges, deg = set(), [0] * n
+    for _ in range(n * cap):
+        u, v = rng.sample(range(n), 2)
+        key = (min(u, v), max(u, v))
+        if deg[u] < cap and deg[v] < cap and key not in edges:
+            edges.add(key)
+            deg[u] += 1
+            deg[v] += 1
+    out, nxt, share = [], n, rng.choice((0.3, 0.5, 0.8))
+    for u, v in sorted(edges):
+        if rng.random() < share:
+            chain = [u, *range(nxt, nxt + rng.randint(1, 2)), v]
+            nxt = chain[-2] + 1
+            out += list(zip(chain, chain[1:]))
+        else:
+            out.append((u, v))
+    return out, range(nxt)
+
+class _RefMiss(Exception):
+    def __init__(self, graph):
+        self.graph = graph
+
+
+def _ref_child_lists(parent, child, lists):
+    out = {}
+    for e in range(child.m):
+        a, b = child.label_pair(e)
+        out[e] = lists[parent.edge_id(parent.vertex_of_label(a),
+                                      parent.vertex_of_label(b))]
+    return out
+
+
+def plan_in_labels(g, plan):
+    """A plan in labels: tag, deleted label, erased and extension pairs
+    with their bounds, so plans from differently numbered graphs compare."""
+    return (plan.claim_tag.value, g.labels[plan.delete_vertex],
+            tuple(g.label_pair(e) for e in plan.erase_edges),
+            tuple((g.label_pair(s.edge), s.bound)
+                  for s in plan.extension_order))
+
+
+def _ref_reduce_and_unwind(g, lists, detect, trace, plans):
+    stack = []
+    cur, cur_lists = g, lists
+    while cur.n > 0:
+        plan = detect(cur)
+        if plan is None:
+            raise _RefMiss(cur)
+        plans.append(plan_in_labels(cur, plan))
+        stack.append((cur, cur_lists, plan))
+        child = cur.delete_vertex(plan.delete_vertex)
+        cur_lists = _ref_child_lists(cur, child, cur_lists)
+        cur = child
+    by_labels = {}
+    for level, level_lists, plan in reversed(stack):
+        partial = {
+            level.edge_id(level.vertex_of_label(a), level.vertex_of_label(b)): c
+            for (a, b), c in by_labels.items()}
+        for e in plan.erase_edges:
+            partial.pop(e, None)
+        partial = extend(level, partial, plan, level_lists, trace)
+        by_labels = {level.label_pair(e): c for e, c in partial.items()}
+    return {g.edge_id(g.vertex_of_label(a), g.vertex_of_label(b)): c
+            for (a, b), c in by_labels.items()}
+
+
+def reference_solve(g, lists, path, detect, fallback_threshold):
+    """The peeling engine before the mutable peel state, kept as the slow
+    reference: per component it runs a public detector on a freshly built
+    graph at every level, builds the next level with
+    ``Graph.delete_vertex``, carries the lists over by labels and remaps
+    colors by label pairs on the way back up.
+
+    ``lists`` must already map every edge id to a frozenset.  Returns the
+    report and, per component peeled to the end, its plans in peel order
+    (see :func:`plan_in_labels`).
+    """
+    trace, coloring, notes, plans = [], {}, [], []
+    certified, failed = True, None
+    for comp in g.components():
+        sub = g.induced(comp)
+        if sub.m == 0:
+            continue
+        sub_lists = _ref_child_lists(g, sub, lists)
+        if sub.m == 1:
+            sub_coloring = {0: min(sub_lists[0])}
+        else:
+            plans.append([])
+            try:
+                sub_coloring = _ref_reduce_and_unwind(sub, sub_lists, detect,
+                                                      trace, plans[-1])
+            except _RefMiss as miss:
+                plans.pop()
+                if fallback_threshold is None:
+                    raise TheoremViolationError(
+                        f"no reducible configuration found on a "
+                        f"hypothesis-satisfying graph with "
+                        f"{miss.graph.n} vertices — the guarantee this "
+                        f"pipeline rests on failed") from None
+                certified = False
+                if sub.m <= fallback_threshold:
+                    notes.append(
+                        f"component {list(comp)}: no reducible "
+                        f"configuration at {miss.graph.n} vertices; exact "
+                        f"search fallback")
+                    found = list_strong_colorable(
+                        sub, sub_lists, SearchBudget(edge_cap=max(sub.m, 28)))
+                    if found is None:
+                        notes.append(
+                            f"component {list(comp)}: lists admit no "
+                            f"strong coloring")
+                        failed = g.edge_id(*[g.vertex_of_label(x)
+                                             for x in sub.label_pair(0)])
+                        continue
+                    sub_coloring = found
+                else:
+                    notes.append(
+                        f"component {list(comp)}: no reducible "
+                        f"configuration at {miss.graph.n} vertices; greedy "
+                        f"fallback (component too large for exact search)")
+                    rep = greedy_color(sub, sub_lists)
+                    sub_coloring = rep.coloring
+                    if rep.failed_edge is not None:
+                        failed = g.edge_id(*[
+                            g.vertex_of_label(x)
+                            for x in sub.label_pair(rep.failed_edge)])
+        for e, c in sub_coloring.items():
+            a, b = sub.label_pair(e)
+            coloring[g.edge_id(g.vertex_of_label(a),
+                               g.vertex_of_label(b))] = c
+    if failed is None:
+        assert not verify_strong(g, coloring)
+        assert all(c in lists[e] for e, c in coloring.items())
+    report = SolveReport(coloring, path, len(set(coloring.values())),
+                         certified=certified and failed is None,
+                         fallback="; ".join(notes) if notes else None,
+                         failed_edge=failed, trace=tuple(trace))
+    return report, plans

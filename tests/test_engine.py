@@ -1,0 +1,258 @@
+"""The peeling engine against its slow reference.
+
+``helpers.reference_solve`` is the engine as it was before the mutable
+peel state: a public detector on a graph rebuilt at every level, lists
+and colors carried over by labels.  On every input here the engine must
+make the same plans (tag, deleted label, erased pairs, extension pairs
+and bounds, in peel order) and return an equal report (coloring, trace,
+certification, fallback notes, failed edge), or raise the same error.
+"""
+
+from __future__ import annotations
+
+import random
+import time
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from strongedge import (ClaimTag, GenSpec, TheoremViolationError,
+                        build_graph, find_reducible_girth7,
+                        find_reducible_mad, generate, solve_girth7,
+                        solve_mad3, uniform_lists, verify_strong)
+from strongedge import colorer
+from strongedge.reducer import GIRTH7_MATCHERS, MAD_MATCHERS
+from tests.helpers import (plan_in_labels, random_sparse_graph,
+                           reference_solve)
+
+POOL = list(range(40))
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except TheoremViolationError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def run_engine(g, solve):
+    """``solve()``'s outcome and the plans of every peeled component."""
+    plans = []
+    real = colorer._peel
+
+    def peel(state, matchers, delta_cap):
+        stack = real(state, matchers, delta_cap)
+        plans.append([plan_in_labels(g, plan) for plan, _ in stack])
+        return stack
+    colorer._peel = peel
+    try:
+        return _outcome(solve), plans
+    finally:
+        colorer._peel = real
+
+
+def check_same(g, lists, pipeline, cap=None, threshold=24, solve=None):
+    """Run both engines on ``g``; returns the tags the engine fired."""
+    lists = {e: frozenset(lists[e]) for e in range(g.m)}
+    if pipeline == "mad3":
+        matchers, cap, threshold = MAD_MATCHERS, None, None
+        detect = find_reducible_mad
+    else:
+        matchers = GIRTH7_MATCHERS
+        detect = lambda h: find_reducible_girth7(h, cap)  # noqa: E731
+    if solve is None:
+        solve = lambda: colorer._solve_components(  # noqa: E731
+            g, lists, pipeline, matchers, cap, threshold)
+    new, new_plans = run_engine(g, solve)
+    ref_plans = []
+
+    def ref():
+        report, plans = reference_solve(g, lists, pipeline, detect,
+                                        threshold)
+        ref_plans.extend(plans)
+        return report
+    assert new == _outcome(ref)
+    assert new_plans == ref_plans
+    return {step[0] for plans in new_plans for step in plans}
+
+
+def test_engine_matches_reference_on_the_acceptance_corpus():
+    # the instances and lists of acceptance criteria 3 and 4
+    rng = random.Random(0)
+    for seed in range(500):
+        n = rng.randint(8, 60)
+        g = generate(GenSpec("sparse-mad3", n, delta=4, seed=seed)).graph
+        size = 3 * g.max_degree() + 1
+        lists = {e: frozenset(rng.sample(POOL, size)) for e in range(g.m)}
+        check_same(g, lists, "mad3", solve=lambda: solve_mad3(g, lists))
+    rng = random.Random(1)
+    for seed in range(200):
+        cap = (4, 5, 6)[seed % 3]
+        n = rng.randint(7, 45)
+        g = generate(GenSpec("planar-girth7", n, delta=cap, seed=seed)).graph
+        lists = {e: frozenset(rng.sample(POOL, 3 * cap)) for e in range(g.m)}
+        check_same(g, lists, "girth7", cap,
+                   solve=lambda: solve_girth7(g, lists, delta_cap=cap))
+
+
+def _relabel(edges, rng, vertices=()):
+    """The graph on ``edges`` under a random injective relabeling."""
+    names = sorted({x for e in edges for x in e} | set(vertices))
+    new = rng.sample(range(3 * len(names) + 3), len(names))
+    lab = dict(zip(names, new))
+    return build_graph([(lab[a], lab[b]) for a, b in edges],
+                       vertices=[lab[x] for x in names])
+
+
+def _subdivided_circulant(n, keep_matching):
+    """C_n(1, 2) with every edge subdivided, except, if asked, the
+    matching (2i, 2i+1): a max-degree-4 graph with mad below 3 whose
+    hubs fire M4 (all edges subdivided) or M5 (matching kept)."""
+    edges, nxt = [], n
+    for i in range(n):
+        for j in ((i + 1) % n, (i + 2) % n):
+            if keep_matching and i % 2 == 0 and j == i + 1:
+                edges.append((i, j))
+            else:
+                edges += [(i, nxt), (nxt, j)]
+                nxt += 1
+    return edges
+
+
+# G8 at vertex 0 (degree 5, two strong neighbors, three 2-vertices whose
+# far endpoints are 2-vertices or 3-vertices with two degree-2 neighbors)
+G8_WITNESS = [
+    (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3),
+    (1, 10), (1, 11), (1, 12), (2, 3), (4, 7), (5, 8), (6, 9),
+    (7, 10), (7, 13), (8, 11), (8, 13), (9, 12), (9, 13)]
+
+
+def test_engine_matches_reference_on_every_tag():
+    rng = random.Random(5)
+    fired = set()
+    for n, keep in ((8, False), (10, True), (12, True), (14, False)):
+        g = _relabel(_subdivided_circulant(n, keep), rng)
+        fired |= check_same(g, uniform_lists(g, 13), "mad3",
+                            solve=lambda: solve_mad3(g, uniform_lists(g, 13)))
+        fired |= check_same(g, uniform_lists(g, 12), "girth7", 4)
+    g = _relabel(G8_WITNESS, rng)
+    fired |= check_same(g, uniform_lists(g, 15), "girth7", 5)
+    for _ in range(60):
+        edges, vs = random_sparse_graph(rng, rng.randint(6, 30), 4)
+        g = _relabel(edges, rng, vs)
+        fired |= check_same(g, uniform_lists(g, 13), "mad3")
+        for cap in (5, 6):
+            edges, vs = random_sparse_graph(rng, rng.randint(6, 30), cap)
+            g = _relabel(edges, rng, vs)
+            lists = {e: rng.sample(POOL, 3 * cap) for e in range(g.m)}
+            fired |= check_same(g, lists, "girth7", cap)
+    assert fired == {tag.value for tag in ClaimTag}
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 12))
+    cap = draw(st.sampled_from((4, 5, 6)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=2 * n))
+    edges, deg = set(), [0] * n
+    for u, v in pairs:
+        key = (min(u, v), max(u, v))
+        if u != v and key not in edges and deg[u] < cap and deg[v] < cap:
+            edges.add(key)
+            deg[u] += 1
+            deg[v] += 1
+    return build_graph(sorted(edges), vertices=range(n)), cap
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(), st.integers(0, 2 ** 20))
+def test_engine_matches_reference_on_small_graphs(case, seed):
+    g, cap = case
+    rng = random.Random(seed)
+    size = 3 * cap + 1 if cap == 4 else 3 * cap
+    lists = {e: rng.sample(POOL, size) for e in range(g.m)}
+    if cap == 4:
+        check_same(g, lists, "mad3")
+    check_same(g, lists, "girth7", cap)
+
+
+def test_engine_matches_reference_across_components():
+    rng = random.Random(7)
+    for trial in range(12):
+        parts = [generate(GenSpec("sparse-mad3", rng.randint(3, 20), delta=4,
+                                  seed=trial * 10 + k)).graph
+                 for k in range(3)]
+        parts.append(build_graph([(0, 1)]))
+        parts.append(build_graph([], vertices=[0]))
+        edges, vertices, base = [], [], 0
+        for h in parts:
+            edges += [(base + u, base + v) for u, v in h.edges]
+            vertices += [base + v for v in range(h.n)]
+            base += h.n
+        g = _relabel(edges, rng, vertices)  # components interleave by id
+        assert len(g.components()) >= 5
+        lists = {e: rng.sample(POOL, 13) for e in range(g.m)}
+        check_same(g, lists, "mad3", solve=lambda: solve_mad3(g, lists))
+        check_same(g, lists, "girth7", 4)
+
+
+PETERSEN = ([(i, (i + 1) % 5) for i in range(5)]
+            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+            + [(i, i + 5) for i in range(5)])
+
+
+def _mcgee():
+    edges = [(i, (i + 1) % 24) for i in range(24)]
+    shift = {0: 12, 1: 7, 2: -7}
+    for i in range(24):
+        j = (i + shift[i % 3]) % 24
+        if i < j:
+            edges.append((i, j))
+    return edges
+
+
+def test_engine_matches_reference_on_detector_misses():
+    rng = random.Random(11)
+    # cubic graphs fire no G tag; pendant paths peel first, so the miss
+    # comes at 10 vertices (exact search) or 24 vertices (greedy)
+    tails = [(0, 30), (30, 31), (31, 32), (7, 40), (3, 41)]
+    petersen = _relabel(PETERSEN + tails, rng)
+    mcgee = _relabel(_mcgee() + [(5, 50), (50, 51)], rng)
+    both = _relabel(PETERSEN + tails + [(100 + u, 100 + v)
+                                       for u, v in _mcgee()]
+                    + [(60, 61), (61, 62), (62, 60 + 3)], rng)
+    for g in (petersen, mcgee, both):
+        # lists from 4 colors admit no strong coloring of the Petersen graph
+        for pool, size in ((12, 12), (6, 5), (4, 3)):
+            lists = {e: rng.sample(POOL[:pool], size) for e in range(g.m)}
+            check_same(g, lists, "girth7", 4)
+    report = colorer._solve_components(
+        petersen, uniform_lists(petersen, 12), "girth7", GIRTH7_MATCHERS, 4,
+        24)
+    assert "no reducible configuration at 10 vertices" in report.fallback
+    # the sparse pipeline treats a miss as a broken guarantee
+    k4_tail = _relabel([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                        (3, 4), (4, 5)], rng)
+    assert check_same(k4_tail, uniform_lists(k4_tail, 13), "mad3") == set()
+    out, _ = run_engine(k4_tail, lambda: colorer._solve_components(
+        k4_tail, uniform_lists(k4_tail, 13), "mad3", MAD_MATCHERS, None,
+        None))
+    assert out[0] == "TheoremViolationError" and "4 vertices" in out[1]
+
+
+def test_large_inputs_peel_in_linear_time():
+    # about 2 s each here; the engine that rebuilt a graph per level took
+    # 15 s already on a 2000-vertex tree.  CPU time, so a busy host does
+    # not count against the bound
+    tree = generate(GenSpec("tree", 20_000, delta=4, seed=3)).graph
+    cycle = build_graph([(i, (i + 1) % 20_000) for i in range(20_000)])
+    for g, solve in ((tree, lambda: solve_mad3(tree, uniform_lists(tree, 13))),
+                     (tree, lambda: solve_girth7(tree, uniform_lists(tree, 12),
+                                                 delta_cap=4)),
+                     (cycle, lambda: solve_girth7(
+                         cycle, uniform_lists(cycle, 12), delta_cap=4))):
+        start = time.process_time()
+        report = solve()
+        assert time.process_time() - start < 20
+        assert report.certified and not verify_strong(g, report.coloring)

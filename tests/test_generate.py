@@ -96,6 +96,20 @@ def test_sparse_family_bytes_are_pinned():
         "a0a41967abe26e129bc4bfb5bab9c8a307a6eb31bafac6c52c973c37ccc01bb4")
 
 
+def test_tree_family_bytes_are_pinned():
+    # (seed, n, delta) triples from one vertex up to 2000, degree caps 1 to
+    # 10; the hash was taken before the generator kept its list of
+    # unsaturated vertices incrementally instead of rebuilding it per vertex
+    digest = hashlib.sha256()
+    for seed, n, delta in ((0, 1, 4), (1, 2, 1), (2, 3, 2), (3, 60, 2),
+                           (4, 250, 3), (5, 1000, 4), (6, 2000, 4),
+                           (7, 600, 6), (8, 400, 10)):
+        inst = generate(GenSpec("tree", n, delta=delta, seed=seed))
+        digest.update(serialize_instance(inst).encode())
+    assert digest.hexdigest() == (
+        "1e2ea9dcfeffa4b97e0574139594f61a76c022e4ea58d379b105fa547fdc2af9")
+
+
 @pytest.mark.parametrize("spec, fragment", [
     (GenSpec("moebius", 10), "unknown family"),
     (GenSpec("cycle", 2), "at least 3"),

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strongedge import Graph, GraphError, build_graph, degree_class, girth
+from strongedge.graph import PeelState
 
 from tests.helpers import bfs_girth, random_graph
 
@@ -122,3 +124,49 @@ def test_delete_vertex_matches_induced(case, which):
     keep = [w for w in range(g.n) if w != v]
     assert h.labels == tuple(g.labels[w] for w in keep)
     assert h.m == sum(1 for u, w in g.edges if v not in (u, w))
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_lists())
+def test_bounded_girth_matches_reference(case):
+    n, edges = case
+    g = build_graph(edges, vertices=range(n))
+    exact = bfs_girth(edges, n)
+    assert girth(g, limit=7) == (exact if exact < 7 else float("inf"))
+    assert girth(g, limit=4) == (exact if exact < 4 else float("inf"))
+
+
+def test_bounded_girth_on_a_long_cycle():
+    # a depth-3 search per vertex; the unbounded one is quadratic here
+    cycle = build_graph([(i, (i + 1) % 20_000) for i in range(20_000)])
+    start = time.process_time()
+    assert girth(cycle, limit=7) == float("inf")
+    assert time.process_time() - start < 1.0
+    assert girth(build_graph([(i, (i + 1) % 6) for i in range(6)]),
+                 limit=7) == 6
+
+
+def _peel_view(g, alive):
+    """What a peel state must hold once only ``alive`` is left."""
+    adj = {v: [w for w in g.adj[v] if w in alive] for v in alive}
+    return adj, max((len(a) for a in adj.values()), default=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_lists(12), st.randoms(use_true_random=False))
+def test_peel_state_deletes_and_restores(case, rnd):
+    n, edges = case
+    g = build_graph(edges, vertices=range(n))
+    comp = max(g.components(), key=len)
+    state = PeelState(g, comp)
+    order = rnd.sample(comp, len(comp))
+    undo = []
+    for k, v in enumerate(order):
+        undo.append(state.delete(v))
+        assert (state.adj, state.max_degree()) == \
+            _peel_view(g, set(order[k + 1:]))
+    for k in reversed(range(len(order))):
+        state.restore(order[k], undo[k])
+        assert (state.adj, state.max_degree()) == \
+            _peel_view(g, set(order[k:]))
+    assert state.adj == {v: list(g.adj[v]) for v in comp}

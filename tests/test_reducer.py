@@ -9,11 +9,16 @@ exactly.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from strongedge import (ClaimTag, GenSpec, build_graph,
                         edges_within_distance_two, find_reducible_girth7,
                         find_reducible_mad, generate)
+from strongedge.graph import PeelState
+from strongedge.reducer import GIRTH7_MATCHERS, MAD_MATCHERS
+from tests.helpers import random_sparse_graph
 
 
 def eid(g, a, b):
@@ -259,3 +264,75 @@ def test_plans_on_generated_instances_have_valid_shape():
             assert all(s.bound < 12 for s in plan.extension_order)
             check_plan_shape(g, plan)
             g = g.delete_vertex(plan.delete_vertex)
+
+
+def _farthest_changes(g, matchers, d, deleted):
+    """Per tag, the farthest distance from a deleted vertex at which
+    deleting it changed whether the tag's matcher fires."""
+    out = {}
+    everything = range(g.n)
+    for x in deleted:
+        state = PeelState(g, everything)
+        dist = {v: r for r, ring in enumerate(state.ball(x, g.n))
+                for v in ring}
+        before = [{v for v in everything
+                   if v != x and m.match(state, v, d) is not None}
+                  for m in matchers]
+        state.delete(x)
+        for m, fired in zip(matchers, before):
+            now = {v for v in everything
+                   if v != x and m.match(state, v, d) is not None}
+            for v in fired ^ now:
+                out[m.tag] = max(out.get(m.tag, 0), dist[v])
+    return out
+
+
+# (edges, degree the bounds use, the deletion that changes the tag's match
+# at vertex 0 from the greatest distance) for the tags random graphs
+# seldom take to their radius
+FAR_CHANGES = [
+    # M5 at 0 is blocked while every far endpoint 5, 6, 7 is a 4-vertex
+    # with one degree-2 neighbor; deleting 22 makes 10 a 2-vertex
+    ([(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7),
+      (5, 8), (5, 9), (5, 10), (6, 11), (6, 12), (6, 13),
+      (7, 14), (7, 15), (7, 16), (10, 22), (10, 23)]
+     + [(f, h) for f in (8, 9, 11, 12, 13, 14, 15, 16) for h in (20, 21)],
+     MAD_MATCHERS, 4, 22),
+    # G1 at 0: 12 edges near the pendant edge 01 until 5 goes
+    ([(0, 1), (1, 2), (1, 3), (1, 4), (2, 5), (2, 6), (2, 7), (3, 8),
+      (3, 9), (3, 10), (4, 11), (4, 12), (4, 13)], GIRTH7_MATCHERS, 4, 5),
+    # G7 at 0: every far endpoint has degree 4 until 12 goes
+    ([(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 10), (1, 11),
+      (2, 6), (3, 7), (4, 8), (5, 9), (6, 12), (6, 13), (6, 14)]
+     + [(w, f) for w in (7, 8, 9) for f in (15, 16, 17)],
+     GIRTH7_MATCHERS, 5, 12),
+    # G8 at 0 (the witness above plus 10-30): far endpoint 7 has one
+    # degree-2 neighbor until 30 goes
+    ([(0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3),
+      (1, 10), (1, 11), (1, 12), (2, 3), (4, 7), (5, 8), (6, 9),
+      (7, 10), (7, 13), (8, 11), (8, 13), (9, 12), (9, 13), (10, 30)],
+     GIRTH7_MATCHERS, 5, 30),
+]
+
+
+def test_matcher_radii_bound_what_a_deletion_changes():
+    # a deletion changes no match beyond the matcher's radius, and every
+    # radius is reached, so none is larger than its reads make it
+    reached = {}
+
+    def note(changes):
+        for tag, r in changes.items():
+            reached[tag] = max(reached.get(tag, 0), r)
+    for edges, matchers, d, x in FAR_CHANGES:
+        g = build_graph(edges)
+        note(_farthest_changes(g, matchers, d, [g.vertex_of_label(x)]))
+    rng = random.Random(1)
+    for i in range(40):
+        cap = (4, 5, 6)[i % 3]
+        edges, vertices = random_sparse_graph(rng, rng.randint(5, 14), cap)
+        g = build_graph(edges, vertices=vertices)
+        note(_farthest_changes(
+            g, MAD_MATCHERS if cap == 4 else GIRTH7_MATCHERS, cap,
+            range(g.n)))
+    radius = {m.tag: m.radius for m in MAD_MATCHERS + GIRTH7_MATCHERS}
+    assert reached == radius
