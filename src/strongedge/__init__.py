@@ -16,8 +16,7 @@ from .colorer import (ExtensionError, ExtensionRecord, HypothesisError,
                       SolveReport, TheoremViolationError, Violation,
                       greedy_color, solve_girth7, solve_mad3, uniform_lists,
                       verify_strong)
-from .conflicts import (ConflictIndex, colored_conflicts, conflict_graph,
-                        edges_within_distance_two)
+from .conflicts import conflict_graph, edges_within_distance_two
 from .density import DensityWitness, density_exceeds, mad, mad_deficit_sum
 from .discharge import (AuditReport, ChargeLedger, Embedding, EmbeddingError,
                         Transfer, apply_rules_girth7, apply_rules_mad, audit,
@@ -38,15 +37,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuditReport", "BudgetExceededError", "ChargeLedger", "ClaimTag",
-    "ConflictIndex", "DegreeClass", "DensityWitness", "Embedding",
-    "EmbeddingError", "ExtensionError", "ExtensionRecord", "ExtensionStep",
+    "DegreeClass", "DensityWitness", "Embedding", "EmbeddingError",
+    "ExtensionError", "ExtensionRecord", "ExtensionStep",
     "FAMILIES", "GenSpec", "Graph", "GraphError", "HypothesisError",
     "InstanceFile", "OracleResult", "ParseError", "PropositionCheck",
     "ReductionPlan", "SearchBudget", "SolveReport", "TheoremViolationError",
     "Transfer", "Violation", "apply_rules_girth7", "apply_rules_mad",
     "audit", "build_graph", "check_proposition_small_delta",
-    "colored_conflicts", "conflict_graph", "degree_class",
-    "density_exceeds", "edges_within_distance_two", "euler_charge_identity",
+    "conflict_graph", "degree_class", "density_exceeds",
+    "edges_within_distance_two", "euler_charge_identity",
     "find_reducible_girth7", "find_reducible_mad", "generate", "girth",
     "greedy_color", "list_strong_colorable", "mad", "mad_deficit_sum",
     "parse_coloring", "parse_instance", "run_command", "serialize_coloring",

@@ -23,10 +23,10 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
-from .conflicts import ConflictIndex, edges_within_distance_two
+from .conflicts import edges_within_distance_two
 from .density import mad, mad_below_3
 from .graph import Graph, PeelState, girth as graph_girth
-from .oracle import SearchBudget, list_strong_colorable
+from .oracle import list_strong_colorable
 from .reducer import (GIRTH7_MATCHERS, MAD_MATCHERS, ClaimTag, Matcher,
                       ReductionPlan)
 
@@ -132,12 +132,11 @@ def verify_strong(g: Graph, coloring: PartialColoring,
         for e in range(g.m):
             if e not in coloring:
                 out.append(Violation("uncolored", (e,)))
-    idx = ConflictIndex(g)
     for e in range(g.m):
         c = coloring.get(e)
         if c is None:
             continue
-        for f in sorted(idx.conflicts(e)):
+        for f in sorted(edges_within_distance_two(g, e)):
             if f > e and coloring.get(f) == c:
                 out.append(Violation("conflict", (e, f), c))
     return out
@@ -151,10 +150,10 @@ def greedy_color(g: Graph, lists: ColorLists,
     edge whose list is exhausted.  Never certified.
     """
     lists = _normalize_lists(g, lists)
-    idx = ConflictIndex(g)
     coloring: PartialColoring = {}
     for e in (list(order) if order is not None else range(g.m)):
-        used = {coloring[f] for f in idx.conflicts(e) if f in coloring}
+        used = {coloring[f] for f in edges_within_distance_two(g, e)
+                if f in coloring}
         spare = sorted(lists[e] - used)
         if not spare:
             return SolveReport(coloring, "greedy",
@@ -299,15 +298,31 @@ def _final_checks(g: Graph, lists: ColorLists,
                 f"{g.label_pair(e)}")
 
 
-def _solve_components(g: Graph, lists: ColorLists, path: str,
+def _solve_components(g: Graph, lists: dict[int, Iterable[int]], path: str,
                       matchers: tuple[Matcher, ...], delta_cap: int | None,
-                      fallback_threshold: int | None) -> SolveReport:
-    """Solve per connected component, all into one coloring.
+                      fallback_threshold: int | None, budget: int,
+                      formula: str) -> SolveReport:
+    """Check the lists, then solve per connected component, all into one
+    coloring.
 
-    ``fallback_threshold`` None means a detector miss is fatal (sparse
-    pipeline); otherwise it is the component edge count up to which the
-    exact oracle is used as fallback, greedy beyond.
+    Every edge needs a nonempty list, and unless ``g`` has a single edge
+    every list needs at least ``budget`` colors (``formula`` names the
+    budget in the error).  ``fallback_threshold`` None means a detector
+    miss is fatal (sparse pipeline); otherwise it is the component edge
+    count up to which the exact oracle is used as fallback, greedy beyond.
     """
+    if g.m == 0:
+        return SolveReport({}, path, 0, certified=True)
+    lists = _normalize_lists(g, lists)
+    if any(not lst for lst in lists.values()):
+        raise HypothesisError("every edge needs a nonempty color list")
+    if g.m == 1:
+        return SolveReport({0: min(lists[0])}, path, 1, certified=True)
+    short = sorted(e for e in range(g.m) if len(lists[e]) < budget)
+    if short:
+        raise HypothesisError(
+            f"lists must have at least {formula} = {budget} colors; "
+            f"too short on edge ids {short}")
     trace: list[ExtensionRecord] = []
     coloring: PartialColoring = {}
     notes: list[str] = []
@@ -341,8 +356,7 @@ def _solve_components(g: Graph, lists: ColorLists, path: str,
                 notes.append(
                     f"component {list(comp)}: no reducible configuration "
                     f"at {miss.n} vertices; exact search fallback")
-                found = list_strong_colorable(
-                    sub, sub_lists, SearchBudget(edge_cap=max(m, 28)))
+                found = list_strong_colorable(sub, sub_lists)
                 if found is None:
                     notes.append(
                         f"component {list(comp)}: lists admit no strong "
@@ -395,21 +409,8 @@ def solve_mad3(g: Graph, lists: dict[int, Iterable[int]]) -> SolveReport:
         raise HypothesisError(
             f"maximum average degree is {witness.density} >= 3 on "
             f"vertices {sorted(witness.vertices)}", witness=witness)
-    if g.m == 0:
-        return SolveReport({}, "mad3", 0, certified=True)
-    lists = _normalize_lists(g, lists)
-    if any(not lst for lst in lists.values()):
-        raise HypothesisError("every edge needs a nonempty color list")
-    if g.m == 1:
-        return SolveReport({0: min(lists[0])}, "mad3", 1, certified=True)
-    budget = 3 * delta + 1
-    short = sorted(e for e in range(g.m) if len(lists[e]) < budget)
-    if short:
-        raise HypothesisError(
-            f"lists must have at least 3*max_degree+1 = {budget} colors; "
-            f"too short on edge ids {short}")
-    return _solve_components(g, lists, "mad3", MAD_MATCHERS, None,
-                             fallback_threshold=None)
+    return _solve_components(g, lists, "mad3", MAD_MATCHERS, None, None,
+                             3 * delta + 1, "3*max_degree+1")
 
 
 def solve_girth7(g: Graph, lists: dict[int, Iterable[int]], delta_cap: int,
@@ -433,18 +434,6 @@ def solve_girth7(g: Graph, lists: dict[int, Iterable[int]], delta_cap: int,
         raise HypothesisError(
             f"girth {got_girth} is below 7; the girth-7 pipeline does "
             f"not apply")
-    if g.m == 0:
-        return SolveReport({}, "girth7", 0, certified=True)
-    lists = _normalize_lists(g, lists)
-    if any(not lst for lst in lists.values()):
-        raise HypothesisError("every edge needs a nonempty color list")
-    if g.m == 1:
-        return SolveReport({0: min(lists[0])}, "girth7", 1, certified=True)
-    budget = 3 * delta_cap
-    short = sorted(e for e in range(g.m) if len(lists[e]) < budget)
-    if short:
-        raise HypothesisError(
-            f"lists must have at least 3*delta_cap = {budget} colors; "
-            f"too short on edge ids {short}")
     return _solve_components(g, lists, "girth7", GIRTH7_MATCHERS, delta_cap,
-                             fallback_threshold=fallback_threshold)
+                             fallback_threshold, 3 * delta_cap,
+                             "3*delta_cap")

@@ -10,7 +10,7 @@ special case of "within distance two" and needs no separate handling.
 
 from __future__ import annotations
 
-from .graph import Graph, GraphError, build_graph
+from .graph import Graph, build_graph
 
 
 def edges_within_distance_two(g: Graph, e: int) -> frozenset[int]:
@@ -24,56 +24,13 @@ def edges_within_distance_two(g: Graph, e: int) -> frozenset[int]:
     return frozenset(out)
 
 
-class ConflictIndex:
-    """Precomputed conflict sets for every edge of one graph.
-
-    The index belongs to the graph it was built from; after a reduction
-    deletes a vertex, build a fresh index for the smaller graph instead of
-    patching this one.
-    """
-
-    __slots__ = ("graph", "_sets")
-
-    def __init__(self, g: Graph):
-        self.graph = g
-        self._sets: tuple[frozenset[int], ...] = tuple(
-            edges_within_distance_two(g, e) for e in range(g.m))
-
-    def conflicts(self, e: int) -> frozenset[int]:
-        return self._sets[e]
-
-    def __len__(self) -> int:
-        return len(self._sets)
-
-
 def conflict_graph(g: Graph) -> Graph:
     """Graph whose vertices are ``g``'s edge ids, adjacent iff conflicting.
 
     A strong edge coloring of ``g`` is exactly a proper vertex coloring of
     this graph.
     """
-    idx = ConflictIndex(g)
-    pairs = [(e, f) for e in range(g.m) for f in idx.conflicts(e) if e < f]
+    pairs = [(e, f) for e in range(g.m)
+             for f in edges_within_distance_two(g, e) if e < f]
     return build_graph(pairs, vertices=range(g.m))
 
-
-def colored_conflicts(g: Graph, idx: ConflictIndex, e: int,
-                      partial: dict[int, int]) -> tuple[int, frozenset[int]]:
-    """Count and collect colors on edges conflicting with ``e``.
-
-    ``partial`` maps edge id -> color id.  Returns ``(count, colors)``
-    where ``count`` is the number of *colored* conflicting edges and
-    ``colors`` the set of distinct colors they use (``len(colors)`` can be
-    smaller than ``count`` when colors repeat at distance two — which a
-    strong coloring forbids, but partial inputs are not assumed valid).
-    """
-    if idx.graph is not g:
-        raise GraphError("conflict index was built for a different graph")
-    count = 0
-    colors: set[int] = set()
-    for f in idx.conflicts(e):
-        c = partial.get(f)
-        if c is not None:
-            count += 1
-            colors.add(c)
-    return count, frozenset(colors)

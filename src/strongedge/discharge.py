@@ -323,7 +323,7 @@ def audit(g: Graph, emb: Embedding | None = None, which: str = "mad",
         identity = Fraction(mad_deficit_sum(g))
         if delta > 4:
             notes.append(f"maximum degree {delta} exceeds 4")
-        if identity >= 0:
+        if identity >= 0 and g.n:  # mad is undefined on the empty graph
             notes.append(
                 f"total initial charge {identity} is not negative, so the "
                 f"maximum average degree is at least 3")

@@ -63,9 +63,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(a) for a in self.adj), default=0)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self._pair_index
-
     def edge_id(self, u: int, v: int) -> int:
         """Edge id of the pair ``{u, v}``; raises GraphError if absent."""
         try:

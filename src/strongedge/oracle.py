@@ -1,13 +1,14 @@
 """Exact strong-edge-coloring oracles for small graphs.
 
 Ground truth for tests and cross-validation: an exact strong chromatic
-index by backtracking on the conflict graph, and a complete list-coloring
-search.  Both are budgeted — blowing the node budget raises, it never
-returns a wrong answer.
+index and a complete list-coloring search, both run by one backtracking
+search on the conflict graph.  Both are budgeted — blowing the node
+budget raises, it never returns a wrong answer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .conflicts import conflict_graph
@@ -56,35 +57,26 @@ def _greedy_clique(h: Graph) -> list[int]:
     """Deterministic greedy clique: high degree first, ties by id."""
     order = sorted(range(h.n), key=lambda v: (-h.degree(v), v))
     clique: list[int] = []
-    members: set[int] = set()
     for v in order:
-        if all(w in set(h.adj[v]) for w in clique):
+        if set(h.adj[v]).issuperset(clique):
             clique.append(v)
-            members.add(v)
     return clique
 
 
-def _color_with_k(h: Graph, k: int, budget: SearchBudget
-                  ) -> dict[int, int] | None:
-    """Proper-color ``h`` with colors ``0..k-1`` or return None.
+def _search(h: Graph, lists: list[tuple[int, ...]], budget: SearchBudget,
+            fresh: bool) -> dict[int, int] | None:
+    """Proper-color ``h`` from per-vertex ascending color tuples, or None.
 
-    New colors are introduced in index order (a node may only use a color
-    at most one above the largest used so far), which kills the color
-    permutation symmetry.  Branching picks the vertex with the fewest
-    admissible colors, ties broken by lowest id.
+    Branching picks the vertex with the fewest admissible colors, ties
+    broken by lowest id, and tries its colors in ascending order.  With
+    ``fresh`` a vertex may take a color at most one above the largest used
+    so far, which kills the color permutation symmetry of the uniform
+    lists ``0..k-1``.
     """
-    n = h.n
-    if n == 0:
-        return {}
+    n, adj = h.n, h.adj
     colors: dict[int, int] = {}
-    neighbor_sets = [set(h.adj[v]) for v in range(n)]
 
-    def admissible(v: int, max_used: int) -> list[int]:
-        forbidden = {colors[w] for w in neighbor_sets[v] if w in colors}
-        top = min(k, max_used + 2)
-        return [c for c in range(top) if c not in forbidden]
-
-    def solve(max_used: int) -> bool:
+    def solve(top: float) -> bool:
         budget.tick()
         if len(colors) == n:
             return True
@@ -93,19 +85,20 @@ def _color_with_k(h: Graph, k: int, budget: SearchBudget
         for v in range(n):
             if v in colors:
                 continue
-            opts = admissible(v, max_used)
+            forbidden = {colors[w] for w in adj[v] if w in colors}
+            opts = [c for c in lists[v] if c <= top and c not in forbidden]
             if best_v < 0 or len(opts) < len(best_opts):
                 best_v, best_opts = v, opts
                 if not opts:
                     return False
         for c in best_opts:
             colors[best_v] = c
-            if solve(max(max_used, c)):
+            if solve(max(top, c + 1)):
                 return True
             del colors[best_v]
         return False
 
-    return dict(colors) if solve(-1) else None
+    return dict(colors) if solve(0 if fresh else math.inf) else None
 
 
 def strong_chromatic_index_exact(g: Graph,
@@ -128,7 +121,7 @@ def strong_chromatic_index_exact(g: Graph,
     h = conflict_graph(g)
     clique = _greedy_clique(h)
     for k in range(len(clique), h.n + 1):
-        witness = _color_with_k(h, k, budget)
+        witness = _search(h, [tuple(range(k))] * h.n, budget, fresh=True)
         if witness is not None:
             return OracleResult(k, witness, len(clique))
     raise AssertionError("coloring with one color per edge cannot fail")
@@ -147,36 +140,9 @@ def list_strong_colorable(g: Graph, lists: dict[int, frozenset[int]],
     missing = [e for e in range(g.m) if e not in lists]
     if missing:
         raise ValueError(f"edges without a color list: {missing}")
-    h = conflict_graph(g)
-    neighbor_sets = [set(h.adj[v]) for v in range(h.n)]
-    colors: dict[int, int] = {}
-
-    def admissible(e: int) -> list[int]:
-        forbidden = {colors[f] for f in neighbor_sets[e] if f in colors}
-        return sorted(c for c in lists[e] if c not in forbidden)
-
-    def solve() -> bool:
-        budget.tick()
-        if len(colors) == g.m:
-            return True
-        best_e = -1
-        best_opts: list[int] = []
-        for e in range(g.m):
-            if e in colors:
-                continue
-            opts = admissible(e)
-            if best_e < 0 or len(opts) < len(best_opts):
-                best_e, best_opts = e, opts
-                if not opts:
-                    return False
-        for c in best_opts:
-            colors[best_e] = c
-            if solve():
-                return True
-            del colors[best_e]
-        return False
-
-    return dict(colors) if solve() else None
+    return _search(conflict_graph(g),
+                   [tuple(sorted(lists[e])) for e in range(g.m)], budget,
+                   fresh=False)
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,10 @@ from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strongedge import (ConflictIndex, GraphError, build_graph,
-                        colored_conflicts, conflict_graph,
+from strongedge import (build_graph, conflict_graph,
                         edges_within_distance_two, generate, GenSpec)
 
 from tests.helpers import naive_conflicts, random_graph
@@ -47,12 +45,11 @@ def _to_gid(edges, g, f):
 def test_conflict_symmetry_and_index(case):
     n, edges = case
     g = build_graph(edges, vertices=range(n))
-    idx = ConflictIndex(g)
-    assert len(idx) == g.m
     for e in range(g.m):
-        for f in idx.conflicts(e):
-            assert e in idx.conflicts(f)
-        assert e not in idx.conflicts(e)
+        near = edges_within_distance_two(g, e)
+        for f in near:
+            assert e in edges_within_distance_two(g, f)
+        assert e not in near
 
 
 def test_c7_conflict_graph_is_4_regular():
@@ -67,20 +64,3 @@ def test_blowup_conflict_graph_is_complete():
     h = conflict_graph(g)
     assert h.m == h.n * (h.n - 1) // 2 == 190
 
-
-def test_colored_conflicts_counts_and_palette():
-    g = build_graph([(0, 1), (1, 2), (2, 3)])
-    idx = ConflictIndex(g)
-    mid = g.edge_id(1, 2)
-    count, palette = colored_conflicts(g, idx, mid, {g.edge_id(0, 1): 5})
-    assert (count, palette) == (1, frozenset({5}))
-    count, palette = colored_conflicts(g, idx, mid, {})
-    assert (count, palette) == (0, frozenset())
-
-
-def test_index_bound_to_its_graph():
-    g = build_graph([(0, 1), (1, 2)])
-    other = build_graph([(0, 1), (1, 2)])
-    idx = ConflictIndex(g)
-    with pytest.raises(GraphError):
-        colored_conflicts(other, idx, 0, {})

@@ -184,6 +184,13 @@ def test_audit_reports_breaches_without_refusing():
     assert any("degree 6 exceeds 4" in n for n in rep.notes)
 
 
+def test_audit_of_the_empty_graph_claims_no_density():
+    # mad is undefined without vertices, so "at least 3" would be false
+    report = audit(build_graph([]), which="mad")
+    assert report.identity_total == 0
+    assert report.notes == ()
+
+
 def test_audit_argument_validation():
     g = build_graph([(0, 1)])
     with pytest.raises(ValueError, match="embedding"):

@@ -61,8 +61,9 @@ def check_same(g, lists, pipeline, cap=None, threshold=24, solve=None):
         matchers = GIRTH7_MATCHERS
         detect = lambda h: find_reducible_girth7(h, cap)  # noqa: E731
     if solve is None:
+        # a list budget of 0 lets lists below either pipeline's budget through
         solve = lambda: colorer._solve_components(  # noqa: E731
-            g, lists, pipeline, matchers, cap, threshold)
+            g, lists, pipeline, matchers, cap, threshold, 0, "0")
     new, new_plans = run_engine(g, solve)
     ref_plans = []
 
@@ -229,7 +230,7 @@ def test_engine_matches_reference_on_detector_misses():
             check_same(g, lists, "girth7", 4)
     report = colorer._solve_components(
         petersen, uniform_lists(petersen, 12), "girth7", GIRTH7_MATCHERS, 4,
-        24)
+        24, 12, "3*delta_cap")
     assert "no reducible configuration at 10 vertices" in report.fallback
     # the sparse pipeline treats a miss as a broken guarantee
     k4_tail = _relabel([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
@@ -237,7 +238,7 @@ def test_engine_matches_reference_on_detector_misses():
     assert check_same(k4_tail, uniform_lists(k4_tail, 13), "mad3") == set()
     out, _ = run_engine(k4_tail, lambda: colorer._solve_components(
         k4_tail, uniform_lists(k4_tail, 13), "mad3", MAD_MATCHERS, None,
-        None))
+        None, 13, "3*max_degree+1"))
     assert out[0] == "TheoremViolationError" and "4 vertices" in out[1]
 
 

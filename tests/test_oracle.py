@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -55,6 +56,32 @@ def test_matches_independent_chromatic_dp(n, seed):
     assert strong_chromatic_index_exact(g).chi_s == dp_chromatic(h.n, masks)
     assert naive_strong_ok(list(g.edges),
                            strong_chromatic_index_exact(g).witness)
+
+
+def test_small_graph_answers_are_pinned():
+    # chi_s, witness, clique bound and node counts of the exact search, then
+    # the list search on chi_s - 1 uniform colors and on random 7-of-12
+    # lists; the hash was taken before the two backtracking searches (one
+    # with color-symmetry breaking, one over per-edge lists) became one
+    digest = hashlib.sha256()
+    for seed in range(500):
+        rng = random.Random(seed)
+        n = rng.randint(3, 8)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = rng.sample(pairs, min(rng.randint(2, 7), len(pairs)))
+        g = build_graph(edges, vertices=range(n))
+        exact, fewer, listed = SearchBudget(), SearchBudget(), SearchBudget()
+        r = strong_chromatic_index_exact(g, exact)
+        below = list_strong_colorable(g, uniform_lists(g, r.chi_s - 1), fewer)
+        lists = {e: frozenset(rng.sample(range(12), 7)) for e in range(g.m)}
+        found = list_strong_colorable(g, lists, listed)
+        digest.update(repr((
+            r.chi_s, sorted(r.witness.items()), r.lower_bound_clique,
+            exact.nodes_used, below and sorted(below.items()),
+            fewer.nodes_used, found and sorted(found.items()),
+            listed.nodes_used)).encode())
+    assert digest.hexdigest() == (
+        "c3eb928e0a444e93c2c7cadabfcdf35e26e4409352ee1ea9df6b1fe0ea0c324a")
 
 
 def test_edge_cap_refusal_mentions_knob():
