@@ -15,12 +15,12 @@ rejected); whether a rotation is *the* intended embedding is trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .density import mad_deficit_sum
-from .graph import Graph, degree_class, girth as graph_girth
+from .graph import Graph, _min_first, degree_class, girth as graph_girth
 from .reducer import (ReductionPlan, find_reducible_girth7,
                       find_reducible_mad)
 
@@ -39,29 +39,24 @@ class Embedding:
     ``rotation[v]`` is the cyclic neighbor order around ``v`` (normalized
     to start at the smallest neighbor).  ``faces`` are closed walks of
     directed edges; a pendant edge appears twice in its face, so it adds
-    two to that face's degree.  Build via :func:`trace_faces`.
+    two to that face's degree.  ``face_at`` maps each directed edge to the
+    index of its face.  Build via :func:`trace_faces`.
     """
 
     graph: Graph
     rotation: tuple[tuple[int, ...], ...]
     faces: tuple[tuple[tuple[int, int], ...], ...]
+    face_at: dict[tuple[int, int], int] = field(compare=False, repr=False)
 
     def face_degree(self, i: int) -> int:
         return len(self.faces[i])
 
     def face_of(self, u: int, v: int) -> int:
         """Index of the face the directed edge ``(u, v)`` lies on."""
-        for i, walk in enumerate(self.faces):
-            if (u, v) in walk:
-                return i
-        raise EmbeddingError(f"directed edge ({u}, {v}) is on no face")
-
-
-def _normalize_rotation(neighbors: Sequence[int]) -> tuple[int, ...]:
-    if not neighbors:
-        return ()
-    k = min(range(len(neighbors)), key=neighbors.__getitem__)
-    return tuple(neighbors[k:]) + tuple(neighbors[:k])
+        i = self.face_at.get((u, v))
+        if i is None:
+            raise EmbeddingError(f"directed edge ({u}, {v}) is on no face")
+        return i
 
 
 def trace_faces(g: Graph, rotation: Sequence[Sequence[int]]) -> Embedding:
@@ -84,42 +79,42 @@ def trace_faces(g: Graph, rotation: Sequence[Sequence[int]]) -> Embedding:
             raise EmbeddingError(
                 f"rotation at vertex {v} is not a permutation of its "
                 f"neighbors {list(g.adj[v])}")
-        rot.append(_normalize_rotation(order))
+        rot.append(_min_first(order))
         for i, u in enumerate(order):
             succ[(v, u)] = order[(i + 1) % len(order)]
 
+    # per-component Euler check (components without edges carry no faces)
+    comps = g.components()
+    comp_of = [0] * g.n
+    for i, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = i
+    ce, cf = [0] * len(comps), [0] * len(comps)
     faces: list[tuple[tuple[int, int], ...]] = []
-    seen: set[tuple[int, int]] = set()
-    for e, (a, b) in enumerate(g.edges):
+    face_at: dict[tuple[int, int], int] = {}
+    for a, b in g.edges:
+        ce[comp_of[a]] += 1
         for start in ((a, b), (b, a)):
-            if start in seen:
+            if start in face_at:
                 continue
             walk = []
             cur = start
-            while cur not in seen:
-                seen.add(cur)
+            while cur not in face_at:
+                face_at[cur] = len(faces)
                 walk.append(cur)
                 u, v = cur
                 cur = (v, succ[(v, u)])
             faces.append(tuple(walk))
+            cf[comp_of[a]] += 1
+    for i, comp in enumerate(comps):
+        if ce[i] and len(comp) - ce[i] + cf[i] != 2:
+            raise EmbeddingError(
+                "embedding is not planar (genus > 0): component "
+                f"{list(comp)} has V={len(comp)}, E={ce[i]}, F={cf[i]}")
 
     if g.n == 1 and g.m == 0:
         faces.append(())  # the plane around a lone vertex
-
-    # per-component Euler check (components without edges carry no faces)
-    comps = g.components()
-    for comp in comps:
-        inset = set(comp)
-        ce = sum(1 for (u, v) in g.edges if u in inset)
-        if ce == 0 and len(comps) > 1:
-            continue
-        cf = sum(1 for walk in faces
-                 if not walk or walk[0][0] in inset)
-        if len(comp) - ce + cf != 2:
-            raise EmbeddingError(
-                "embedding is not planar (genus > 0): component "
-                f"{list(comp)} has V={len(comp)}, E={ce}, F={cf}")
-    return Embedding(g, tuple(rot), tuple(faces))
+    return Embedding(g, tuple(rot), tuple(faces), face_at)
 
 
 def euler_charge_identity(emb: Embedding) -> Fraction:

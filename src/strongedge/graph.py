@@ -85,9 +85,6 @@ class Graph:
         a, b = self.labels[u], self.labels[v]
         return (a, b) if a <= b else (b, a)
 
-    def incident_edges(self, v: int) -> tuple[int, ...]:
-        return tuple(self.edge_id(v, w) for w in self.adj[v])
-
     def delete_vertex(self, v: int) -> "Graph":
         """New graph with vertex ``v`` (and its edges) removed.
 
@@ -134,6 +131,14 @@ class Graph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _min_first(order: tuple[int, ...]) -> tuple[int, ...]:
+    """A cyclic order rotated to start at its smallest entry."""
+    if not order:
+        return ()
+    k = min(range(len(order)), key=order.__getitem__)
+    return order[k:] + order[:k]
 
 
 def build_graph(edge_pairs: Iterable[tuple[int, int]],

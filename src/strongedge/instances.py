@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph, GraphError, build_graph
+from .graph import Graph, GraphError, _min_first, build_graph
 
 ColorLists = dict[int, frozenset[int]]
 
@@ -184,13 +184,6 @@ def parse_instance(text: str) -> InstanceFile:
                 f"degree {g.max_degree()}")
 
     return InstanceFile(g, rotation, lists, properties)
-
-
-def _min_first(order: tuple[int, ...]) -> tuple[int, ...]:
-    if not order:
-        return ()
-    k = min(range(len(order)), key=order.__getitem__)
-    return order[k:] + order[:k]
 
 
 def serialize_instance(inst: InstanceFile) -> str:

@@ -9,6 +9,7 @@ budget raises, it never returns a wrong answer.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .conflicts import conflict_graph
@@ -71,15 +72,18 @@ def _search(h: Graph, lists: list[tuple[int, ...]], budget: SearchBudget,
     broken by lowest id, and tries its colors in ascending order.  With
     ``fresh`` a vertex may take a color at most one above the largest used
     so far, which kills the color permutation symmetry of the uniform
-    lists ``0..k-1``.
+    lists ``0..k-1``.  Depth-first with an explicit stack holding one
+    frame per branching vertex: the vertex, an iterator over its untried
+    colors and the color ceiling it was chosen under.
     """
     n, adj = h.n, h.adj
     colors: dict[int, int] = {}
-
-    def solve(top: float) -> bool:
+    stack: list[tuple[int, Iterator[int], float]] = []
+    top = 0 if fresh else math.inf
+    while True:
         budget.tick()
         if len(colors) == n:
-            return True
+            return dict(colors)
         best_v = -1
         best_opts: list[int] = []
         for v in range(n):
@@ -90,15 +94,20 @@ def _search(h: Graph, lists: list[tuple[int, ...]], budget: SearchBudget,
             if best_v < 0 or len(opts) < len(best_opts):
                 best_v, best_opts = v, opts
                 if not opts:
-                    return False
-        for c in best_opts:
-            colors[best_v] = c
-            if solve(max(top, c + 1)):
-                return True
-            del colors[best_v]
-        return False
-
-    return dict(colors) if solve(0 if fresh else math.inf) else None
+                    break
+        if best_opts:
+            stack.append((best_v, iter(best_opts), top))
+        while stack:
+            v, untried, below = stack[-1]
+            c = next(untried, None)
+            if c is not None:
+                colors[v] = c
+                top = max(below, c + 1)
+                break
+            stack.pop()
+            del colors[v]
+        else:
+            return None
 
 
 def strong_chromatic_index_exact(g: Graph,

@@ -1,12 +1,13 @@
 """Independent reference implementations used to validate the package.
 
 Everything here is deliberately written with *different* algorithms than
-the library: brute-force subset enumeration instead of max-flow,
-edge-deletion BFS instead of cross-edge girth detection, independent-set
-DP instead of backtracking color search, the textbook definition of a
-strong edge coloring instead of precomputed conflict sets, and a graph
-rebuilt at every peel level instead of one mutable peel state.  Slow but
-obviously correct, and only run on small inputs.
+the library: brute-force subset enumeration instead of max-flow, binary
+search over thresholds instead of Dinkelbach's iteration, edge-deletion
+BFS instead of cross-edge girth detection, independent-set DP instead of
+backtracking color search, the textbook definition of a strong edge
+coloring instead of precomputed conflict sets, and a graph rebuilt at
+every peel level instead of one mutable peel state.  Slow but obviously
+correct, and only run on small inputs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from strongedge import (SearchBudget, SolveReport, TheoremViolationError,
+from strongedge import (DensityWitness, GraphError, SearchBudget,
+                        SolveReport, TheoremViolationError, density_exceeds,
                         greedy_color, list_strong_colorable, verify_strong)
 from strongedge.colorer import extend
 
@@ -60,6 +62,38 @@ def subset_mad(edges: list[Edge], n: int) -> Fraction:
             k = sum(1 for u, v in edges if u in inside and v in inside)
             best = max(best, Fraction(2 * k, size))
     return best
+
+
+def bisect_mad(g) -> DensityWitness:
+    """Maximum average degree by bisection, the slow reference for
+    ``mad``: binary search over dyadic thresholds narrows the answer to an
+    interval shorter than ``1/n**2``, which isolates a unique member of the
+    density lattice ``{p/q : q <= n}``; a final flow run just below it
+    extracts the witness."""
+    if g.n == 0:
+        raise GraphError("mad is undefined on the empty graph")
+    if g.m == 0:
+        return DensityWitness(frozenset({0}), Fraction(0))
+    n = g.n
+    gap = Fraction(1, n * n)
+    lo, hi = Fraction(0), Fraction(g.max_degree())
+    assert density_exceeds(g, hi) is None
+    while hi - lo >= gap:
+        mid = (lo + hi) / 2
+        if density_exceeds(g, mid) is not None:
+            lo = mid
+        else:
+            hi = mid
+    # unique fraction with denominator <= n in (lo, hi]
+    for q in range(1, n + 1):
+        value = Fraction(hi.numerator * q // hi.denominator, q)  # <= hi
+        if value > lo:
+            break
+    else:
+        raise AssertionError("no achievable density isolated by the search")
+    witness = density_exceeds(g, value - gap / 2)
+    assert witness is not None and witness.density == value
+    return witness
 
 
 def bfs_girth(edges: list[Edge], n: int) -> float:

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strongedge import (GraphError, build_graph, density_exceeds, mad,
-                        mad_deficit_sum)
+from strongedge import (GenSpec, GraphError, build_graph, density_exceeds,
+                        generate, mad, mad_deficit_sum)
+from strongedge import density
 from strongedge.density import MadBelowThree, mad_below_3
 
-from tests.helpers import random_graph, subset_mad
+from tests.helpers import bisect_mad, random_graph, subset_mad
 
 cases = st.builds(
     lambda n, seed: (n, random_graph(random.Random(seed), n, 0.4)),
@@ -162,3 +163,36 @@ def test_mad_on_a_long_path():
     n = 1500
     g = build_graph([(7 * i % n, 7 * (i + 1) % n) for i in range(n - 1)])
     assert mad(g).density == Fraction(2 * (n - 1), n)
+
+
+def scrambled_path(n):
+    """The path of :func:`test_mad_on_a_long_path`."""
+    return build_graph([(7 * i % n, 7 * (i + 1) % n) for i in range(n - 1)])
+
+
+def test_mad_matches_the_bisection_reference():
+    rng = random.Random(6)
+    graphs = []
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        graphs.append(build_graph(random_graph(rng, n, rng.uniform(0, 0.7)),
+                                  vertices=range(n)))
+    for seed in range(4):
+        graphs.append(generate(GenSpec("sparse-mad3", 60, seed=seed)).graph)
+        graphs.append(generate(GenSpec("planar-girth7", 60, seed=seed)).graph)
+    graphs.append(generate(GenSpec("tree", 700, delta=2)).graph)
+    graphs.append(scrambled_path(1500))
+    for g in graphs:
+        assert mad(g) == bisect_mad(g)
+
+
+def test_mad_on_a_long_path_takes_few_flows(monkeypatch):
+    calls = []
+
+    def counted(g, threshold):
+        calls.append(threshold)
+        return density_exceeds(g, threshold)
+
+    monkeypatch.setattr(density, "density_exceeds", counted)
+    mad(scrambled_path(1500))
+    assert len(calls) <= 3

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,23 @@ def test_rotation_normalized_min_first():
     rot[0] = (6, 1)
     emb = trace_faces(g, rot)
     assert emb.rotation[0] == (1, 6)
+
+
+def test_face_tracing_is_linear_in_components_and_pendants():
+    # 10^4 components for the Euler check, and ~1.3*10^4 pendant vertices
+    # that each look up their face; both took seconds when quadratic
+    start = time.process_time()
+    matching = build_graph([(2 * i, 2 * i + 1) for i in range(10 ** 4)])
+    assert len(trace_faces(matching, tuple(matching.adj)).faces) == 10 ** 4
+    assert time.process_time() - start < 2
+    s = 6666  # a caterpillar: a spine path with two leaves per vertex
+    tree = build_graph([(i, i + 1) for i in range(s - 1)]
+                       + [(i, s + 2 * i + j) for i in range(s)
+                          for j in range(2)])
+    start = time.process_time()
+    report = audit(tree, trace_faces(tree, tuple(tree.adj)), which="girth7")
+    assert report.ledger.conserved()
+    assert time.process_time() - start < 4
 
 
 def test_pendant_face_equality_case():

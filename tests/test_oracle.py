@@ -91,6 +91,14 @@ def test_edge_cap_refusal_mentions_knob():
         strong_chromatic_index_exact(g)
 
 
+def test_list_search_is_not_bounded_by_the_recursion_limit():
+    # one search level per edge: 1200 levels would overflow a recursive
+    # search at Python's default limit of 1000 frames
+    g = build_graph([(i, i + 1) for i in range(1200)])
+    coloring = list_strong_colorable(g, uniform_lists(g, 3))
+    assert coloring is not None and not verify_strong(g, coloring)
+
+
 def test_node_budget_raises_instead_of_lying():
     g = generate(GenSpec("c5-blowup", 0, delta=4)).graph
     tiny = SearchBudget(max_nodes=3, edge_cap=28)

@@ -31,7 +31,8 @@ def ext_edges(g, plan):
 
 def check_plan_shape(g, plan):
     """Structural invariants every plan must satisfy."""
-    incident = set(g.incident_edges(plan.delete_vertex))
+    v = plan.delete_vertex
+    incident = {g.edge_id(v, w) for w in g.adj[v]}
     assert set(s.edge for s in plan.extension_order) == \
         incident | set(plan.erase_edges)
     for e in plan.erase_edges:
