@@ -110,6 +110,29 @@ def test_tree_family_bytes_are_pinned():
         "1e2ea9dcfeffa4b97e0574139594f61a76c022e4ea58d379b105fa547fdc2af9")
 
 
+def test_planar_family_bytes_are_pinned():
+    # the (seed, n, cap) triples of acceptance criterion 4, which draws n
+    # and then the per-edge lists from one shared stream, then a few larger
+    # and low-cap cases; the hash was taken before the generator kept its
+    # faces incrementally instead of re-tracing them after every insertion
+    rng = random.Random(1)
+    pool = list(range(40))
+    digest = hashlib.sha256()
+    for seed in range(200):
+        cap = (4, 5, 6)[seed % 3]
+        n = rng.randint(7, 45)
+        inst = generate(GenSpec("planar-girth7", n, delta=cap, seed=seed))
+        digest.update(serialize_instance(inst).encode())
+        for _ in range(inst.graph.m):
+            rng.sample(pool, 3 * cap)
+    for seed, n, delta in ((0, 2000, 4), (1, 3000, 6), (2, 400, 3),
+                           (3, 50, 2)):
+        inst = generate(GenSpec("planar-girth7", n, delta=delta, seed=seed))
+        digest.update(serialize_instance(inst).encode())
+    assert digest.hexdigest() == (
+        "8fa240e7ffa80a3d0fcc6e80b06c1e45261894439522a7c962e61b48a67d86c3")
+
+
 @pytest.mark.parametrize("spec, fragment", [
     (GenSpec("moebius", 10), "unknown family"),
     (GenSpec("cycle", 2), "at least 3"),
