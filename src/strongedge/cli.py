@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .colorer import (HypothesisError, TheoremViolationError, solve_girth7,
@@ -208,7 +209,10 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves the parser as it was, and each
+    # call gets a fresh namespace filled from the declared defaults
     p = argparse.ArgumentParser(
         prog="strongedge",
         description="strong edge coloring from lists, with certificates")

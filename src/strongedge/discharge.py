@@ -128,10 +128,8 @@ def euler_charge_identity(emb: Embedding) -> Fraction:
     if len(g.components()) != 1:
         raise ValueError(
             "the charge identity needs a connected embedding")
-    total = sum((Fraction(5, 2) * g.degree(v) - 7 for v in range(g.n)),
-                start=Fraction(0))
-    total += sum((Fraction(len(walk) - 7) for walk in emb.faces),
-                 start=Fraction(0))
+    # sum(5/2*deg - 7) = 5E - 7V and sum(len - 7) = 2E - 7F
+    total = Fraction(7 * (g.m - g.n - len(emb.faces)))
     if total != -14:  # pragma: no cover - implied by the Euler check
         raise AssertionError(f"charge identity broke: {total} != -14")
     return total
@@ -342,11 +340,12 @@ def audit(g: Graph, emb: Embedding | None = None, which: str = "mad",
     else:
         raise ValueError(f"unknown charge scheme {which!r}")
 
-    if not ledger.conserved():  # pragma: no cover - by construction
+    final = ledger.final()
+    if (sum(final.values(), start=Fraction(0))
+            != ledger.total_initial()):  # pragma: no cover - by construction
         raise AssertionError("charge transfers broke conservation")
     notes.extend(ledger.findings)
 
-    final = ledger.final()
     negatives = tuple((el, q) for el, q in sorted(final.items())
                       if q < 0)
     touches = []

@@ -13,8 +13,12 @@ Five families:
   below 3 (an exact pebble-game check, see ``density.MadBelowThree``).
 * ``planar-girth7`` — a planar embedded graph with girth >= 7 and max
   degree <= ``delta``, grown from a 7-cycle by pendant insertions and by
-  ears of six edges attached inside a traced face (both operations keep
-  the rotation planar and every new cycle has length at least 7).
+  ears of six edges attached inside a face (both operations keep the
+  rotation planar and every new cycle has length at least 7).  The faces
+  are kept up to date as vertices are inserted, with a dart -> face map
+  and two Fenwick trees over the faces (corner counts, and whether a face
+  can take an ear) to find the k-th corner or face that ``rng`` picks, so
+  10^5 vertices take seconds.
 
 Everything is deterministic in ``seed``.
 """
@@ -26,8 +30,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .density import MadBelowThree
-from .discharge import trace_faces
-from .graph import Graph, build_graph
+from .graph import Graph, _min_first, build_graph
 from .instances import InstanceFile
 
 FAMILIES = ("cycle", "tree", "c5-blowup", "sparse-mad3", "planar-girth7")
@@ -109,71 +112,167 @@ def _sparse_mad3(n: int, delta: int, rng: random.Random) -> Graph:
     return build_graph(edges, vertices=range(n))
 
 
+class _Fenwick:
+    """Counts at integer keys ``0 .. size-1``, with the k-th unit found in
+    O(log size) (Fenwick, "A new data structure for cumulative frequency
+    tables", 1994).  Only the tree nodes ever touched are stored, so the
+    key space may be far larger than the number of keys in use.  As a
+    sequence it lists each key once per unit of its count, in key order;
+    item ``k`` is ``(key, rank of k among that key's units)``.  So
+    ``rng.choice`` draws from it exactly as from the expanded list.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.tree: dict[int, int] = {}
+        self.total = 0
+
+    def add(self, key: int, amount: int) -> None:
+        self.total += amount
+        tree, i = self.tree, key + 1
+        while i <= self.size:
+            tree[i] = tree.get(i, 0) + amount
+            i += i & -i
+
+    def __len__(self) -> int:
+        return self.total
+
+    def __getitem__(self, k: int) -> tuple[int, int]:
+        tree, pos = self.tree, 0
+        step = 1 << (self.size.bit_length() - 1)
+        while step:
+            nxt = pos + step
+            if nxt <= self.size and tree.get(nxt, 0) <= k:
+                pos = nxt
+                k -= tree.get(nxt, 0)
+            step >>= 1
+        return pos, k
+
+
 def _planar_girth7(n: int, delta: int, rng: random.Random
                    ) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
     if delta < 2:
         raise ValueError(f"delta must be at least 2, got {delta}")
     if n < 7:
         raise ValueError(f"girth 7 needs at least 7 vertices, got {n}")
-    count = 7
+    # The faces are those trace_faces would find on the graph so far, in
+    # the same order and each starting at the same dart, so the draws
+    # below are the ones made on freshly traced faces.  Dart (p, q) is the
+    # integer (min*delta + j)*2 + (p > q), where max(p, q) is the j-th
+    # larger neighbor min(p, q) got.  Every edge ends at the newest vertex,
+    # so this sorts darts by (min, max, orientation), as traced faces are.
     adj: list[list[int]] = [[(i + 1) % 7, (i - 1) % 7] for i in range(7)]
+    larger = [0] * n  # larger neighbors joined so far, per vertex
+    into: list[list[int]] = [[] for _ in range(n)]  # darts ending there
+    head: dict[int, int] = {}
+    face: dict[int, int] = {}  # dart -> the first dart of its face
+    walks: dict[int, list[int]] = {}  # first dart -> the face's darts
+    # per face, keyed by its first dart: its corners (darts whose head has
+    # degree below delta) and whether their heads hold two distinct vertices
+    corners, usable = _Fenwick(2 * n * delta), _Fenwick(2 * n * delta)
+    held: dict[int, tuple[int, int]] = {}
 
-    def rebuild() -> tuple[Graph, tuple[tuple[int, ...], ...]]:
-        edges = [(u, v) for u in range(count) for v in adj[u] if u < v]
-        g = build_graph(edges, vertices=range(count))
-        rotation = tuple(tuple(adj[v]) for v in range(count))
-        return g, rotation
+    def join(a: int, b: int) -> int:
+        """Add the darts of edge ``a < b``; returns the one ``a -> b``."""
+        d = (a * delta + larger[a]) * 2
+        larger[a] += 1
+        head[d], head[d + 1] = b, a
+        into[b].append(d)
+        into[a].append(d + 1)
+        return d
 
-    g, rotation = rebuild()
-    emb = trace_faces(g, rotation)
+    def place(walk: list[int]) -> int:
+        s = walk[0]
+        walks[s] = walk
+        for d in walk:
+            face[d] = s
+        return s
 
+    def refresh(s: int) -> None:
+        heads = [x for x in map(head.__getitem__, walks[s])
+                 if len(adj[x]) < delta]
+        now = (len(heads), int(heads.count(heads[0]) < len(heads))
+               if heads else 0)
+        was = held.get(s, (0, 0))
+        if now[0] != was[0]:
+            corners.add(s, now[0] - was[0])
+        if now[1] != was[1]:
+            usable.add(s, now[1] - was[1])
+        held[s] = now
+
+    ring = [join(i, i + 1) for i in range(6)] + [join(0, 6) + 1]
+    for s in (place(ring), place(_min_first([d ^ 1 for d in ring[::-1]]))):
+        refresh(s)
+
+    count = 7
     while count < n:
-        remaining = n - count
-        corners = [(fi, k)
-                   for fi, walk in enumerate(emb.faces)
-                   for k, (_, x) in enumerate(walk)
-                   if len(adj[x]) < delta]
-        want_ear = remaining >= 5 and rng.random() < 0.5
-        did = False
-        if want_ear and corners:
-            by_face: dict[int, list[int]] = {}
-            for fi, k in corners:
-                by_face.setdefault(fi, []).append(k)
-            usable = [fi for fi, ks in by_face.items()
-                      if len({emb.faces[fi][k][1] for k in ks}) >= 2]
-            if usable:
-                fi = rng.choice(usable)
-                walk = emb.faces[fi]
-                k1, k2 = rng.sample(by_face[fi], 2)
-                (w1, x), (w2, y) = walk[k1], walk[k2]
-                if x != y:
-                    path = list(range(count, count + 5))
-                    count += 5
-                    adj.extend([] for _ in range(5))
-                    chain = [x, *path, y]
-                    for a, b in zip(chain, chain[1:]):
-                        if a == x:
-                            adj[x].insert(adj[x].index(w1) + 1, b)
-                            adj[b].append(a)
-                        elif b == y:
-                            adj[y].insert(adj[y].index(w2) + 1, a)
-                            adj[a].append(b)
-                        else:
-                            adj[a].append(b)
-                            adj[b].append(a)
-                    did = True
-        if not did:
-            if not corners:
+        want_ear = n - count >= 5 and rng.random() < 0.5
+        faces: set[int] = set()  # faces to refresh after this step
+        if want_ear and len(usable):
+            s, _ = rng.choice(usable)
+            walk = walks[s]
+            ks = [k for k, d in enumerate(walk) if len(adj[head[d]]) < delta]
+            k1, k2 = rng.sample(ks, 2)
+            d1, d2 = walk[k1], walk[k2]
+            x, y = head[d1], head[d2]
+            if x != y:
+                w1, w2 = head[d1 ^ 1], head[d2 ^ 1]
+                path = list(range(count, count + 5))
+                count += 5
+                adj.extend([] for _ in range(5))
+                chain = [x, *path, y]
+                for a, b in zip(chain, chain[1:]):
+                    if a == x:
+                        adj[x].insert(adj[x].index(w1) + 1, b)
+                        adj[b].append(a)
+                    elif b == y:
+                        adj[y].insert(adj[y].index(w2) + 1, a)
+                        adj[a].append(b)
+                    else:
+                        adj[a].append(b)
+                        adj[b].append(a)
+                # The ear splits the face in two: x -> path -> y closes
+                # the half from y round to x, y -> path -> x the half from
+                # x round to y.  A new dart is never the smallest in its
+                # face, so the half holding walk[0] keeps it as its first
+                # dart, and only the other half needs a new one.
+                there = [join(a, b) for a, b in zip(chain, chain[1:-1])]
+                last = join(y, path[-1])
+                back = [last, *(d + 1 for d in reversed(there))]
+                there.append(last + 1)
+                lo, hi = min(k1, k2), max(k1, k2)
+                cut = walk[lo + 1:hi + 1]
+                inner, outer = (there, back) if k1 < k2 else (back, there)
+                walk[lo + 1:hi + 1] = inner
+                for d in inner:
+                    face[d] = s
+                faces = {s, place(_min_first(outer + cut))}
+                grown = (x, y)
+        if not faces:
+            if not len(corners):
                 break  # every vertex saturated; give up at current size
-            fi, k = rng.choice(corners)
-            w, x = emb.faces[fi][k]
+            s, r = rng.choice(corners)
+            walk = walks[s]
+            k = [k for k, d in enumerate(walk)
+                 if len(adj[head[d]]) < delta][r]
+            x, w = head[walk[k]], head[walk[k] ^ 1]
             u = count
             count += 1
             adj.append([x])
             adj[x].insert(adj[x].index(w) + 1, u)
-        g, rotation = rebuild()
-        emb = trace_faces(g, rotation)
-    return g, rotation
+            d = join(x, u)
+            walk[k + 1:k + 1] = d, d + 1
+            face[d] = face[d + 1] = s
+            faces = {s}
+            grown = (x,)
+        for v in grown:
+            if len(adj[v]) == delta:  # its darts stop being corners
+                faces.update(face[d] for d in into[v])
+        for s in faces:
+            refresh(s)
+    edges = [(u, v) for u in range(count) for v in adj[u] if u < v]
+    return (build_graph(edges, vertices=range(count)),
+            tuple(tuple(a) for a in adj))
 
 
 def generate(spec: GenSpec) -> InstanceFile:

@@ -5,8 +5,9 @@ the library: brute-force subset enumeration instead of max-flow, binary
 search over thresholds instead of Dinkelbach's iteration, edge-deletion
 BFS instead of cross-edge girth detection, independent-set DP instead of
 backtracking color search, the textbook definition of a strong edge
-coloring instead of precomputed conflict sets, and a graph rebuilt at
-every peel level instead of one mutable peel state.  Slow but obviously
+coloring instead of precomputed conflict sets, a graph rebuilt at every
+peel level instead of one mutable peel state, and faces re-traced after
+every insertion instead of kept incrementally.  Slow but obviously
 correct, and only run on small inputs.
 """
 
@@ -18,8 +19,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from strongedge import (DensityWitness, GraphError, SearchBudget,
-                        SolveReport, TheoremViolationError, density_exceeds,
-                        greedy_color, list_strong_colorable, verify_strong)
+                        SolveReport, TheoremViolationError, build_graph,
+                        density_exceeds, greedy_color, list_strong_colorable,
+                        trace_faces, verify_strong)
 from strongedge.colorer import extend
 
 Edge = tuple[int, int]
@@ -305,3 +307,71 @@ def reference_solve(g, lists, path, detect, fallback_threshold):
                          fallback="; ".join(notes) if notes else None,
                          failed_edge=failed, trace=tuple(trace))
     return report, plans
+
+
+def reference_planar_girth7(n, delta, rng):
+    """The ``planar-girth7`` generator before it kept its faces
+    incrementally, kept as the slow reference: after every insertion it
+    rebuilds the graph and re-traces every face with ``trace_faces``, then
+    lists the corners afresh.  Arguments are checked by the caller.
+    Returns ``(graph, rotation)``.
+    """
+    count = 7
+    adj = [[(i + 1) % 7, (i - 1) % 7] for i in range(7)]
+
+    def rebuild():
+        edges = [(u, v) for u in range(count) for v in adj[u] if u < v]
+        g = build_graph(edges, vertices=range(count))
+        rotation = tuple(tuple(adj[v]) for v in range(count))
+        return g, rotation
+
+    g, rotation = rebuild()
+    emb = trace_faces(g, rotation)
+
+    while count < n:
+        remaining = n - count
+        corners = [(fi, k)
+                   for fi, walk in enumerate(emb.faces)
+                   for k, (_, x) in enumerate(walk)
+                   if len(adj[x]) < delta]
+        want_ear = remaining >= 5 and rng.random() < 0.5
+        did = False
+        if want_ear and corners:
+            by_face = {}
+            for fi, k in corners:
+                by_face.setdefault(fi, []).append(k)
+            usable = [fi for fi, ks in by_face.items()
+                      if len({emb.faces[fi][k][1] for k in ks}) >= 2]
+            if usable:
+                fi = rng.choice(usable)
+                walk = emb.faces[fi]
+                k1, k2 = rng.sample(by_face[fi], 2)
+                (w1, x), (w2, y) = walk[k1], walk[k2]
+                if x != y:
+                    path = list(range(count, count + 5))
+                    count += 5
+                    adj.extend([] for _ in range(5))
+                    chain = [x, *path, y]
+                    for a, b in zip(chain, chain[1:]):
+                        if a == x:
+                            adj[x].insert(adj[x].index(w1) + 1, b)
+                            adj[b].append(a)
+                        elif b == y:
+                            adj[y].insert(adj[y].index(w2) + 1, a)
+                            adj[a].append(b)
+                        else:
+                            adj[a].append(b)
+                            adj[b].append(a)
+                    did = True
+        if not did:
+            if not corners:
+                break  # every vertex saturated; give up at current size
+            fi, k = rng.choice(corners)
+            w, x = emb.faces[fi][k]
+            u = count
+            count += 1
+            adj.append([x])
+            adj[x].insert(adj[x].index(w) + 1, u)
+        g, rotation = rebuild()
+        emb = trace_faces(g, rotation)
+    return g, rotation

@@ -192,6 +192,51 @@ def test_stdin_dash(monkeypatch, capsys):
     assert "girth = 5" in capsys.readouterr().err
 
 
+def test_back_to_back_commands_do_not_share_options(tmp_path, capsys):
+    # one process, one parser: the options of one call must not become
+    # the defaults of a later call, of the same subcommand or another
+    from strongedge.cli import _parser
+    assert _parser() is _parser()
+    inst = write(tmp_path, "pl.txt", "")
+    assert run_command(["gen", "planar-girth7", "30", "--seed", "4",
+                        "-o", inst]) == 0
+    c5 = write(tmp_path, "c5.txt", C5)
+    coloring = tmp_path / "col.txt"
+    assert run_command(["color", inst, "-o", str(coloring)]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "out.txt")
+    pairs = [
+        (["gen", "planar-girth7", "30"],
+         ["gen", "planar-girth7", "30", "--delta", "6", "--seed", "3",
+          "-o", out]),
+        (["color", inst],
+         ["color", inst, "--pipeline", "girth7", "--delta-cap", "5",
+          "--colors", "20", "--fallback", "3", "-o", out]),
+        (["verify", inst, str(coloring)], ["verify", c5, out]),
+        (["exact", c5], ["exact", c5, "--max-nodes", "10", "--edge-cap",
+                         "3", "--force", "-o", out]),
+        (["mad", inst], ["mad", inst, "--threshold", "5/2"]),
+        (["girth", inst], ["girth", c5]),
+        (["audit", inst], ["audit", inst, "--scheme", "girth7",
+                           "--delta-cap", "6"]),
+    ]
+
+    def run_all(which):
+        got = []
+        for argv in (pair[which] for pair in pairs):
+            code = run_command(argv)
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err))
+        return got
+
+    plain = run_all(0)
+    assert [code for code, _, _ in plain] == [0] * len(pairs)
+    flagged = run_all(1)
+    assert plain != flagged
+    assert run_all(0) == plain
+    assert run_all(1) == flagged
+
+
 def check_command(command, tmp_path):
     """Run the CLI as its own process, outside the source tree."""
     env = dict(os.environ)

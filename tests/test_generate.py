@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from strongedge import (GenSpec, generate, girth, mad, serialize_instance,
                         trace_faces)
-from tests.helpers import bfs_girth, subset_mad
+from strongedge.generate import _planar_girth7
+from tests.helpers import bfs_girth, reference_planar_girth7, subset_mad
 
 
 def edges_of(inst):
@@ -131,6 +133,35 @@ def test_planar_family_bytes_are_pinned():
         digest.update(serialize_instance(inst).encode())
     assert digest.hexdigest() == (
         "8fa240e7ffa80a3d0fcc6e80b06c1e45261894439522a7c962e61b48a67d86c3")
+
+
+def test_planar_family_matches_the_reference():
+    # the incremental faces against re-tracing after every insertion; with
+    # delta 2 the 7-cycle is saturated at once, so the generator gives up
+    cases = [(n, delta, seed) for n in range(7, 61) for delta in range(2, 9)
+             for seed in range(3)]
+    cases += [(400, 3, 0), (400, 4, 1), (400, 6, 2), (400, 8, 3)]
+    for n, delta, seed in cases:
+        g, rotation = _planar_girth7(n, delta, random.Random(seed))
+        ref_g, ref_rotation = reference_planar_girth7(n, delta,
+                                                      random.Random(seed))
+        assert g.edges == ref_g.edges, (n, delta, seed)
+        assert rotation == ref_rotation, (n, delta, seed)
+        if delta == 2:
+            assert g.n == g.m == 7
+
+
+def test_planar_family_grows_in_close_to_linear_time():
+    # re-tracing every face after every insertion took minutes at this size
+    start = time.process_time()
+    inst = generate(GenSpec("planar-girth7", 2 * 10 ** 4, delta=4, seed=5))
+    assert time.process_time() - start < 5
+    g = inst.graph
+    assert g.n == 2 * 10 ** 4
+    assert g.max_degree() <= 4
+    assert girth(g, limit=7) >= 7
+    emb = trace_faces(g, inst.rotation)  # genus 0 or this raises
+    assert sum(len(w) for w in emb.faces) == 2 * g.m
 
 
 @pytest.mark.parametrize("spec, fragment", [
