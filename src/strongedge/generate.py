@@ -113,10 +113,10 @@ def _sparse_mad3(n: int, delta: int, rng: random.Random) -> Graph:
 
 
 class _Fenwick:
-    """Counts at integer keys ``0 .. size-1``, with the k-th unit found in
-    O(log size) (Fenwick, "A new data structure for cumulative frequency
-    tables", 1994).  Only the tree nodes ever touched are stored, so the
-    key space may be far larger than the number of keys in use.  As a
+    """Counts at integer keys ``0 .. size-1``, each set and the k-th unit
+    found in O(log size) (Fenwick, "A new data structure for cumulative
+    frequency tables", 1994).  Only the tree nodes ever touched are
+    stored, so the key space may be far larger than the keys in use.  As a
     sequence it lists each key once per unit of its count, in key order;
     item ``k`` is ``(key, rank of k among that key's units)``.  So
     ``rng.choice`` draws from it exactly as from the expanded list.
@@ -124,10 +124,15 @@ class _Fenwick:
 
     def __init__(self, size: int):
         self.size = size
+        self.count: dict[int, int] = {}
         self.tree: dict[int, int] = {}
         self.total = 0
 
-    def add(self, key: int, amount: int) -> None:
+    def set(self, key: int, count: int) -> None:
+        amount = count - self.count.get(key, 0)
+        if not amount:
+            return
+        self.count[key] = count
         self.total += amount
         tree, i = self.tree, key + 1
         while i <= self.size:
@@ -170,7 +175,6 @@ def _planar_girth7(n: int, delta: int, rng: random.Random
     # per face, keyed by its first dart: its corners (darts whose head has
     # degree below delta) and whether their heads hold two distinct vertices
     corners, usable = _Fenwick(2 * n * delta), _Fenwick(2 * n * delta)
-    held: dict[int, tuple[int, int]] = {}
 
     def join(a: int, b: int) -> int:
         """Add the darts of edge ``a < b``; returns the one ``a -> b``."""
@@ -191,14 +195,8 @@ def _planar_girth7(n: int, delta: int, rng: random.Random
     def refresh(s: int) -> None:
         heads = [x for x in map(head.__getitem__, walks[s])
                  if len(adj[x]) < delta]
-        now = (len(heads), int(heads.count(heads[0]) < len(heads))
-               if heads else 0)
-        was = held.get(s, (0, 0))
-        if now[0] != was[0]:
-            corners.add(s, now[0] - was[0])
-        if now[1] != was[1]:
-            usable.add(s, now[1] - was[1])
-        held[s] = now
+        corners.set(s, len(heads))
+        usable.set(s, int(bool(heads) and heads.count(heads[0]) < len(heads)))
 
     ring = [join(i, i + 1) for i in range(6)] + [join(0, 6) + 1]
     for s in (place(ring), place(_min_first([d ^ 1 for d in ring[::-1]]))):
