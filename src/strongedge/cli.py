@@ -190,8 +190,9 @@ def _cmd_audit(args) -> int:
              f"{g.labels[report.plan.delete_vertex]}")
     else:
         _say("detector: no reducible configuration found")
+    touches = dict(report.plan_touches)
     for (kind, i), q in report.negatives:
-        touched = dict(report.plan_touches).get((kind, i), False)
+        touched = touches.get((kind, i), False)
         where = (f"vertex {g.labels[i]}" if kind == "v" else f"face {i}")
         _say(f"negative final charge {q} at {where}"
              + (" [plan touches it]" if touched else ""))

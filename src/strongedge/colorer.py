@@ -142,16 +142,15 @@ def verify_strong(g: Graph, coloring: PartialColoring,
     return out
 
 
-def greedy_color(g: Graph, lists: ColorLists,
-                 order: Iterable[int] | None = None) -> SolveReport:
-    """Color edges in order with the smallest spare list color.
+def greedy_color(g: Graph, lists: ColorLists) -> SolveReport:
+    """Color edges in id order with the smallest spare list color.
 
     No guarantees: returns a report with ``failed_edge`` set on the first
     edge whose list is exhausted.  Never certified.
     """
     lists = _normalize_lists(g, lists)
     coloring: PartialColoring = {}
-    for e in (list(order) if order is not None else range(g.m)):
+    for e in range(g.m):
         used = {coloring[f] for f in edges_within_distance_two(g, e)
                 if f in coloring}
         spare = sorted(lists[e] - used)
@@ -178,9 +177,9 @@ def extend(g: Graph, partial: PartialColoring, plan: ReductionPlan,
     """
     for step in plan.extension_order:
         e = step.edge
-        nearby = edges_within_distance_two(g, e)
-        used = {partial[f] for f in nearby if f in partial}
-        actual = sum(1 for f in nearby if f in partial)
+        colored = [partial[f] for f in edges_within_distance_two(g, e)
+                   if f in partial]
+        used, actual = set(colored), len(colored)
         if actual > step.bound:
             raise ExtensionError(
                 f"extension of edge {g.label_pair(e)} under {plan.claim_tag.value}: "

@@ -14,12 +14,13 @@ from .graph import Graph, build_graph
 
 
 def edges_within_distance_two(g: Graph, e: int) -> frozenset[int]:
-    """Edge ids conflicting with edge ``e`` (excluding ``e`` itself)."""
+    """Edge ids conflicting with edge ``e`` (excluding ``e`` itself), in a
+    graph or, over its alive edges only, in a peel state."""
     u, v = g.endpoints(e)
+    adj, edge_at = g.adj, g.edge_at
     out: set[int] = set()
-    for w in set(g.adj[u]) | set(g.adj[v]):
-        for x in g.adj[w]:
-            out.add(g.edge_id(w, x))
+    for w in {*adj[u], *adj[v]}:
+        out.update(map(edge_at[w].__getitem__, adj[w]))
     out.discard(e)
     return frozenset(out)
 

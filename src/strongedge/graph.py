@@ -32,23 +32,26 @@ class Graph:
 
     - ``n``: number of vertices (dense ids ``0..n-1``)
     - ``labels``: tuple mapping dense id -> original label
-    - ``adj``: tuple of sorted neighbor tuples, indexed by vertex id
+    - ``edge_at``: tuple of per-vertex dicts, neighbor -> edge id, so
+      ``edge_at[u][v]`` is the id of edge ``uv``
+    - ``adj``: tuple of sorted neighbor tuples (the keys of ``edge_at``)
     - ``edges``: tuple of ``(u, v)`` pairs with ``u < v``, indexed by edge id
     """
 
-    __slots__ = ("n", "labels", "adj", "edges", "_pair_index", "_label_index")
+    __slots__ = ("n", "labels", "adj", "edges", "edge_at", "_label_index")
 
     def __init__(self, n: int, labels: tuple[int, ...],
                  edges: tuple[tuple[int, int], ...]):
         self.n = n
         self.labels = labels
         self.edges = edges
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for (u, v) in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self.adj = tuple(tuple(sorted(a)) for a in adj)
-        self._pair_index = {pair: i for i, pair in enumerate(edges)}
+        edge_at: list[dict[int, int]] = [{} for _ in range(n)]
+        for i, (u, v) in enumerate(edges):
+            edge_at[u][v] = i
+            edge_at[v][u] = i
+        self.edge_at = tuple(edge_at)
+        # edges come sorted, so each vertex's neighbors arrive ascending
+        self.adj = tuple(map(tuple, edge_at))
         self._label_index = {lab: i for i, lab in enumerate(labels)}
 
     # -- basic queries -------------------------------------------------
@@ -65,10 +68,10 @@ class Graph:
 
     def edge_id(self, u: int, v: int) -> int:
         """Edge id of the pair ``{u, v}``; raises GraphError if absent."""
-        try:
-            return self._pair_index[(min(u, v), max(u, v))]
-        except KeyError:
-            raise GraphError(f"no edge between vertices {u} and {v}") from None
+        e = self.edge_at[u].get(v) if 0 <= u < self.n else None
+        if e is None:
+            raise GraphError(f"no edge between vertices {u} and {v}")
+        return e
 
     def endpoints(self, e: int) -> tuple[int, int]:
         return self.edges[e]
@@ -84,19 +87,6 @@ class Graph:
         u, v = self.edges[e]
         a, b = self.labels[u], self.labels[v]
         return (a, b) if a <= b else (b, a)
-
-    def delete_vertex(self, v: int) -> "Graph":
-        """New graph with vertex ``v`` (and its edges) removed.
-
-        Dense ids are reassigned; original labels are preserved, so the
-        deleted graph's vertices can be matched back to this graph's.
-        """
-        if not 0 <= v < self.n:
-            raise GraphError(f"vertex {v} out of range")
-        keep_labels = [lab for i, lab in enumerate(self.labels) if i != v]
-        pairs = [(self.labels[a], self.labels[b]) for (a, b) in self.edges
-                 if a != v and b != v]
-        return build_graph(pairs, vertices=keep_labels)
 
     def components(self) -> list[tuple[int, ...]]:
         """Connected components as sorted tuples of vertex ids."""
@@ -176,17 +166,19 @@ class PeelState:
     as ``Graph.adj`` does; a deleted vertex has no entry.  The state
     answers the read-only queries that detectors, plans and extension
     steps make of a graph (``n``, ``adj``, ``degree``, ``max_degree``,
-    ``edge_id``, ``endpoints``, ``label_pair``).  ``max_degree`` is the
-    maximum over the alive vertices, kept from per-degree counts in O(1)
-    amortized time.
+    ``edge_at``, ``edge_id``, ``endpoints``, ``label_pair``); ``edge_at``
+    is the graph's, so read it only for pairs found through ``adj``.
+    ``max_degree`` is the maximum over the alive vertices, kept from
+    per-degree counts in O(1) amortized time.
     """
 
-    __slots__ = ("n", "adj", "edge_id", "endpoints", "label_pair",
+    __slots__ = ("n", "adj", "edge_at", "edge_id", "endpoints", "label_pair",
                  "_count", "_max")
 
     def __init__(self, g: Graph, component: Iterable[int]):
         self.n = g.n
         self.adj = {v: list(g.adj[v]) for v in component}
+        self.edge_at = g.edge_at
         self.edge_id = g.edge_id
         self.endpoints = g.endpoints
         self.label_pair = g.label_pair
@@ -245,35 +237,24 @@ class PeelState:
 
 @dataclass(frozen=True)
 class DegreeClass:
-    """Degree profile of one vertex: its degree and neighbor-degree counts.
+    """Degree profile of one vertex: its degree and its degree-2 neighbors.
 
     ``k`` is the vertex degree and ``t`` the number of degree-2 neighbors,
     so a vertex with ``k=4, t=1`` is a 4-vertex with exactly one degree-2
-    neighbor.  ``n1`` counts the neighbors of degree 1 and ``n3plus``
-    those of degree at least 3, so ``n1 + t + n3plus == k`` always.  The
-    profile reads only the vertex and its neighbors, in O(degree) time.
+    neighbor.  The profile reads only the vertex and its neighbors, in
+    O(degree) time.
     """
 
     k: int
     t: int
-    n1: int
-    n3plus: int
 
 
 def degree_class(g: Graph, v: int) -> DegreeClass:
     """Classify vertex ``v`` by its degree and its neighbors' degrees."""
     if not 0 <= v < g.n:
         raise GraphError(f"vertex {v} out of range")
-    n1 = t = n3 = 0
-    for w in g.adj[v]:
-        d = g.degree(w)
-        if d == 1:
-            n1 += 1
-        elif d == 2:
-            t += 1
-        else:
-            n3 += 1
-    return DegreeClass(k=g.degree(v), t=t, n1=n1, n3plus=n3)
+    t = sum(1 for w in g.adj[v] if g.degree(w) == 2)
+    return DegreeClass(k=g.degree(v), t=t)
 
 
 def girth(g: Graph, limit: int | float = INFINITY) -> int | float:

@@ -184,15 +184,15 @@ def _m5(g: Graph, v: int, d: int) -> ReductionPlan | None:
 
 def _g1(g: Graph, v: int, d: int) -> ReductionPlan | None:
     """An isolated vertex, or a pendant edge with fewer than 3*cap edges
-    within distance two, counted directly (distance 2: the edges at the
-    neighbors of v's neighbor)."""
+    within distance two, so that its plan clips 3*cap to that count
+    (distance 2: the edges at the neighbors of v's neighbor)."""
     if g.degree(v) == 0:
         return _plan(g, ClaimTag.G1_PENDANT, v, [], [])
     if g.degree(v) == 1:
-        u = g.adj[v][0]
-        nearby = len(edges_within_distance_two(g, g.edge_id(u, v)))
-        if nearby < 3 * d:
-            return _plan(g, ClaimTag.G1_PENDANT, v, [], [((u, v), nearby)])
+        plan = _plan(g, ClaimTag.G1_PENDANT, v, [],
+                     [((g.adj[v][0], v), 3 * d)])
+        if plan.extension_order[0].bound < 3 * d:
+            return plan
     return None
 
 

@@ -187,6 +187,21 @@ def random_sparse_graph(rng: random.Random, n: int, cap: int):
             out.append((u, v))
     return out, range(nxt)
 
+
+def delete_vertex(g, v):
+    """New graph with vertex ``v`` (and its edges) removed.
+
+    Dense ids are reassigned; original labels are preserved, so the
+    deleted graph's vertices can be matched back to ``g``'s.
+    """
+    if not 0 <= v < g.n:
+        raise GraphError(f"vertex {v} out of range")
+    keep_labels = [lab for i, lab in enumerate(g.labels) if i != v]
+    pairs = [(g.labels[a], g.labels[b]) for (a, b) in g.edges
+             if a != v and b != v]
+    return build_graph(pairs, vertices=keep_labels)
+
+
 class _RefMiss(Exception):
     def __init__(self, graph):
         self.graph = graph
@@ -219,7 +234,7 @@ def _ref_reduce_and_unwind(g, lists, detect, trace, plans):
             raise _RefMiss(cur)
         plans.append(plan_in_labels(cur, plan))
         stack.append((cur, cur_lists, plan))
-        child = cur.delete_vertex(plan.delete_vertex)
+        child = delete_vertex(cur, plan.delete_vertex)
         cur_lists = _ref_child_lists(cur, child, cur_lists)
         cur = child
     by_labels = {}
@@ -239,7 +254,7 @@ def reference_solve(g, lists, path, detect, fallback_threshold):
     """The peeling engine before the mutable peel state, kept as the slow
     reference: per component it runs a public detector on a freshly built
     graph at every level, builds the next level with
-    ``Graph.delete_vertex``, carries the lists over by labels and remaps
+    :func:`delete_vertex`, carries the lists over by labels and remaps
     colors by label pairs on the way back up.
 
     ``lists`` must already map every edge id to a frozenset.  Returns the

@@ -5,12 +5,14 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import strongedge
-from strongedge import parse_coloring, parse_instance, run_command
+from strongedge import (InstanceFile, build_graph, parse_coloring,
+                        parse_instance, run_command, serialize_instance)
 
 C5 = "e 0 1\ne 1 2\ne 2 3\ne 3 4\ne 0 4\n"
 
@@ -163,6 +165,22 @@ def test_audit_girth7_on_generated(tmp_path, capsys):
     assert run_command(["audit", str(inst), "--scheme", "girth7"]) == 0
     err = capsys.readouterr().err
     assert "identity total: -14" in err
+
+
+def test_audit_is_linear_in_negative_elements(tmp_path, capsys):
+    # the caterpillar of test_discharge.py: all 6666 spine vertices end
+    # negative, so a per-negative cost linear in their number is seconds
+    s = 6666
+    tree = build_graph([(i, i + 1) for i in range(s - 1)]
+                       + [(i, s + 2 * i + j) for i in range(s)
+                          for j in range(2)])
+    inst = write(tmp_path, "cat.txt", serialize_instance(
+        InstanceFile(tree, rotation=tuple(tree.adj))))
+    start = time.process_time()
+    assert run_command(["audit", inst, "--scheme", "girth7"]) == 0
+    assert time.process_time() - start < 3
+    err = capsys.readouterr().err
+    assert err.count("negative final charge") == s
 
 
 def test_gen_is_deterministic_bytes(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from strongedge import (build_graph, conflict_graph,
                         edges_within_distance_two, generate, GenSpec)
+from strongedge.graph import PeelState
 
 from tests.helpers import naive_conflicts, random_graph
 
@@ -38,6 +39,34 @@ def _reindex(edges, g, e):
 def _to_gid(edges, g, f):
     x, y = edges[f]
     return g.edge_id(x, y)
+
+
+def _check_alive_conflicts(g, state):
+    """Every alive edge's conflicts equal the definition's over the alive
+    edges alone."""
+    alive = [f for f, (x, y) in enumerate(g.edges)
+             if x in state.adj and y in state.adj]
+    pairs = [g.edges[f] for f in alive]
+    for i, e in enumerate(alive):
+        assert edges_within_distance_two(state, e) == \
+            {alive[j] for j in naive_conflicts(pairs, i)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases, st.randoms(use_true_random=False))
+def test_peel_state_conflicts_match_definition(case, rnd):
+    n, edges = case
+    g = build_graph(edges, vertices=range(n))
+    state = PeelState(g, range(g.n))
+    order = rnd.sample(range(g.n), rnd.randint(0, g.n))
+    undo = []
+    _check_alive_conflicts(g, state)
+    for v in order:
+        undo.append(state.delete(v))
+        _check_alive_conflicts(g, state)
+    for v, nbrs in zip(reversed(order), reversed(undo)):
+        state.restore(v, nbrs)
+        _check_alive_conflicts(g, state)
 
 
 @settings(max_examples=80, deadline=None)

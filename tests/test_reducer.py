@@ -18,7 +18,7 @@ from strongedge import (ClaimTag, GenSpec, build_graph,
                         find_reducible_mad, generate)
 from strongedge.graph import PeelState
 from strongedge.reducer import GIRTH7_MATCHERS, MAD_MATCHERS
-from tests.helpers import random_sparse_graph
+from tests.helpers import delete_vertex, random_sparse_graph
 
 
 def eid(g, a, b):
@@ -256,7 +256,7 @@ def test_plans_on_generated_instances_have_valid_shape():
             assert all(s.bound <= 3 * max(g.max_degree(), 1)
                        for s in plan.extension_order)
             check_plan_shape(g, plan)
-            g = g.delete_vertex(plan.delete_vertex)
+            g = delete_vertex(g, plan.delete_vertex)
     for seed in range(4):
         g = generate(GenSpec("planar-girth7", 24, delta=4, seed=seed)).graph
         while g.n > 0:
@@ -264,7 +264,7 @@ def test_plans_on_generated_instances_have_valid_shape():
             assert plan is not None
             assert all(s.bound < 12 for s in plan.extension_order)
             check_plan_shape(g, plan)
-            g = g.delete_vertex(plan.delete_vertex)
+            g = delete_vertex(g, plan.delete_vertex)
 
 
 def _farthest_changes(g, matchers, d, deleted):
