@@ -2,14 +2,15 @@
 
 Ground truth for tests and cross-validation: an exact strong chromatic
 index and a complete list-coloring search, both run by one backtracking
-search on the conflict graph.  Both are budgeted — blowing the node
-budget raises, it never returns a wrong answer.
+search on the conflict graph.  The search works on bitmasks over the
+ranks of the colors in the sorted union of the lists, so any integer
+colors are accepted and returned as given.  Both are budgeted — blowing
+the node budget raises, it never returns a wrong answer.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Iterator
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .conflicts import conflict_graph
@@ -72,40 +73,59 @@ def _search(h: Graph, lists: list[tuple[int, ...]], budget: SearchBudget,
     broken by lowest id, and tries its colors in ascending order.  With
     ``fresh`` a vertex may take a color at most one above the largest used
     so far, which kills the color permutation symmetry of the uniform
-    lists ``0..k-1``.  Depth-first with an explicit stack holding one
-    frame per branching vertex: the vertex, an iterator over its untried
-    colors and the color ceiling it was chosen under.
+    lists ``0..k-1``.
+
+    Colors are searched as their ranks in the sorted union of the lists
+    (the same order, so the same tree node for node) and mapped back on
+    return, so any integers work; a vertex's admissible colors are one
+    ``int`` bitmask.  Depth-first with an explicit stack of one frame per
+    branching vertex: the vertex, its untried colors, every vertex's mask
+    before it was colored, its ceiling, the vertices left after it and its
+    color.  Coloring copies the masks, so backtracking restores nothing.
     """
-    n, adj = h.n, h.adj
-    colors: dict[int, int] = {}
-    stack: list[tuple[int, Iterator[int], float]] = []
-    top = 0 if fresh else math.inf
+    palette = sorted(set().union(*lists))
+    rank = {c: r for r, c in enumerate(palette)}
+    allowed = [sum(1 << rank[c] for c in cs) for cs in lists]
+    # the ceiling mask admits the colors up to one above the largest used
+    # (ceilings[r] once rank r is used), or every color without ``fresh``
+    if fresh:
+        start = (1 << bisect_right(palette, 0)) - 1
+        ceilings = [(1 << bisect_right(palette, c + 1)) - 1 for c in palette]
+    else:
+        start, ceilings = -1, [-1] * len(palette)
+    adj = h.adj
+    stack: list[list] = []
+    avail, ceiling, rest = allowed, start, tuple(range(h.n))
     while True:
         budget.tick()
-        if len(colors) == n:
-            return dict(colors)
-        best_v = -1
-        best_opts: list[int] = []
-        for v in range(n):
-            if v in colors:
-                continue
-            forbidden = {colors[w] for w in adj[v] if w in colors}
-            opts = [c for c in lists[v] if c <= top and c not in forbidden]
-            if best_v < 0 or len(opts) < len(best_opts):
-                best_v, best_opts = v, opts
-                if not opts:
+        if not rest:
+            return {frame[0]: palette[frame[5]] for frame in stack}
+        best_v, best_k = -1, len(palette) + 1
+        for v in rest:
+            k = (avail[v] & ceiling).bit_count()
+            if k < best_k:
+                best_v, best_k = v, k
+                if not k:
                     break
-        if best_opts:
-            stack.append((best_v, iter(best_opts), top))
+        if best_k:
+            i = rest.index(best_v)
+            stack.append([best_v, avail[best_v] & ceiling, avail, ceiling,
+                          rest[:i] + rest[i + 1:], -1])
         while stack:
-            v, untried, below = stack[-1]
-            c = next(untried, None)
-            if c is not None:
-                colors[v] = c
-                top = max(below, c + 1)
+            frame = stack[-1]
+            v, untried, before, under, left, _ = frame
+            if untried:
+                low = untried & -untried
+                frame[1] = untried ^ low
+                r = frame[5] = low.bit_length() - 1
+                avail = before[:]
+                clear = ~low
+                for w in adj[v]:
+                    avail[w] &= clear
+                ceiling = under | ceilings[r]
+                rest = left
                 break
             stack.pop()
-            del colors[v]
         else:
             return None
 

@@ -6,13 +6,15 @@ search over thresholds instead of Dinkelbach's iteration, edge-deletion
 BFS instead of cross-edge girth detection, independent-set DP instead of
 backtracking color search, the textbook definition of a strong edge
 coloring instead of precomputed conflict sets, a graph rebuilt at every
-peel level instead of one mutable peel state, and faces re-traced after
-every insertion instead of kept incrementally.  Slow but obviously
-correct, and only run on small inputs.
+peel level instead of one mutable peel state, faces re-traced after
+every insertion instead of kept incrementally, and color sets rebuilt at
+every search node instead of bitmasks over color ranks.  Slow but
+obviously correct, and only run on small inputs.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -200,6 +202,54 @@ def delete_vertex(g, v):
     pairs = [(g.labels[a], g.labels[b]) for (a, b) in g.edges
              if a != v and b != v]
     return build_graph(pairs, vertices=keep_labels)
+
+
+def reference_search(h, lists, budget, fresh):
+    """The exact search before color bitmasks, kept as the slow reference
+    for ``oracle._search``: the same branching over tuples of the colors
+    themselves, with a set of forbidden colors and a list of options built
+    for every uncolored vertex at every node.
+
+    Branching picks the vertex with the fewest admissible colors, ties
+    broken by lowest id, and tries its colors in ascending order.  With
+    ``fresh`` a vertex may take a color at most one above the largest used
+    so far, which kills the color permutation symmetry of the uniform
+    lists ``0..k-1``.  Depth-first with an explicit stack holding one
+    frame per branching vertex: the vertex, an iterator over its untried
+    colors and the color ceiling it was chosen under.
+    """
+    n, adj = h.n, h.adj
+    colors = {}
+    stack = []
+    top = 0 if fresh else math.inf
+    while True:
+        budget.tick()
+        if len(colors) == n:
+            return dict(colors)
+        best_v = -1
+        best_opts = []
+        for v in range(n):
+            if v in colors:
+                continue
+            forbidden = {colors[w] for w in adj[v] if w in colors}
+            opts = [c for c in lists[v] if c <= top and c not in forbidden]
+            if best_v < 0 or len(opts) < len(best_opts):
+                best_v, best_opts = v, opts
+                if not opts:
+                    break
+        if best_opts:
+            stack.append((best_v, iter(best_opts), top))
+        while stack:
+            v, untried, below = stack[-1]
+            c = next(untried, None)
+            if c is not None:
+                colors[v] = c
+                top = max(below, c + 1)
+                break
+            stack.pop()
+            del colors[v]
+        else:
+            return None
 
 
 class _RefMiss(Exception):

@@ -13,7 +13,9 @@ from strongedge import (BudgetExceededError, SearchBudget, build_graph,
                         strong_chromatic_index_exact, uniform_lists,
                         verify_strong)
 
-from tests.helpers import dp_chromatic, naive_strong_ok, random_graph
+from strongedge.oracle import _search
+from tests.helpers import (dp_chromatic, naive_strong_ok, random_graph,
+                           reference_search)
 
 
 def test_cycle_values():
@@ -82,6 +84,83 @@ def test_small_graph_answers_are_pinned():
             listed.nodes_used)).encode())
     assert digest.hexdigest() == (
         "c3eb928e0a444e93c2c7cadabfcdf35e26e4409352ee1ea9df6b1fe0ea0c324a")
+
+
+def _outcome(search, h, lists, fresh, max_nodes=2_000_000):
+    """What a search returns (items in order) or that it ran out of nodes,
+    with the nodes it used."""
+    budget = SearchBudget(max_nodes=max_nodes)
+    try:
+        found = search(h, lists, budget, fresh)
+    except BudgetExceededError:
+        return "budget", budget.nodes_used
+    return found and list(found.items()), budget.nodes_used
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans(), st.integers(0, 10**6))
+def test_search_matches_reference(fresh, seed):
+    # random conflict graphs colored from ``chi - 1`` or ``chi`` colors
+    # around 0, some lists one color short: the same answer with items in
+    # the same order and the same node count, also when both run out
+    rng = random.Random(seed)
+    n = rng.randint(0, 12)
+    h = build_graph(random_graph(rng, n, rng.uniform(0.2, 0.9)),
+                    vertices=range(n))
+    chi = dp_chromatic(n, [sum(1 << w for w in h.adj[v]) for v in range(n)])
+    width = max(1, chi - rng.randint(0, 1))
+    short = rng.randint(0, 1)  # drop one color from some lists, or none
+    lists = [tuple(sorted(rng.sample(range(-1, width - 1),
+                                   width - short * rng.randint(0, 1))))
+             for _ in range(n)]
+    cap = rng.choice((rng.randint(1, 20), 5000))
+    assert (_outcome(_search, h, lists, fresh, cap)
+            == _outcome(reference_search, h, lists, fresh, cap))
+
+
+def test_list_search_keeps_color_values():
+    # colors far outside any bitmask width: searched by their ranks and
+    # returned as given, with the reference's coloring and node count
+    g = build_graph([(0, 1), (1, 2), (2, 3), (3, 4), (1, 5)])
+    huge = 2 ** 200
+    lists = {0: frozenset({huge}), 1: frozenset({-7, huge}),
+             2: frozenset({-7, 0, 10**18}), 3: frozenset({0, 10**18, huge}),
+             4: frozenset({-(10**18), 0, 10**18})}
+    h = conflict_graph(g)
+    budget = SearchBudget()
+    got = list_strong_colorable(g, lists, budget)
+    assert got is not None and not verify_strong(g, got)
+    assert all(got[e] in lists[e] for e in range(g.m))
+    assert {huge, -7, 10**18}.issubset(got.values())
+    assert (list(got.items()), budget.nodes_used) == _outcome(
+        reference_search, h, [tuple(sorted(lists[e])) for e in range(g.m)],
+        False)
+    star = [g.edge_id(1, w) for w in (0, 2, 5)]  # pairwise in conflict
+    lists.update((e, frozenset({-7, huge})) for e in star)
+    budget = SearchBudget()
+    assert list_strong_colorable(g, lists, budget) is None
+    assert (None, budget.nodes_used) == _outcome(
+        reference_search, h, [tuple(sorted(lists[e])) for e in range(g.m)],
+        False)
+
+
+@pytest.mark.parametrize("k_colors", [4, 5])
+def test_budget_boundary_matches_reference(k_colors):
+    # C5 needs 5 colors: 4 is a full refutation, 5 a found coloring.  With
+    # exactly the nodes a search needs it answers; one fewer raises, having
+    # counted the node it was refused, in both searches
+    g = build_graph([(i, (i + 1) % 5) for i in range(5)])
+    h = conflict_graph(g)
+    lists = [tuple(range(k_colors))] * h.n
+    answer, k = _outcome(_search, h, lists, False)
+    assert (answer is None) == (k_colors == 4)
+    for search in (_search, reference_search):
+        assert _outcome(search, h, lists, False, k) == (answer, k)
+        assert _outcome(search, h, lists, False, k - 1) == ("budget", k)
+    budget = SearchBudget(max_nodes=k - 1)
+    with pytest.raises(BudgetExceededError):
+        list_strong_colorable(g, uniform_lists(g, k_colors), budget)
+    assert budget.nodes_used == k
 
 
 def test_edge_cap_refusal_mentions_knob():
