@@ -96,23 +96,19 @@ def _cmd_verify(args) -> int:
     inst = _load(args.instance)
     g = inst.graph
     coloring = parse_coloring(_read(args.coloring), g)
-    violations = verify_strong(g, coloring)
-    bad_lists = []
-    if inst.lists is not None:
-        for e, color in coloring.items():
-            allowed = inst.lists.get(e)
-            if allowed is not None and color not in allowed:
-                bad_lists.append((e, color))
+    violations = verify_strong(g, coloring, inst.lists)
     for v in violations:
-        names = ", ".join("{}-{}".format(*g.label_pair(e)) for e in v.edges
-                          if 0 <= e < g.m)
-        _say(f"violation ({v.kind}): edges {names or v.edges}"
-             + (f" share color {v.color}" if v.color is not None else ""))
-    for e, color in bad_lists:
-        a, b = g.label_pair(e)
-        _say(f"violation (list): edge {a}-{b} uses {color}, "
-             f"not in its allowed list")
-    if violations or bad_lists:
+        if v.kind == "list":
+            a, b = g.label_pair(v.edges[0])
+            _say(f"violation (list): edge {a}-{b} uses {v.color}, "
+                 f"not in its allowed list")
+        else:
+            names = ", ".join("{}-{}".format(*g.label_pair(e))
+                              for e in v.edges if 0 <= e < g.m)
+            _say(f"violation ({v.kind}): edges {names or v.edges}"
+                 + (f" share color {v.color}" if v.color is not None
+                    else ""))
+    if violations:
         return 1
     _say(f"valid strong edge coloring with "
          f"{len(set(coloring.values()))} colors")

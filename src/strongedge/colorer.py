@@ -68,9 +68,9 @@ class ExtensionError(TheoremViolationError):
 
 @dataclass(frozen=True)
 class Violation:
-    """One reason a coloring is not a (total) strong edge coloring."""
+    """One reason a coloring is not a total list strong edge coloring."""
 
-    kind: str  # "conflict" | "uncolored" | "unknown-edge"
+    kind: str  # "conflict" | "uncolored" | "unknown-edge" | "list"
     edges: tuple[int, ...]
     color: int | None = None
 
@@ -95,15 +95,19 @@ class SolveReport:
     ``fallback`` carries a note whenever a component had to fall back to
     the exact oracle or to greedy.  ``trace`` records every extension
     step that ran (edge as a label pair, promised bound, actual count).
+    ``colors_used`` counts the distinct colors in ``coloring``.
     """
 
     coloring: PartialColoring
     path: str
-    colors_used: int
     certified: bool
     fallback: str | None = None
     failed_edge: int | None = None
     trace: tuple[ExtensionRecord, ...] = ()
+
+    @property
+    def colors_used(self) -> int:
+        return len(set(self.coloring.values()))
 
     @property
     def complete(self) -> bool:
@@ -117,21 +121,23 @@ def uniform_lists(g: Graph, n_colors: int) -> ColorLists:
 
 
 def verify_strong(g: Graph, coloring: PartialColoring,
-                  require_total: bool = True) -> list[Violation]:
-    """All the ways ``coloring`` fails to be a strong edge coloring.
+                  lists: ColorLists | None = None) -> list[Violation]:
+    """All the ways ``coloring`` fails to be a list strong edge coloring.
 
-    Returns an empty list on success.  A color on an unknown edge id is a
-    violation entry, not a crash.  With ``require_total`` every uncolored
-    edge is also reported.
+    Returns an empty list on success.  Reports, in this order: colors on
+    unknown edge ids (an entry, not a crash), uncolored edges, pairs of
+    edges within distance two that share a color and, when ``lists`` is
+    given, each colored edge whose color is outside its list, in
+    ``coloring``'s order.  An edge with no entry in ``lists`` may take
+    any color.
     """
     out: list[Violation] = []
     for e in sorted(coloring):
         if not 0 <= e < g.m:
             out.append(Violation("unknown-edge", (e,), coloring[e]))
-    if require_total:
-        for e in range(g.m):
-            if e not in coloring:
-                out.append(Violation("uncolored", (e,)))
+    for e in range(g.m):
+        if e not in coloring:
+            out.append(Violation("uncolored", (e,)))
     for e in range(g.m):
         c = coloring.get(e)
         if c is None:
@@ -139,6 +145,11 @@ def verify_strong(g: Graph, coloring: PartialColoring,
         for f in sorted(edges_within_distance_two(g, e)):
             if f > e and coloring.get(f) == c:
                 out.append(Violation("conflict", (e, f), c))
+    if lists is not None:
+        for e, c in coloring.items():
+            allowed = lists.get(e)
+            if allowed is not None and c not in allowed:
+                out.append(Violation("list", (e,), c))
     return out
 
 
@@ -155,12 +166,10 @@ def greedy_color(g: Graph, lists: ColorLists) -> SolveReport:
                 if f in coloring}
         spare = sorted(lists[e] - used)
         if not spare:
-            return SolveReport(coloring, "greedy",
-                               len(set(coloring.values())),
-                               certified=False, failed_edge=e)
+            return SolveReport(coloring, "greedy", certified=False,
+                               failed_edge=e)
         coloring[e] = spare[0]
-    return SolveReport(coloring, "greedy", len(set(coloring.values())),
-                       certified=False)
+    return SolveReport(coloring, "greedy", certified=False)
 
 
 def extend(g: Graph, partial: PartialColoring, plan: ReductionPlan,
@@ -283,20 +292,6 @@ def _unwind(state: PeelState, stack: list[tuple[ReductionPlan, list[int]]],
         extend(state, coloring, plan, lists, trace)
 
 
-def _final_checks(g: Graph, lists: ColorLists,
-                  coloring: PartialColoring) -> None:
-    """Soundness gate run on every complete solve, certified or not."""
-    bad = verify_strong(g, coloring, require_total=True)
-    if bad:
-        raise TheoremViolationError(
-            f"solver produced an invalid coloring: {bad[:3]}")
-    for e, c in coloring.items():
-        if c not in lists[e]:
-            raise TheoremViolationError(
-                f"solver used color {c} outside the list of edge "
-                f"{g.label_pair(e)}")
-
-
 def _solve_components(g: Graph, lists: dict[int, Iterable[int]], path: str,
                       matchers: tuple[Matcher, ...], delta_cap: int | None,
                       fallback_threshold: int | None, budget: int,
@@ -311,12 +306,12 @@ def _solve_components(g: Graph, lists: dict[int, Iterable[int]], path: str,
     count up to which the exact oracle is used as fallback, greedy beyond.
     """
     if g.m == 0:
-        return SolveReport({}, path, 0, certified=True)
+        return SolveReport({}, path, certified=True)
     lists = _normalize_lists(g, lists)
     if any(not lst for lst in lists.values()):
         raise HypothesisError("every edge needs a nonempty color list")
     if g.m == 1:
-        return SolveReport({0: min(lists[0])}, path, 1, certified=True)
+        return SolveReport({0: min(lists[0])}, path, certified=True)
     short = sorted(e for e in range(g.m) if len(lists[e]) < budget)
     if short:
         raise HypothesisError(
@@ -377,9 +372,10 @@ def _solve_components(g: Graph, lists: dict[int, Iterable[int]], path: str,
             continue
         _unwind(state, stack, lists, coloring, trace)
 
-    if failed is None:
-        _final_checks(g, lists, coloring)
-    return SolveReport(coloring, path, len(set(coloring.values())),
+    if failed is None and (bad := verify_strong(g, coloring, lists)):
+        raise TheoremViolationError(
+            f"solver produced an invalid coloring: {bad[:3]}")
+    return SolveReport(coloring, path,
                        certified=certified and failed is None,
                        fallback="; ".join(notes) if notes else None,
                        failed_edge=failed, trace=tuple(trace))

@@ -51,7 +51,11 @@ class _Dinic:
         self.to.append(u)
         self.cap.append(0)
 
-    def _bfs(self, s: int, t: int) -> list[int]:
+    def _bfs(self, s: int) -> list[int]:
+        """BFS levels from ``s`` over arcs with residual capacity, -1 where
+        unreachable.  After the last flow run the reached vertices are the
+        inclusion-minimal min-cut source side, which makes the witness
+        extracted from them canonical for a given network."""
         level = [-1] * self.n
         level[s] = 0
         queue = [s]
@@ -61,7 +65,7 @@ class _Dinic:
                 if self.cap[i] > 0 and level[v] < 0:
                     level[v] = level[u] + 1
                     queue.append(v)
-        return level if level[t] >= 0 else []
+        return level
 
     def _augment(self, s: int, t: int, level: list[int],
                  it: list[int]) -> int:
@@ -95,34 +99,19 @@ class _Dinic:
             cap[i ^ 1] += d
         return d
 
-    def max_flow(self, s: int, t: int) -> int:
+    def max_flow(self, s: int, t: int) -> tuple[int, list[int]]:
+        """The maximum flow value and the final BFS levels (see _bfs)."""
         flow = 0
         while True:
-            level = self._bfs(s, t)
-            if not level:
-                return flow
+            level = self._bfs(s)
+            if level[t] < 0:
+                return flow, level
             it = [0] * self.n
             while True:
                 f = self._augment(s, t, level, it)
                 if f == 0:
                     break
                 flow += f
-
-    def source_side(self, s: int) -> set[int]:
-        """Vertices reachable from ``s`` in the final residual network.
-
-        This is the inclusion-minimal min-cut source side, which makes the
-        extracted witness canonical for a given network.
-        """
-        seen = {s}
-        queue = [s]
-        for u in queue:
-            for i in self.head[u]:
-                v = self.to[i]
-                if self.cap[i] > 0 and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
 
 
 def density_exceeds(g: Graph, threshold: Fraction | int
@@ -156,11 +145,10 @@ def density_exceeds(g: Graph, threshold: Fraction | int
         net.add(enode(e), vnode(v), inf)
     for v in range(n):
         net.add(vnode(v), t, p)
-    flow = net.max_flow(s, t)
+    flow, level = net.max_flow(s, t)
     if flow >= total:
         return None
-    side = net.source_side(s)
-    hverts = frozenset(v for v in range(n) if vnode(v) in side)
+    hverts = frozenset(v for v in range(n) if level[vnode(v)] >= 0)
     e_in = sum(1 for (a, b) in g.edges if a in hverts and b in hverts)
     witness = DensityWitness(hverts, Fraction(2 * e_in, len(hverts)))
     if witness.density <= threshold:  # pragma: no cover - flow invariant

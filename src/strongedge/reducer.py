@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, NamedTuple
 
 from .conflicts import edges_within_distance_two
@@ -126,14 +127,16 @@ def _m1(g: Graph, v: int, d: int) -> ReductionPlan | None:
     return None
 
 
-def _m2(g: Graph, v: int, d: int) -> ReductionPlan | None:
-    """A 2-vertex whose both neighbors have degree <= 3 (distance 1)."""
+def _two_weak(tag: ClaimTag, g: Graph, v: int,
+              d: int) -> ReductionPlan | None:
+    """A 2-vertex whose both neighbors have degree <= 3 (distance 1).
+    M2 and G2 are this configuration with the same bounds; ``tag`` names
+    which one the plan is for."""
     if g.degree(v) != 2:
         return None
     u, w = g.adj[v]
     if g.degree(u) <= 3 and g.degree(w) <= 3:
-        return _plan(g, ClaimTag.M2_TWO_WEAK, v, [],
-                     [((v, u), 2 * d + 2), ((v, w), 2 * d + 3)])
+        return _plan(g, tag, v, [], [((v, u), 2 * d + 2), ((v, w), 2 * d + 3)])
     return None
 
 
@@ -193,17 +196,6 @@ def _g1(g: Graph, v: int, d: int) -> ReductionPlan | None:
                      [((g.adj[v][0], v), 3 * d)])
         if plan.extension_order[0].bound < 3 * d:
             return plan
-    return None
-
-
-def _g2(g: Graph, v: int, d: int) -> ReductionPlan | None:
-    """A 2-vertex whose both neighbors have degree <= 3 (distance 1)."""
-    if g.degree(v) != 2:
-        return None
-    u, w = g.adj[v]
-    if g.degree(u) <= 3 and g.degree(w) <= 3:
-        return _plan(g, ClaimTag.G2_TWO_WEAK, v, [],
-                     [((v, u), 2 * d + 2), ((v, w), 2 * d + 3)])
     return None
 
 
@@ -336,7 +328,7 @@ class Matcher(NamedTuple):
 
 MAD_MATCHERS = (
     Matcher(ClaimTag.M1_PENDANT, _m1, 1),
-    Matcher(ClaimTag.M2_TWO_WEAK, _m2, 2),
+    Matcher(ClaimTag.M2_TWO_WEAK, partial(_two_weak, ClaimTag.M2_TWO_WEAK), 2),
     Matcher(ClaimTag.M3_TWO_TWOS, _m3, 3),
     Matcher(ClaimTag.M4_ALL_TWOS, _m4, 2),
     Matcher(ClaimTag.M5_THREE_TWOS, _m5, 4),
@@ -344,7 +336,7 @@ MAD_MATCHERS = (
 
 GIRTH7_MATCHERS = (
     Matcher(ClaimTag.G1_PENDANT, _g1, 3),
-    Matcher(ClaimTag.G2_TWO_WEAK, _g2, 2),
+    Matcher(ClaimTag.G2_TWO_WEAK, partial(_two_weak, ClaimTag.G2_TWO_WEAK), 2),
     Matcher(ClaimTag.G3_ALL_WEAK, _g3, 2),
     Matcher(ClaimTag.G4_FOUR_AND_TWO, _g4, 3),
     Matcher(ClaimTag.G5_FOUR_AND_THREE, _g5, 3),

@@ -56,6 +56,28 @@ def naive_strong_ok(edges: list[Edge], coloring: dict[int, int]) -> bool:
     return True
 
 
+def naive_verdict(edges: list[Edge], coloring: dict[int, int],
+                  lists: dict[int, frozenset[int]] | None = None
+                  ) -> list[tuple[str, tuple[int, ...], int | None]]:
+    """``verify_strong``'s report as ``(kind, edges, color)`` triples,
+    straight from the definition: colors on ids outside the edge list,
+    uncolored edges, every same-colored pair ``e < f`` at distance <= 2 by
+    :func:`naive_conflicts`, then colors outside an edge's list (in
+    ``coloring``'s order; an edge without a list takes any color)."""
+    m = len(edges)
+    out = [("unknown-edge", (e,), coloring[e])
+           for e in sorted(coloring) if e not in range(m)]
+    out += [("uncolored", (e,), None) for e in range(m) if e not in coloring]
+    out += [("conflict", (e, f), coloring[e])
+            for e, f in combinations(range(m), 2)
+            if e in coloring and coloring.get(f) == coloring[e]
+            and f in naive_conflicts(edges, e)]
+    if lists is not None:
+        out += [("list", (e,), c) for e, c in coloring.items()
+                if e in lists and c not in lists[e]]
+    return out
+
+
 def subset_mad(edges: list[Edge], n: int) -> Fraction:
     """Maximum average degree by trying every nonempty vertex subset."""
     best = Fraction(0)
@@ -367,7 +389,7 @@ def reference_solve(g, lists, path, detect, fallback_threshold):
     if failed is None:
         assert not verify_strong(g, coloring)
         assert all(c in lists[e] for e, c in coloring.items())
-    report = SolveReport(coloring, path, len(set(coloring.values())),
+    report = SolveReport(coloring, path,
                          certified=certified and failed is None,
                          fallback="; ".join(notes) if notes else None,
                          failed_edge=failed, trace=tuple(trace))

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strongedge
 from strongedge import (InstanceFile, build_graph, parse_coloring,
@@ -69,6 +73,23 @@ def test_verify_flags_list_breach(tmp_path, capsys):
     bad = write(tmp_path, "bad.txt", "c 0 1 1\nc 1 2 2\n")
     assert run_command(["verify", inst, bad]) == 1
     assert "violation (list)" in capsys.readouterr().err
+
+
+def test_verify_output_is_pinned(tmp_path, capsys):
+    # the coloring file lists edges out of id order; the uncolored edge and
+    # the conflict come first, then the list breaches in file order, and
+    # edge 4-5, which has no list, may take any color
+    inst = write(tmp_path, "p6.txt",
+                 "e 0 1\ne 1 2\ne 2 3\ne 3 4\ne 4 5\n"
+                 "l 0 1 : 1 2\nl 2 3 : 0 1\nl 3 4 : 7\n")
+    bad = write(tmp_path, "bad.txt", "c 3 4 5\nc 0 1 3\nc 2 3 3\nc 4 5 9\n")
+    assert run_command(["verify", inst, bad]) == 1
+    assert capsys.readouterr().err == (
+        "violation (uncolored): edges 1-2\n"
+        "violation (conflict): edges 0-1, 2-3 share color 3\n"
+        "violation (list): edge 3-4 uses 5, not in its allowed list\n"
+        "violation (list): edge 0-1 uses 3, not in its allowed list\n"
+        "violation (list): edge 2-3 uses 3, not in its allowed list\n")
 
 
 def test_girth7_pipeline_rejects_short_cycles(tmp_path, capsys):
@@ -253,6 +274,82 @@ def test_back_to_back_commands_do_not_share_options(tmp_path, capsys):
     assert plain != flagged
     assert run_all(0) == plain
     assert run_all(1) == flagged
+
+
+INTS = st.integers(-1, 9)
+COLORS = st.integers(-3, 20)
+JUNK = st.sampled_from(["x", ":", "1.5", "--", "c", "v", "e", "l", "r"])
+
+
+def _record(*parts):
+    return " ".join(map(str, parts))
+
+
+GARBAGE_LINES = st.one_of(
+    st.builds(_record, st.just("v"), INTS),
+    st.builds(_record, st.just("e"), INTS, INTS),
+    st.builds(lambda u, nbrs: _record("r", u, ":", *nbrs),
+              INTS, st.lists(INTS, max_size=4)),
+    st.builds(lambda u, v, colors: _record("l", u, v, ":", *colors),
+              INTS, INTS, st.lists(COLORS, max_size=14)),
+    st.builds(_record, st.just("p"), st.sampled_from(["delta", "name"]),
+              st.one_of(INTS, JUNK)),
+    st.builds(_record, st.just("c"), INTS, INTS, COLORS),
+    st.lists(st.one_of(JUNK, INTS.map(str)), min_size=1,
+             max_size=4).map(" ".join),
+)
+
+
+@st.composite
+def instance_and_coloring(draw):
+    """Instance and coloring text: mostly well-formed records on a random
+    graph (some lists, rotations and colors), shuffled together with a
+    few records drawn from the whole alphabet, which may break the file."""
+    pairs = draw(st.lists(st.tuples(INTS, INTS).filter(lambda p: p[0] != p[1]),
+                          max_size=12, unique_by=frozenset))
+    nbrs: dict[int, list[int]] = {}
+    for u, v in pairs:
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    lines = [_record("e", u, v) for u, v in pairs]
+    lines += [_record("l", u, v, ":", *draw(st.lists(COLORS, max_size=14)))
+              for u, v in pairs if draw(st.booleans())]
+    lines += [_record("r", u, ":", *draw(st.permutations(around)))
+              for u, around in nbrs.items() if draw(st.booleans())]
+    lines += draw(st.lists(GARBAGE_LINES, max_size=2))
+    colored = [_record("c", u, v, draw(COLORS))
+               for u, v in pairs if draw(st.integers(0, 4))]
+    colored += draw(st.lists(GARBAGE_LINES, max_size=1))
+    return ("\n".join(draw(st.permutations(lines))) + "\n",
+            "\n".join(draw(st.permutations(colored))) + "\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance_and_coloring())
+def test_random_files_map_to_exit_codes(files):
+    # random and broken files through every reading command: an exit code
+    # from 0..3 and never a traceback; a certified coloring verifies
+    with tempfile.TemporaryDirectory() as tmp:
+        inst = os.path.join(tmp, "inst.txt")
+        col = os.path.join(tmp, "col.txt")
+        Path(inst).write_text(files[0])
+        Path(col).write_text(files[1])
+        forms = [["color", inst], ["color", inst, "--pipeline", "girth7"],
+                 ["color", inst, "--pipeline", "girth7", "--fallback", "3"],
+                 ["verify", inst, col], ["exact", inst], ["girth", inst],
+                 ["mad", inst], ["mad", inst, "--threshold", "5/2"],
+                 ["audit", inst], ["audit", inst, "--scheme", "girth7"]]
+        for argv in forms:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = run_command(argv)
+            assert code in (0, 1, 2, 3), argv
+            if argv[0] == "color" and code == 0:
+                colored = os.path.join(tmp, "colored.txt")
+                Path(colored).write_text(out.getvalue())
+                with contextlib.redirect_stderr(io.StringIO()):
+                    assert run_command(["verify", inst, colored]) == 0
 
 
 def check_command(command, tmp_path):

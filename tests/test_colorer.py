@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,10 +10,11 @@ from strongedge import (ClaimTag, ExtensionError, GenSpec,
                         HypothesisError, ReductionPlan, build_graph,
                         generate, greedy_color, solve_girth7, solve_mad3,
                         uniform_lists, verify_strong)
-from strongedge.colorer import extend
+from strongedge import colorer
+from strongedge.colorer import TheoremViolationError, extend
 from strongedge.reducer import ExtensionStep
 
-from tests.helpers import naive_strong_ok
+from tests.helpers import naive_strong_ok, naive_verdict, random_graph
 
 
 def test_verify_catches_planted_conflict():
@@ -27,7 +30,40 @@ def test_verify_reports_missing_and_unknown():
     g = build_graph([(0, 1), (1, 2)])
     out = verify_strong(g, {0: 1, 7: 2})
     assert {v.kind for v in out} == {"unknown-edge", "uncolored"}
-    assert verify_strong(g, {0: 1}, require_total=False) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.sampled_from((0.2, 0.4, 0.7)),
+       st.integers(0, 10_000))
+def test_verify_matches_the_definition(n, p, seed):
+    # partial colorings in shuffled order from a few colors, a few unknown
+    # edge ids, and lists on some edges (and some unknown ids) only
+    rng = random.Random(seed)
+    g = build_graph(random_graph(rng, n, p), vertices=range(n))
+    ids = [*range(g.m), -1, g.m, g.m + 3]
+    rng.shuffle(ids)
+    coloring = {e: rng.randrange(4) for e in ids
+                if rng.random() < (0.8 if 0 <= e < g.m else 0.3)}
+    lists = {e: frozenset(rng.sample(range(4), rng.randint(0, 3)))
+             for e in ids if rng.random() < 0.6}
+    edges = list(g.edges)
+    for given_lists in (None, lists):
+        got = [(v.kind, v.edges, v.color)
+               for v in verify_strong(g, coloring, given_lists)]
+        assert got == naive_verdict(edges, coloring, given_lists)
+
+
+def test_solve_gate_rejects_a_color_outside_its_list(monkeypatch):
+    def off_list(g, partial, plan, lists, trace=None):
+        extend(g, partial, plan, lists, trace)
+        for step in plan.extension_order:
+            partial[step.edge] = 100 + step.edge  # off-list, no clash
+        return partial
+
+    g = build_graph([(i, i + 1) for i in range(5)])
+    monkeypatch.setattr(colorer, "extend", off_list)
+    with pytest.raises(TheoremViolationError, match="kind='list'"):
+        solve_mad3(g, uniform_lists(g, 7))
 
 
 def test_greedy_colors_path():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -184,6 +185,28 @@ def test_mad_matches_the_bisection_reference():
     graphs.append(scrambled_path(1500))
     for g in graphs:
         assert mad(g) == bisect_mad(g)
+
+
+def test_witnesses_are_pinned():
+    # the exact witness sets, not only their densities: mad() and
+    # bisect_mad() both read them from density_exceeds, so the
+    # differential above cannot see a change in which set is returned
+    rng = random.Random(11)
+    graphs = []
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        graphs.append(build_graph(random_graph(rng, n, rng.uniform(0.1, 0.8)),
+                                  vertices=range(n)))
+    graphs += [generate(GenSpec("planar-girth7", 60, seed=seed)).graph
+               for seed in range(4)]
+    thresholds = [Fraction(t) for t in ("0", "1", "2", "5/2", "4")]
+    digest = hashlib.sha256()
+    for g in graphs:
+        for w in [density_exceeds(g, t) for t in thresholds] + [mad(g)]:
+            digest.update(repr(None if w is None else
+                               (sorted(w.vertices), w.density)).encode())
+    assert digest.hexdigest() == (
+        "d842b05fb76dcbc9e69fda50d32ba746f629bf7bfb1fc571dc8ca98bc5969622")
 
 
 def test_mad_on_a_long_path_takes_few_flows(monkeypatch):
