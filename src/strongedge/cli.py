@@ -177,9 +177,9 @@ def _cmd_audit(args) -> int:
         emb = trace_faces(g, inst.rotation)
     report = audit(g, emb, which=args.scheme, delta_cap=args.delta_cap)
     led = report.ledger
-    _say(f"scheme {report.which}: total initial charge "
-         f"{led.total_initial()}, total final {led.total_final()}, "
-         f"{len(led.transfers)} transfers")
+    total = led.total_initial()  # audit raises unless the final sums to it
+    _say(f"scheme {report.which}: total initial charge {total}, "
+         f"total final {total}, {len(led.transfers)} transfers")
     _say(f"identity total: {report.identity_total}")
     if report.plan is not None:
         _say(f"detector: {report.plan.claim_tag.value} deleting vertex "

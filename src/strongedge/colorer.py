@@ -12,15 +12,19 @@ Two certified pipelines plus a greedy baseline:
 The certified pipelines peel one vertex at a time off a mutable
 :class:`~strongedge.graph.PeelState` per component, following the plans
 of the reducer's matchers, then put the vertices back in reverse order
-and re-color the peeled edges, checking at every step that the plan's
-conflict bound held and that a list color was spare.  A detector miss is a hard "theorem violation" error on the sparse
-pipeline and a documented fallback on the girth-7 pipeline.
+and re-color the peeled edges.  A plan's bounds are its configuration's
+formulas; each re-colored edge's colored conflicts are counted once, when
+it is re-colored, and checked against the formula, and its list must be
+longer than ``min(formula, count)`` so that a color is spare.  A
+detector miss is a hard "theorem violation" error on the sparse pipeline
+and a documented fallback on the girth-7 pipeline.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable
 
 from .conflicts import edges_within_distance_two
@@ -77,7 +81,12 @@ class Violation:
 
 @dataclass(frozen=True)
 class ExtensionRecord:
-    """Instrumentation for one extension step (labels, not dense ids)."""
+    """Instrumentation for one extension step (labels, not dense ids).
+
+    ``actual`` counts the colored edges within distance two of ``edge``
+    when it was re-colored; ``bound`` is ``min(formula, actual)``, the
+    plan's formula clipped to that count, and the list was longer.
+    """
 
     claim_tag: ClaimTag
     edge: tuple[int, int]
@@ -94,7 +103,9 @@ class SolveReport:
     reduction machinery with every per-step conflict bound verified;
     ``fallback`` carries a note whenever a component had to fall back to
     the exact oracle or to greedy.  ``trace`` records every extension
-    step that ran (edge as a label pair, promised bound, actual count).
+    step that ran: the edge as a label pair, the bound
+    ``min(formula, actual)``, the actual count of colored conflicts and
+    the color taken.
     ``colors_used`` counts the distinct colors in ``coloring``.
     """
 
@@ -138,13 +149,19 @@ def verify_strong(g: Graph, coloring: PartialColoring,
     for e in range(g.m):
         if e not in coloring:
             out.append(Violation("uncolored", (e,)))
-    for e in range(g.m):
-        c = coloring.get(e)
-        if c is None:
-            continue
-        for f in sorted(edges_within_distance_two(g, e)):
-            if f > e and coloring.get(f) == c:
-                out.append(Violation("conflict", (e, f), c))
+    # two edges lie within distance two exactly when both touch the ends
+    # of one edge xy, so each edge's two stars are checked for a repeat
+    colored_at = [[(f, c) for f in at.values()
+                   if (c := coloring.get(f)) is not None]
+                  for at in g.edge_at]
+    clashes: set[tuple[int, int]] = set()
+    for e, (x, y) in enumerate(g.edges):
+        near = colored_at[x] + [fc for fc in colored_at[y] if fc[0] != e]
+        if len({c for _, c in near}) < len(near):
+            clashes.update((f, h) for (f, c), (h, k)
+                           in combinations(sorted(near), 2) if c == k)
+    out += [Violation("conflict", (e, f), coloring[e])
+            for e, f in sorted(clashes)]
     if lists is not None:
         for e, c in coloring.items():
             allowed = lists.get(e)
@@ -178,9 +195,11 @@ def extend(g: Graph, partial: PartialColoring, plan: ReductionPlan,
     """Run a plan's extension steps on top of ``partial``, in place.
 
     ``partial`` must already be erased according to the plan (its erased
-    edges uncolored); it is extended and returned.  Each step recounts
-    the colored conflicts of its edge, checks the plan's bound and the
-    list margin, then takes the smallest admissible color.  Violated
+    edges uncolored); it is extended and returned.  Each step counts the
+    colored conflicts of its edge (``actual``) and checks the paper's
+    claim ``actual <= step.bound``.  Its bound is then
+    ``min(step.bound, actual)``: the list must be longer than that, which
+    leaves a spare color, and the smallest spare color is taken.  Violated
     promises raise :class:`ExtensionError` — loudly, because they mean
     the machinery's guarantee failed.
     """
@@ -188,29 +207,26 @@ def extend(g: Graph, partial: PartialColoring, plan: ReductionPlan,
         e = step.edge
         colored = [partial[f] for f in edges_within_distance_two(g, e)
                    if f in partial]
-        used, actual = set(colored), len(colored)
+        actual = len(colored)
         if actual > step.bound:
             raise ExtensionError(
                 f"extension of edge {g.label_pair(e)} under {plan.claim_tag.value}: "
                 f"{actual} colored conflicts exceed the promised bound "
                 f"{step.bound}", claim_tag=plan.claim_tag, edge=e,
                 bound=step.bound, actual=actual)
-        if len(lists[e]) - step.bound < 1:
+        bound = min(step.bound, actual)
+        if len(lists[e]) - bound < 1:
             raise ExtensionError(
                 f"edge {g.label_pair(e)} under {plan.claim_tag.value}: list of "
                 f"size {len(lists[e])} cannot guarantee a spare color "
-                f"against bound {step.bound}", claim_tag=plan.claim_tag,
-                edge=e, bound=step.bound, actual=actual)
-        spare = sorted(c for c in lists[e] if c not in used)
-        if not spare:  # unreachable if the two checks above pass
-            raise ExtensionError(
-                f"edge {g.label_pair(e)} under {plan.claim_tag.value}: no "
-                f"admissible color left", claim_tag=plan.claim_tag, edge=e,
-                bound=step.bound, actual=actual)
-        partial[e] = spare[0]
+                f"against bound {bound}", claim_tag=plan.claim_tag,
+                edge=e, bound=bound, actual=actual)
+        # more list colors than colored conflicts: a spare one exists
+        color = min(lists[e].difference(colored))
+        partial[e] = color
         if trace is not None:
             trace.append(ExtensionRecord(plan.claim_tag, g.label_pair(e),
-                                         step.bound, actual, spare[0]))
+                                         bound, actual, color))
     return partial
 
 

@@ -61,9 +61,11 @@ class ClaimTag(str, Enum):
 class ExtensionStep:
     """One edge to re-color, with its guaranteed conflict bound.
 
-    When this step runs, at most ``bound`` colored edges lie within
-    distance two of ``edge`` — so any list longer than ``bound`` has a
-    spare color.
+    ``bound`` is the configuration's formula (for example ``2*d + 3``),
+    not clipped to the graph at hand: the claim is that when this step
+    runs, at most ``bound`` colored edges lie within distance two of
+    ``edge``.  :func:`~strongedge.colorer.extend` counts them and checks
+    the claim.
     """
 
     edge: int
@@ -89,23 +91,18 @@ class ReductionPlan:
 def _plan(g: Graph, tag: ClaimTag, delete_vertex: int,
           erase_pairs: list[tuple[int, int]],
           extension: list[tuple[tuple[int, int], int]]) -> ReductionPlan:
-    """Assemble a plan, tightening each formula bound structurally.
+    """Assemble a plan from vertex pairs.
 
     ``extension`` lists ``((u, v), formula_bound)`` in coloring order.
-    The recorded bound is ``min(formula, possible)`` where ``possible``
-    counts the edges within distance two that can actually be colored when
-    the step runs (everything except strictly later extension edges).
-    The formula comes from the configuration's counting argument; keeping
-    the minimum makes the runtime check both tight and safe.
+    Each step keeps its formula as is: the configuration's counting
+    argument, evaluated at ``d``.  Counting the conflicts a step really
+    meets is left to :func:`~strongedge.colorer.extend`, which does it
+    anyway when the step runs.
     """
-    erase_ids = tuple(g.edge_id(u, v) for (u, v) in erase_pairs)
-    ext_ids = [g.edge_id(u, v) for ((u, v), _) in extension]
-    steps = []
-    for i, (eid, (_, formula)) in enumerate(zip(ext_ids, extension)):
-        later = set(ext_ids[i + 1:])
-        possible = len(edges_within_distance_two(g, eid) - later)
-        steps.append(ExtensionStep(eid, min(formula, possible)))
-    return ReductionPlan(tag, delete_vertex, erase_ids, tuple(steps))
+    return ReductionPlan(
+        tag, delete_vertex, tuple(g.edge_id(u, v) for (u, v) in erase_pairs),
+        tuple(ExtensionStep(g.edge_id(u, v), formula)
+              for ((u, v), formula) in extension))
 
 
 def _other_neighbor(g: Graph, v: int, not_this: int) -> int:
@@ -186,16 +183,23 @@ def _m5(g: Graph, v: int, d: int) -> ReductionPlan | None:
 # ---------------------------------------------------------------------
 
 def _g1(g: Graph, v: int, d: int) -> ReductionPlan | None:
-    """An isolated vertex, or a pendant edge with fewer than 3*cap edges
-    within distance two, so that its plan clips 3*cap to that count
-    (distance 2: the edges at the neighbors of v's neighbor)."""
+    """An isolated vertex, or a pendant edge ``vu`` with fewer than 3*cap
+    edges within distance two (distance 2: the degrees of u's neighbors).
+
+    Those edges number ``sum(deg(w) for w in N(u) - {v})`` when no
+    triangle passes through u, and fewer otherwise, so that sum decides
+    when it is below 3*cap; only when it is not is the exact set counted.
+    The plan's bound is the formula 3*cap itself.
+    """
     if g.degree(v) == 0:
         return _plan(g, ClaimTag.G1_PENDANT, v, [], [])
     if g.degree(v) == 1:
-        plan = _plan(g, ClaimTag.G1_PENDANT, v, [],
-                     [((g.adj[v][0], v), 3 * d)])
-        if plan.extension_order[0].bound < 3 * d:
-            return plan
+        adj = g.adj
+        u = adj[v][0]
+        if (sum(len(adj[w]) for w in adj[u]) - 1 < 3 * d
+                or len(edges_within_distance_two(
+                    g, g.edge_id(u, v))) < 3 * d):
+            return _plan(g, ClaimTag.G1_PENDANT, v, [], [((u, v), 3 * d)])
     return None
 
 

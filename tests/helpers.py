@@ -7,9 +7,10 @@ BFS instead of cross-edge girth detection, independent-set DP instead of
 backtracking color search, the textbook definition of a strong edge
 coloring instead of precomputed conflict sets, a graph rebuilt at every
 peel level instead of one mutable peel state, faces re-traced after
-every insertion instead of kept incrementally, and color sets rebuilt at
-every search node instead of bitmasks over color ranks.  Slow but
-obviously correct, and only run on small inputs.
+every insertion instead of kept incrementally, color sets rebuilt at
+every search node instead of bitmasks over color ranks, and conflict
+sets instead of degree sums.  Slow but obviously correct, and only run
+on small inputs.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from strongedge import (DensityWitness, GraphError, SearchBudget,
-                        SolveReport, TheoremViolationError, build_graph,
-                        density_exceeds, greedy_color, list_strong_colorable,
-                        trace_faces, verify_strong)
+from strongedge import (ClaimTag, DensityWitness, GraphError,
+                        ReductionPlan, SearchBudget, SolveReport,
+                        TheoremViolationError, build_graph, density_exceeds,
+                        greedy_color, list_strong_colorable, trace_faces,
+                        verify_strong)
 from strongedge.colorer import extend
+from strongedge.reducer import ExtensionStep
 
 Edge = tuple[int, int]
 
@@ -65,17 +68,33 @@ def naive_verdict(edges: list[Edge], coloring: dict[int, int],
     :func:`naive_conflicts`, then colors outside an edge's list (in
     ``coloring``'s order; an edge without a list takes any color)."""
     m = len(edges)
+    near = [naive_conflicts(edges, e) for e in range(m)]
     out = [("unknown-edge", (e,), coloring[e])
            for e in sorted(coloring) if e not in range(m)]
     out += [("uncolored", (e,), None) for e in range(m) if e not in coloring]
     out += [("conflict", (e, f), coloring[e])
             for e, f in combinations(range(m), 2)
             if e in coloring and coloring.get(f) == coloring[e]
-            and f in naive_conflicts(edges, e)]
+            and f in near[e]]
     if lists is not None:
         out += [("list", (e,), c) for e, c in coloring.items()
                 if e in lists and c not in lists[e]]
     return out
+
+
+def set_count_g1(g, v: int, d: int) -> ReductionPlan | None:
+    """The G1 matcher by counting the pendant edge's conflict set, the slow
+    reference for ``reducer._g1``: an isolated vertex, or a pendant edge
+    with fewer than ``3*d`` edges within distance two by
+    :func:`naive_conflicts`.  ``g`` must be a :class:`Graph`."""
+    if g.degree(v) == 0:
+        return ReductionPlan(ClaimTag.G1_PENDANT, v, (), ())
+    if g.degree(v) == 1:
+        e = g.edge_id(g.adj[v][0], v)
+        if len(naive_conflicts(list(g.edges), e)) < 3 * d:
+            return ReductionPlan(ClaimTag.G1_PENDANT, v, (),
+                                 (ExtensionStep(e, 3 * d),))
+    return None
 
 
 def subset_mad(edges: list[Edge], n: int) -> Fraction:

@@ -33,7 +33,7 @@ def test_verify_reports_missing_and_unknown():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 8), st.sampled_from((0.2, 0.4, 0.7)),
+@given(st.integers(1, 20), st.sampled_from((0.2, 0.4, 0.7)),
        st.integers(0, 10_000))
 def test_verify_matches_the_definition(n, p, seed):
     # partial colorings in shuffled order from a few colors, a few unknown
@@ -91,11 +91,15 @@ def test_extend_raises_on_broken_promise():
 
 
 def test_extend_requires_list_margin():
-    g = build_graph([(0, 1)])
-    plan = ReductionPlan(ClaimTag.M1_PENDANT, 0, (),
-                         (ExtensionStep(0, 3),))
-    with pytest.raises(ExtensionError, match="spare"):
-        extend(g, {}, plan, {0: frozenset({1, 2, 3})})
+    # three colored conflicts against a 3-color list: the bound 3 holds,
+    # but the list leaves no guaranteed spare color (though one is free)
+    g = build_graph([(0, 1), (1, 2), (1, 3), (1, 4)])
+    e = g.edge_id(0, 1)
+    plan = ReductionPlan(ClaimTag.M1_PENDANT, 0, (), (ExtensionStep(e, 3),))
+    partial = {f: 5 + f for f in range(g.m) if f != e}
+    with pytest.raises(ExtensionError, match="spare") as info:
+        extend(g, partial, plan, {e: frozenset({1, 2, 3})})
+    assert info.value.actual == 3 and info.value.bound == 3
 
 
 def test_single_edge_and_empty_graphs():

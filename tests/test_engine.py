@@ -1,4 +1,4 @@
-"""The peeling engine against its slow reference.
+"""The peeling engine against its slow reference, and its answers pinned.
 
 ``helpers.reference_solve`` is the engine as it was before the mutable
 peel state: a public detector on a graph rebuilt at every level, lists
@@ -6,20 +6,25 @@ and colors carried over by labels.  On every input here the engine must
 make the same plans (tag, deleted label, erased pairs, extension pairs
 and bounds, in peel order) and return an equal report (coloring, trace,
 certification, fallback notes, failed edge), or raise the same error.
+The reference shares the detectors and ``extend`` with the engine, so a
+change to either moves both; a sha256 of the answers on seeded inputs
+catches that.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strongedge import (ClaimTag, GenSpec, TheoremViolationError,
-                        build_graph, find_reducible_girth7,
-                        find_reducible_mad, generate, solve_girth7,
-                        solve_mad3, uniform_lists, verify_strong)
+from strongedge import (ClaimTag, GenSpec, HypothesisError,
+                        TheoremViolationError, build_graph,
+                        find_reducible_girth7, find_reducible_mad, generate,
+                        solve_girth7, solve_mad3, uniform_lists,
+                        verify_strong)
 from strongedge import colorer
 from strongedge.reducer import GIRTH7_MATCHERS, MAD_MATCHERS
 from tests.helpers import (plan_in_labels, random_sparse_graph,
@@ -94,6 +99,39 @@ def test_engine_matches_reference_on_the_acceptance_corpus():
         lists = {e: frozenset(rng.sample(POOL, 3 * cap)) for e in range(g.m)}
         check_same(g, lists, "girth7", cap,
                    solve=lambda: solve_girth7(g, lists, delta_cap=cap))
+
+
+def _answer(solve):
+    """A solve's coloring, trace, certification and fallback note, or the
+    rejection it raised, in plain values."""
+    try:
+        rep = solve()
+    except HypothesisError as exc:
+        return "HypothesisError", str(exc)
+    return (sorted(rep.coloring.items()),
+            [(r.claim_tag.value, r.edge, r.bound, r.actual, r.color)
+             for r in rep.trace],
+            rep.certified, rep.fallback)
+
+
+def test_answers_are_pinned():
+    # about 9600 extension steps: every seeded input through both solves,
+    # lists long enough for either budget
+    rng = random.Random(2)
+    answers = []
+    for seed in range(20):
+        for family, cap in (("sparse-mad3", 4), ("tree", 4),
+                            ("planar-girth7", 4), ("planar-girth7", 5),
+                            ("planar-girth7", 6)):
+            g = generate(GenSpec(family, 60, delta=cap, seed=seed)).graph
+            lists = {e: frozenset(rng.sample(POOL, 3 * cap + 1))
+                     for e in range(g.m)}
+            answers.append(_answer(lambda: solve_mad3(g, lists)))
+            answers.append(_answer(
+                lambda: solve_girth7(g, lists, delta_cap=cap)))
+    digest = hashlib.sha256(repr(answers).encode()).hexdigest()
+    assert digest == ("89e68b8fdd22fdf326fcde6fcbca7bc4"
+                      "49aad35b1b22dedf7cab957f79529b2c")
 
 
 def _relabel(edges, rng, vertices=()):

@@ -2,9 +2,10 @@
 
 The witnesses are constructed so that every earlier tag is structurally
 impossible, which makes the expected tag, deleted vertex, erased edges,
-and extension order fully determined.  Conflict bounds that get clipped
-by the actual neighborhood size were counted by hand where asserted
-exactly.
+and extension order fully determined.  A plan's bounds are the
+configuration's formulas; the trace that ``extend`` writes when the plan
+runs clips each to the conflicts really met, and those clipped bounds
+were counted by hand where asserted exactly.
 """
 
 from __future__ import annotations
@@ -15,10 +16,12 @@ import pytest
 
 from strongedge import (ClaimTag, GenSpec, build_graph,
                         edges_within_distance_two, find_reducible_girth7,
-                        find_reducible_mad, generate)
+                        find_reducible_mad, generate, uniform_lists)
+from strongedge.colorer import extend
 from strongedge.graph import PeelState
-from strongedge.reducer import GIRTH7_MATCHERS, MAD_MATCHERS
-from tests.helpers import delete_vertex, random_sparse_graph
+from strongedge.reducer import (GIRTH7_MATCHERS, MAD_MATCHERS, Matcher,
+                                _first_match, _g1)
+from tests.helpers import delete_vertex, random_sparse_graph, set_count_g1
 
 
 def eid(g, a, b):
@@ -29,22 +32,35 @@ def ext_edges(g, plan):
     return [g.edges[s.edge] for s in plan.extension_order]
 
 
+def formulas(plan):
+    return [s.bound for s in plan.extension_order]
+
+
 def check_plan_shape(g, plan):
-    """Structural invariants every plan must satisfy."""
+    """Structural invariants every plan must satisfy; runs the plan with
+    every other edge colored, as when it is unwound, and returns the
+    bounds of the trace that ``extend`` writes."""
     v = plan.delete_vertex
     incident = {g.edge_id(v, w) for w in g.adj[v]}
     assert set(s.edge for s in plan.extension_order) == \
         incident | set(plan.erase_edges)
     for e in plan.erase_edges:
         assert e in {s.edge for s in plan.extension_order}
+    ext = {s.edge for s in plan.extension_order}
+    partial = {e: e for e in range(g.m) if e not in ext}  # all distinct
+    trace = []
+    extend(g, partial, plan, uniform_lists(g, g.m + 1), trace)
+    assert len(trace) == len(plan.extension_order)
     seen = set()
-    for s in plan.extension_order:
+    for s, record in zip(plan.extension_order, trace):
         assert s.edge not in seen
         seen.add(s.edge)
         assert 0 <= s.bound
-        later = {t.edge for t in plan.extension_order} - seen
+        later = ext - seen
         possible = len(edges_within_distance_two(g, s.edge) - later)
-        assert s.bound <= possible
+        assert record.actual == possible
+        assert record.bound == min(s.bound, possible) <= possible
+    return [record.bound for record in trace]
 
 
 def test_m1_pendant_and_isolated():
@@ -53,6 +69,7 @@ def test_m1_pendant_and_isolated():
     assert plan.claim_tag is ClaimTag.M1_PENDANT
     assert plan.delete_vertex == 0
     assert ext_edges(g, plan) == [(0, 1)]
+    assert formulas(plan) == [6]
     check_plan_shape(g, plan)
 
     lonely = build_graph([(1, 2), (2, 3), (3, 1)], vertices=range(4))
@@ -70,8 +87,8 @@ def test_m2_on_c7_with_hand_counted_bounds():
     assert ext_edges(g, plan) == [(0, 1), (0, 6)]
     # formulas allow 2*2+2=6 and 2*2+3=7 but only 3 and 4 edges within
     # distance two can be colored at those moments
-    assert [s.bound for s in plan.extension_order] == [3, 4]
-    check_plan_shape(g, plan)
+    assert formulas(plan) == [6, 7]
+    assert check_plan_shape(g, plan) == [3, 4]
 
 
 def test_m3_two_degree_two_neighbors():
@@ -84,7 +101,7 @@ def test_m3_two_degree_two_neighbors():
     assert plan.claim_tag is ClaimTag.M3_TWO_TWOS
     assert plan.delete_vertex == 1
     assert ext_edges(g, plan) == [(0, 1), (1, 5)]
-    assert all(s.bound <= 2 * 4 + 4 for s in plan.extension_order)
+    assert formulas(plan) == [2 * 4 + 4] * 2
     check_plan_shape(g, plan)
 
 
@@ -96,6 +113,7 @@ def test_m4_four_degree_two_neighbors():
     assert plan.claim_tag is ClaimTag.M4_ALL_TWOS
     assert plan.delete_vertex == 0
     assert ext_edges(g, plan) == [(0, 1), (0, 2), (0, 3), (0, 4)]
+    assert formulas(plan) == [7, 8, 9, 10]
     check_plan_shape(g, plan)
 
 
@@ -110,8 +128,7 @@ def test_m5_three_degree_two_neighbors():
     assert plan.delete_vertex == 1
     assert [g.edges[e] for e in plan.erase_edges] == [(0, 2)]
     assert ext_edges(g, plan) == [(1, 5), (0, 1), (0, 2)]
-    assert all(s.bound <= f for s, f in
-               zip(plan.extension_order, (12, 11, 12)))
+    assert formulas(plan) == [12, 11, 12]
     check_plan_shape(g, plan)
 
 
@@ -127,7 +144,9 @@ def test_g1_pendant_and_isolated():
     assert plan.claim_tag is ClaimTag.G1_PENDANT
     assert plan.delete_vertex == 7
     assert ext_edges(g, plan) == [(0, 7)]
-    assert plan.extension_order[0].bound < 12
+    assert formulas(plan) == [12]
+    # 0-1, 0-6, 1-2 and 5-6: fewer than 12, which is why G1 fires
+    assert check_plan_shape(g, plan) == [4]
 
     lonely = build_graph([], vertices=range(3))
     plan = find_reducible_girth7(lonely, 4)
@@ -136,13 +155,47 @@ def test_g1_pendant_and_isolated():
     assert plan.extension_order == ()
 
 
+def test_g1_degree_sum_matches_the_conflict_set():
+    # dense random cores, so triangles and 4-cycles abound, with pendants
+    # hung on the vertices below the cap: where a triangle makes the
+    # degree sum overcount, the conflict set must decide alike
+    rng = random.Random(3)
+    twin = (Matcher(ClaimTag.G1_PENDANT, set_count_g1, 3),
+            *GIRTH7_MATCHERS[1:])
+    overcounted = 0
+    for trial in range(150):
+        cap = (4, 5, 6)[trial % 3]
+        n = rng.randint(4, 14)
+        edges, deg = set(), [0] * n
+        for _ in range(cap * n):
+            u, w = sorted(rng.sample(range(n), 2))
+            if (u, w) not in edges and deg[u] < cap and deg[w] < cap:
+                edges.add((u, w))
+                deg[u] += 1
+                deg[w] += 1
+        hung = [v for v in range(n) if deg[v] < cap and rng.random() < 0.7]
+        edges |= {(v, n + i) for i, v in enumerate(hung)}
+        g = build_graph(sorted(edges), vertices=range(n + len(hung)))
+        for v in range(g.n):
+            assert _g1(g, v, cap) == set_count_g1(g, v, cap)
+            if g.degree(v) == 1:
+                u = g.adj[v][0]
+                near = sum(g.degree(w) for w in g.adj[u]) - 1
+                exact = len(edges_within_distance_two(g, g.edge_id(u, v)))
+                overcounted += exact < 3 * cap <= near
+        assert (find_reducible_girth7(g, cap)
+                == _first_match(g, twin, cap))
+    assert overcounted > 0
+
+
 def test_g2_on_c7():
     g = build_graph([(i, (i + 1) % 7) for i in range(7)])
     plan = find_reducible_girth7(g, 4)
     assert plan.claim_tag is ClaimTag.G2_TWO_WEAK
     assert plan.delete_vertex == 0
     assert ext_edges(g, plan) == [(0, 1), (0, 6)]
-    check_plan_shape(g, plan)
+    assert formulas(plan) == [10, 11]
+    assert check_plan_shape(g, plan) == [3, 4]
 
 
 def test_g3_all_weak_neighbors():
@@ -152,6 +205,7 @@ def test_g3_all_weak_neighbors():
     assert plan.claim_tag is ClaimTag.G3_ALL_WEAK
     assert plan.delete_vertex == 0
     assert ext_edges(g, plan) == [(0, 1), (0, 2), (0, 3), (0, 4)]
+    assert formulas(plan) == [7, 8, 9, 10]
     check_plan_shape(g, plan)
 
 
@@ -163,7 +217,7 @@ def test_g4_four_then_two():
     assert plan.claim_tag is ClaimTag.G4_FOUR_AND_TWO
     assert plan.delete_vertex == 1
     assert ext_edges(g, plan) == [(0, 1), (1, 3)]
-    assert all(s.bound <= f for s, f in zip(plan.extension_order, (11, 8)))
+    assert formulas(plan) == [11, 8]
     check_plan_shape(g, plan)
 
 
@@ -175,6 +229,7 @@ def test_g5_four_heavy_then_three():
     assert plan.claim_tag is ClaimTag.G5_FOUR_AND_THREE
     assert plan.delete_vertex == 1
     assert ext_edges(g, plan) == [(1, 4), (0, 1)]
+    assert formulas(plan) == [11, 11]
     check_plan_shape(g, plan)
 
 
@@ -187,6 +242,7 @@ def test_g6_three_with_two_twos():
     assert plan.delete_vertex == 1
     assert [g.edges[e] for e in plan.erase_edges] == [(0, 2)]
     assert ext_edges(g, plan) == [(1, 3), (0, 1), (0, 2)]
+    assert formulas(plan) == [11, 9, 10]
     check_plan_shape(g, plan)
 
 
@@ -200,7 +256,7 @@ def test_g7_one_strong_neighbor():
     assert plan.claim_tag is ClaimTag.G7_ONE_STRONG_NEIGHBOR
     assert plan.delete_vertex == 1
     assert ext_edges(g, plan) == [(1, 5), (0, 1)]
-    assert all(s.bound <= 14 for s in plan.extension_order)
+    assert formulas(plan) == [14, 14]
     check_plan_shape(g, plan)
 
 
@@ -215,7 +271,7 @@ def test_g8_two_strong_neighbors():
     assert plan.delete_vertex == 4
     assert sorted(g.edges[e] for e in plan.erase_edges) == [(5, 8), (6, 9)]
     assert ext_edges(g, plan) == [(0, 4), (4, 7), (5, 8), (6, 9)]
-    assert all(s.bound <= 14 for s in plan.extension_order)
+    assert formulas(plan) == [14, 12, 12, 12]
     check_plan_shape(g, plan)
 
 
@@ -253,17 +309,15 @@ def test_plans_on_generated_instances_have_valid_shape():
         while g.n > 0:
             plan = find_reducible_mad(g)
             assert plan is not None
-            assert all(s.bound <= 3 * max(g.max_degree(), 1)
-                       for s in plan.extension_order)
-            check_plan_shape(g, plan)
+            assert all(b <= 3 * max(g.max_degree(), 1)
+                       for b in check_plan_shape(g, plan))
             g = delete_vertex(g, plan.delete_vertex)
     for seed in range(4):
         g = generate(GenSpec("planar-girth7", 24, delta=4, seed=seed)).graph
         while g.n > 0:
             plan = find_reducible_girth7(g, 4)
             assert plan is not None
-            assert all(s.bound < 12 for s in plan.extension_order)
-            check_plan_shape(g, plan)
+            assert all(b < 12 for b in check_plan_shape(g, plan))
             g = delete_vertex(g, plan.delete_vertex)
 
 
