@@ -71,8 +71,7 @@ def _cmd_color(args) -> int:
         if args.pipeline == "mad3":
             report = solve_mad3(g, lists)
         else:
-            report = solve_girth7(g, lists, delta_cap=cap,
-                                  fallback_threshold=args.fallback)
+            report = solve_girth7(g, lists, delta_cap=cap)
     except HypothesisError as exc:
         _say(f"rejected: {exc}")
         return 1
@@ -222,9 +221,6 @@ def _parser() -> argparse.ArgumentParser:
                    help="degree cap for the girth7 pipeline (>= 4)")
     c.add_argument("--colors", type=int, default=0,
                    help="ignore instance lists; use colors 0..N-1 everywhere")
-    c.add_argument("--fallback", type=int, default=24,
-                   help="max edges to hand to exhaustive search when no "
-                   "reduction applies off-hypothesis (girth7 only)")
     c.add_argument("-o", "--output", default=None)
     c.set_defaults(func=_cmd_color)
 

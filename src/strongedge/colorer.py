@@ -15,9 +15,9 @@ of the reducer's matchers, then put the vertices back in reverse order
 and re-color the peeled edges.  A plan's bounds are its configuration's
 formulas; each re-colored edge's colored conflicts are counted once, when
 it is re-colored, and checked against the formula, and its list must be
-longer than ``min(formula, count)`` so that a color is spare.  A
-detector miss is a hard "theorem violation" error on the sparse pipeline
-and a documented fallback on the girth-7 pipeline.
+longer than that count so that a color is spare.  A detector miss is a
+hard "theorem violation" error on the sparse pipeline; on the girth-7 one
+a component of at most 24 edges falls back to exact search, greedy beyond.
 """
 
 from __future__ import annotations
@@ -34,6 +34,9 @@ from .oracle import list_strong_colorable
 from .reducer import (GIRTH7_MATCHERS, MAD_MATCHERS, ClaimTag, Matcher,
                       ReductionPlan)
 
+# exact search copies every edge's color mask per level: memory ~ m*depth
+EXACT_FALLBACK_EDGES = 24
+
 ColorLists = dict[int, frozenset[int]]
 """Per-edge allowed colors: edge id -> set of color ids."""
 
@@ -42,7 +45,9 @@ PartialColoring = dict[int, int]
 
 
 class HypothesisError(ValueError):
-    """The input violates a documented precondition of the pipeline."""
+    """The input violates a documented precondition of the pipeline.
+
+    ``witness`` is in dense vertex ids; the message names labels."""
 
     def __init__(self, message: str, witness=None):
         super().__init__(message)
@@ -84,8 +89,8 @@ class ExtensionRecord:
     """Instrumentation for one extension step (labels, not dense ids).
 
     ``actual`` counts the colored edges within distance two of ``edge``
-    when it was re-colored; ``bound`` is ``min(formula, actual)``, the
-    plan's formula clipped to that count, and the list was longer.
+    when it was re-colored, and the list was longer; ``bound`` equals
+    ``actual``, as :func:`extend` checks the formula without recording it.
     """
 
     claim_tag: ClaimTag
@@ -103,9 +108,9 @@ class SolveReport:
     reduction machinery with every per-step conflict bound verified;
     ``fallback`` carries a note whenever a component had to fall back to
     the exact oracle or to greedy.  ``trace`` records every extension
-    step that ran: the edge as a label pair, the bound
-    ``min(formula, actual)``, the actual count of colored conflicts and
-    the color taken.
+    step that ran: the edge as a label pair, the bound (equal to the
+    actual count, see :class:`ExtensionRecord`), the actual count of
+    colored conflicts and the color taken.
     ``colors_used`` counts the distinct colors in ``coloring``.
     """
 
@@ -191,17 +196,17 @@ def greedy_color(g: Graph, lists: ColorLists) -> SolveReport:
 
 def extend(g: Graph, partial: PartialColoring, plan: ReductionPlan,
            lists: ColorLists,
-           trace: list[ExtensionRecord] | None = None) -> PartialColoring:
+           trace: list[ExtensionRecord]) -> PartialColoring:
     """Run a plan's extension steps on top of ``partial``, in place.
 
     ``partial`` must already be erased according to the plan (its erased
-    edges uncolored); it is extended and returned.  Each step counts the
-    colored conflicts of its edge (``actual``) and checks the paper's
-    claim ``actual <= step.bound``.  Its bound is then
-    ``min(step.bound, actual)``: the list must be longer than that, which
-    leaves a spare color, and the smallest spare color is taken.  Violated
-    promises raise :class:`ExtensionError` — loudly, because they mean
-    the machinery's guarantee failed.
+    edges uncolored); it is extended and returned, each step appended to
+    ``trace``.  Each step counts the colored conflicts of its edge
+    (``actual``) and checks the paper's claim ``actual <= step.bound``;
+    the list must be longer than ``actual``, which leaves a spare color,
+    and the smallest spare color is taken.  Violated promises raise
+    :class:`ExtensionError` — loudly, because they mean the machinery's
+    guarantee failed.
     """
     for step in plan.extension_order:
         e = step.edge
@@ -214,19 +219,17 @@ def extend(g: Graph, partial: PartialColoring, plan: ReductionPlan,
                 f"{actual} colored conflicts exceed the promised bound "
                 f"{step.bound}", claim_tag=plan.claim_tag, edge=e,
                 bound=step.bound, actual=actual)
-        bound = min(step.bound, actual)
-        if len(lists[e]) - bound < 1:
+        if len(lists[e]) <= actual:
             raise ExtensionError(
                 f"edge {g.label_pair(e)} under {plan.claim_tag.value}: list of "
                 f"size {len(lists[e])} cannot guarantee a spare color "
-                f"against bound {bound}", claim_tag=plan.claim_tag,
-                edge=e, bound=bound, actual=actual)
+                f"against bound {actual}", claim_tag=plan.claim_tag,
+                edge=e, bound=actual, actual=actual)
         # more list colors than colored conflicts: a spare one exists
         color = min(lists[e].difference(colored))
         partial[e] = color
-        if trace is not None:
-            trace.append(ExtensionRecord(plan.claim_tag, g.label_pair(e),
-                                         bound, actual, color))
+        trace.append(ExtensionRecord(plan.claim_tag, g.label_pair(e),
+                                     actual, actual, color))
     return partial
 
 
@@ -310,19 +313,17 @@ def _unwind(state: PeelState, stack: list[tuple[ReductionPlan, list[int]]],
 
 def _solve_components(g: Graph, lists: dict[int, Iterable[int]], path: str,
                       matchers: tuple[Matcher, ...], delta_cap: int | None,
-                      fallback_threshold: int | None, budget: int,
-                      formula: str) -> SolveReport:
+                      budget: int, formula: str, *,
+                      fall_back: bool) -> SolveReport:
     """Check the lists, then solve per connected component, all into one
     coloring.
 
     Every edge needs a nonempty list, and unless ``g`` has a single edge
     every list needs at least ``budget`` colors (``formula`` names the
-    budget in the error).  ``fallback_threshold`` None means a detector
-    miss is fatal (sparse pipeline); otherwise it is the component edge
-    count up to which the exact oracle is used as fallback, greedy beyond.
+    budget in the error).  A detector miss raises unless ``fall_back``;
+    then the component goes to the exact oracle if it has at most
+    ``EXACT_FALLBACK_EDGES`` edges, to greedy otherwise.
     """
-    if g.m == 0:
-        return SolveReport({}, path, certified=True)
     lists = _normalize_lists(g, lists)
     if any(not lst for lst in lists.values()):
         raise HypothesisError("every edge needs a nonempty color list")
@@ -351,7 +352,7 @@ def _solve_components(g: Graph, lists: dict[int, Iterable[int]], path: str,
         try:
             stack = _peel(state, matchers, delta_cap)
         except _NoPlan as miss:
-            if fallback_threshold is None:
+            if not fall_back:
                 raise TheoremViolationError(
                     f"no reducible configuration found on a "
                     f"hypothesis-satisfying graph with {miss.n} vertices "
@@ -362,23 +363,19 @@ def _solve_components(g: Graph, lists: dict[int, Iterable[int]], path: str,
             sub = g.induced(comp)
             ids = [g.edge_id(comp[a], comp[b]) for a, b in sub.edges]
             sub_lists = {i: lists[e] for i, e in enumerate(ids)}
-            if m <= fallback_threshold:
-                notes.append(
-                    f"component {list(comp)}: no reducible configuration "
-                    f"at {miss.n} vertices; exact search fallback")
+            where = f"component {[g.labels[v] for v in comp]}:"
+            why = f"{where} no reducible configuration at {miss.n} vertices;"
+            if m <= EXACT_FALLBACK_EDGES:
+                notes.append(f"{why} exact search fallback")
                 found = list_strong_colorable(sub, sub_lists)
                 if found is None:
-                    notes.append(
-                        f"component {list(comp)}: lists admit no strong "
-                        f"coloring")
+                    notes.append(f"{where} lists admit no strong coloring")
                     failed = ids[0]
                     continue
                 sub_coloring = found
             else:
-                notes.append(
-                    f"component {list(comp)}: no reducible configuration "
-                    f"at {miss.n} vertices; greedy fallback (component too "
-                    f"large for exact search)")
+                notes.append(f"{why} greedy fallback (component too large "
+                             f"for exact search)")
                 rep = greedy_color(sub, sub_lists)
                 sub_coloring = rep.coloring
                 if rep.failed_edge is not None:
@@ -419,20 +416,22 @@ def solve_mad3(g: Graph, lists: dict[int, Iterable[int]]) -> SolveReport:
         witness = mad(g)
         raise HypothesisError(
             f"maximum average degree is {witness.density} >= 3 on "
-            f"vertices {sorted(witness.vertices)}", witness=witness)
-    return _solve_components(g, lists, "mad3", MAD_MATCHERS, None, None,
-                             3 * delta + 1, "3*max_degree+1")
+            f"vertices {sorted(g.labels[v] for v in witness.vertices)}",
+            witness=witness)
+    return _solve_components(g, lists, "mad3", MAD_MATCHERS, None,
+                             3 * delta + 1, "3*max_degree+1", fall_back=False)
 
 
-def solve_girth7(g: Graph, lists: dict[int, Iterable[int]], delta_cap: int,
-                 fallback_threshold: int = 24) -> SolveReport:
+def solve_girth7(g: Graph, lists: dict[int, Iterable[int]],
+                 delta_cap: int) -> SolveReport:
     """Coloring for planar graphs of girth >= 7 under a degree cap.
 
     Planarity is trusted, not machine-checked; girth and the degree cap
     are verified.  Every list needs at least ``3*delta_cap`` colors.  On
     genuinely planar inputs the detectors never miss; if one does (the
-    input lied about planarity), small components fall back to the exact
-    oracle and large ones to greedy, with ``certified=False`` and a note.
+    input lied about planarity), a component of at most 24 edges falls
+    back to the exact oracle and a larger one to greedy, with
+    ``certified=False`` and a note.
     """
     if delta_cap < 4:
         raise ValueError(f"delta_cap must be >= 4, got {delta_cap}")
@@ -446,5 +445,4 @@ def solve_girth7(g: Graph, lists: dict[int, Iterable[int]], delta_cap: int,
             f"girth {got_girth} is below 7; the girth-7 pipeline does "
             f"not apply")
     return _solve_components(g, lists, "girth7", GIRTH7_MATCHERS, delta_cap,
-                             fallback_threshold, 3 * delta_cap,
-                             "3*delta_cap")
+                             3 * delta_cap, "3*delta_cap", fall_back=True)

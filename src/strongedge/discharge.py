@@ -201,7 +201,7 @@ def apply_rules_mad(g: Graph) -> ChargeLedger:
     return ChargeLedger(initial, tuple(transfers))
 
 
-def apply_rules_girth7(emb: Embedding, delta_cap: int = 4) -> ChargeLedger:
+def apply_rules_girth7(emb: Embedding) -> ChargeLedger:
     """Charge rules of the girth-7 pipeline over a planar embedding.
 
     Vertices start at ``5/2*deg - 7``, faces at ``deg - 7``.  Rules R1-R5
@@ -211,8 +211,6 @@ def apply_rules_girth7(emb: Embedding, delta_cap: int = 4) -> ChargeLedger:
     reported as an ``uncovered case`` finding — on inputs satisfying the
     pipeline's hypotheses those profiles are exactly the reducible ones.
     """
-    if delta_cap < 4:
-        raise ValueError(f"delta_cap must be >= 4, got {delta_cap}")
     g = emb.graph
     initial: dict[Element, Fraction] = {
         ("v", v): Fraction(5, 2) * g.degree(v) - 7 for v in range(g.n)}
@@ -327,7 +325,9 @@ def audit(g: Graph, emb: Embedding | None = None, which: str = "mad",
         if emb.graph is not g:
             raise ValueError("embedding belongs to a different graph")
         cap = delta_cap if delta_cap is not None else max(4, delta)
-        ledger = apply_rules_girth7(emb, cap)
+        if cap < 4:
+            raise ValueError(f"delta_cap must be >= 4, got {cap}")
+        ledger = apply_rules_girth7(emb)
         identity = euler_charge_identity(emb)
         got_girth = graph_girth(g, limit=7)
         if got_girth < 7:

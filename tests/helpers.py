@@ -375,16 +375,17 @@ def reference_solve(g, lists, path, detect, fallback_threshold):
                         f"{miss.graph.n} vertices — the guarantee this "
                         f"pipeline rests on failed") from None
                 certified = False
+                labels = [g.labels[v] for v in comp]
                 if sub.m <= fallback_threshold:
                     notes.append(
-                        f"component {list(comp)}: no reducible "
+                        f"component {labels}: no reducible "
                         f"configuration at {miss.graph.n} vertices; exact "
                         f"search fallback")
                     found = list_strong_colorable(
                         sub, sub_lists, SearchBudget(edge_cap=max(sub.m, 28)))
                     if found is None:
                         notes.append(
-                            f"component {list(comp)}: lists admit no "
+                            f"component {labels}: lists admit no "
                             f"strong coloring")
                         failed = g.edge_id(*[g.vertex_of_label(x)
                                              for x in sub.label_pair(0)])
@@ -392,7 +393,7 @@ def reference_solve(g, lists, path, detect, fallback_threshold):
                     sub_coloring = found
                 else:
                     notes.append(
-                        f"component {list(comp)}: no reducible "
+                        f"component {labels}: no reducible "
                         f"configuration at {miss.graph.n} vertices; greedy "
                         f"fallback (component too large for exact search)")
                     rep = greedy_color(sub, sub_lists)

@@ -204,7 +204,7 @@ def test_criterion_8_charge_identities():
                          (3, 7), (3, 8), (4, 9), (4, 10), (5, 11), (5, 12),
                          (5, 13), (11, 14), (12, 15), (13, 16), (13, 17)])
         emb = trace_faces(g, tuple(g.adj))
-        fin = apply_rules_girth7(emb, delta_cap=4).final()
+        fin = apply_rules_girth7(emb).final()
         assert fin[("v", 1)] == Fraction(1, 2)
 
 

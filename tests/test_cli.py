@@ -117,6 +117,35 @@ def test_fallback_exit_code_on_nonplanar_girth7(tmp_path, capsys):
     assert "NOT certified" in err
 
 
+def test_messages_name_labels_not_ids(tmp_path, capsys):
+    # a K4 on labels 10..40 with a pendant: the density rejection names
+    # the labels, as "mad" does; so does a girth-7 fallback note
+    k4 = [(a, b) for a in (10, 20, 30, 40) for b in (10, 20, 30, 40) if a < b]
+    text = "".join(f"e {u} {v}\n" for u, v in k4 + [(40, 50)])
+    inst = write(tmp_path, "k4.txt", text)
+    assert run_command(["color", inst]) == 1
+    assert "on vertices [10, 20, 30, 40]" in capsys.readouterr().err
+    assert run_command(["mad", inst]) == 0
+    assert "(achieved by [10, 20, 30, 40])" in capsys.readouterr().err
+    lcf = [12, 7, -7]
+    edges = [(i, (i + 1) % 24) for i in range(24)]
+    edges += [(i, (i + lcf[i % 3]) % 24) for i in range(24)
+              if i < (i + lcf[i % 3]) % 24]
+    text = "".join(f"e {100 + 3 * u} {100 + 3 * v}\n" for u, v in edges)
+    inst = write(tmp_path, "mcgee.txt", text)
+    assert run_command(["color", inst, "--pipeline", "girth7"]) == 2
+    labels = [100 + 3 * i for i in range(24)]
+    assert f"component {labels}: no reducible" in capsys.readouterr().err
+
+
+def test_color_has_no_fallback_option(tmp_path):
+    inst = write(tmp_path, "c5.txt", C5)
+    with pytest.raises(SystemExit) as info:
+        run_command(["color", inst, "--pipeline", "girth7",
+                     "--fallback", "3"])
+    assert info.value.code == 2
+
+
 def test_exact_on_cycle(tmp_path, capsys):
     inst = write(tmp_path, "c5.txt", C5)
     assert run_command(["exact", inst]) == 0
@@ -250,7 +279,7 @@ def test_back_to_back_commands_do_not_share_options(tmp_path, capsys):
           "-o", out]),
         (["color", inst],
          ["color", inst, "--pipeline", "girth7", "--delta-cap", "5",
-          "--colors", "20", "--fallback", "3", "-o", out]),
+          "--colors", "20", "-o", out]),
         (["verify", inst, str(coloring)], ["verify", c5, out]),
         (["exact", c5], ["exact", c5, "--max-nodes", "10", "--edge-cap",
                          "3", "--force", "-o", out]),
@@ -335,7 +364,6 @@ def test_random_files_map_to_exit_codes(files):
         Path(inst).write_text(files[0])
         Path(col).write_text(files[1])
         forms = [["color", inst], ["color", inst, "--pipeline", "girth7"],
-                 ["color", inst, "--pipeline", "girth7", "--fallback", "3"],
                  ["verify", inst, col], ["exact", inst], ["girth", inst],
                  ["mad", inst], ["mad", inst, "--threshold", "5/2"],
                  ["audit", inst], ["audit", inst, "--scheme", "girth7"]]

@@ -86,7 +86,7 @@ def test_extend_raises_on_broken_promise():
                           (ExtensionStep(g.edge_id(1, 2), 0),))
     partial = {g.edge_id(0, 1): 3, g.edge_id(2, 3): 4}
     with pytest.raises(ExtensionError) as info:
-        extend(g, partial, lying, uniform_lists(g, 9))
+        extend(g, partial, lying, uniform_lists(g, 9), [])
     assert info.value.actual == 2 and info.value.bound == 0
 
 
@@ -98,7 +98,7 @@ def test_extend_requires_list_margin():
     plan = ReductionPlan(ClaimTag.M1_PENDANT, 0, (), (ExtensionStep(e, 3),))
     partial = {f: 5 + f for f in range(g.m) if f != e}
     with pytest.raises(ExtensionError, match="spare") as info:
-        extend(g, partial, plan, {e: frozenset({1, 2, 3})})
+        extend(g, partial, plan, {e: frozenset({1, 2, 3})}, [])
     assert info.value.actual == 3 and info.value.bound == 3
 
 

@@ -157,7 +157,7 @@ def test_girth7_conditional_rules_and_uncovered_finding():
         (5, 20)])                                # far endpoint of degree 1
     rot = tuple(g.adj)
     emb = trace_faces(g, rot)
-    led = apply_rules_girth7(emb, delta_cap=5)
+    led = apply_rules_girth7(emb)
     final = led.final()
     by_rule = {}
     for t in led.transfers:
@@ -220,4 +220,4 @@ def test_audit_argument_validation():
     with pytest.raises(ValueError, match="unknown"):
         audit(g, which="nonsense")
     with pytest.raises(ValueError, match="delta_cap"):
-        apply_rules_girth7(emb, delta_cap=3)
+        audit(other, emb, which="girth7", delta_cap=3)

@@ -68,7 +68,8 @@ def check_same(g, lists, pipeline, cap=None, threshold=24, solve=None):
     if solve is None:
         # a list budget of 0 lets lists below either pipeline's budget through
         solve = lambda: colorer._solve_components(  # noqa: E731
-            g, lists, pipeline, matchers, cap, threshold, 0, "0")
+            g, lists, pipeline, matchers, cap, 0, "0",
+            fall_back=threshold is not None)
     new, new_plans = run_engine(g, solve)
     ref_plans = []
 
@@ -268,7 +269,7 @@ def test_engine_matches_reference_on_detector_misses():
             check_same(g, lists, "girth7", 4)
     report = colorer._solve_components(
         petersen, uniform_lists(petersen, 12), "girth7", GIRTH7_MATCHERS, 4,
-        24, 12, "3*delta_cap")
+        12, "3*delta_cap", fall_back=True)
     assert "no reducible configuration at 10 vertices" in report.fallback
     # the sparse pipeline treats a miss as a broken guarantee
     k4_tail = _relabel([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
@@ -276,8 +277,23 @@ def test_engine_matches_reference_on_detector_misses():
     assert check_same(k4_tail, uniform_lists(k4_tail, 13), "mad3") == set()
     out, _ = run_engine(k4_tail, lambda: colorer._solve_components(
         k4_tail, uniform_lists(k4_tail, 13), "mad3", MAD_MATCHERS, None,
-        None, 13, "3*max_degree+1"))
+        13, "3*max_degree+1", fall_back=False))
     assert out[0] == "TheoremViolationError" and "4 vertices" in out[1]
+
+
+def test_exact_fallback_stops_at_24_edges():
+    # the Petersen core's 15 edges plus a pendant path of 9 or 10: the
+    # tail peels off, the miss comes at 10 vertices, and the component's
+    # edge count picks the fallback
+    for length, how in ((9, "exact search"), (10, "greedy")):
+        tail = [(0, 30)] + [(30 + i, 31 + i) for i in range(length - 1)]
+        g = build_graph(PETERSEN + tail)
+        assert g.m == 15 + length
+        report = colorer._solve_components(
+            g, uniform_lists(g, 12), "girth7", GIRTH7_MATCHERS, 4, 12,
+            "3*delta_cap", fall_back=True)
+        assert how in report.fallback and not report.certified
+        check_same(g, uniform_lists(g, 12), "girth7", 4, threshold=24)
 
 
 def test_large_inputs_peel_in_linear_time():
