@@ -166,6 +166,9 @@ def _cmd_girth(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    if args.delta_cap is not None and args.scheme != "girth7":
+        _say("usage error: --delta-cap applies only to --scheme girth7")
+        return 2
     inst = _load(args.instance)
     g = inst.graph
     emb = None
@@ -252,7 +255,8 @@ def _parser() -> argparse.ArgumentParser:
     a = sub.add_parser("audit", help="run a charge-counting audit")
     a.add_argument("instance")
     a.add_argument("--scheme", choices=("mad", "girth7"), default="mad")
-    a.add_argument("--delta-cap", type=int, default=None)
+    a.add_argument("--delta-cap", type=int, default=None,
+                   help="degree cap for the girth7 scheme (>= 4)")
     a.set_defaults(func=_cmd_audit)
 
     ge = sub.add_parser("gen", help="generate a seeded instance")

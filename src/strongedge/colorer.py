@@ -262,19 +262,29 @@ def _peel(state: PeelState, matchers: tuple[Matcher, ...],
     of vertex ids that holds every vertex it currently fires at (plus
     stale ones, dropped when they reach the top and no longer fire).  The
     first tag with a firing vertex wins, at its smallest id — the plan a
-    full scan by ``find_reducible_*`` would find.  After a deletion only
-    the vertices within a matcher's radius of the deleted vertex go back
-    on its heap.  Raises :class:`_NoPlan` when no matcher fires.
+    full scan by ``find_reducible_*`` would find.  A tag's heap is built
+    the first time the loop reaches the tag, from every alive vertex;
+    tags are reached in priority order, so the built heaps are a prefix
+    of ``matchers``.  After a deletion only the vertices within a built
+    matcher's radius of the deleted vertex go back on its heap, and the
+    ball around the deleted vertex reaches only the largest built radius.
+    Raises :class:`_NoPlan` when no matcher fires.
     """
     adj = state.adj
-    heaps = [list(adj) for _ in matchers]  # ascending: a valid heap
-    queued = [set(adj) for _ in matchers]
-    reach = max(m.radius for m in matchers)
+    heaps: list[list[int]] = []
+    queued: list[set[int]] = []
+    reach = 0
     stack: list[tuple[ReductionPlan, list[int]]] = []
     while adj:
         d = delta_cap if delta_cap is not None else state.max_degree()
         plan = None
-        for matcher, heap, inq in zip(matchers, heaps, queued):
+        for k, matcher in enumerate(matchers):
+            if k == len(heaps):
+                # deletions only pop keys, so ``adj`` stays ascending: a heap
+                heaps.append(list(adj))
+                queued.append(set(adj))
+                reach = max(reach, matcher.radius)
+            heap, inq = heaps[k], queued[k]
             while heap:
                 v = heap[0]
                 if v in adj:
@@ -290,6 +300,7 @@ def _peel(state: PeelState, matchers: tuple[Matcher, ...],
         x = plan.delete_vertex
         rings = state.ball(x, reach)
         stack.append((plan, state.delete(x)))
+        # zip stops at the first unbuilt heap
         for matcher, heap, inq in zip(matchers, heaps, queued):
             for ring in rings[1:matcher.radius + 1]:
                 for w in ring:

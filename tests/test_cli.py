@@ -191,6 +191,17 @@ def test_girth_output(tmp_path, capsys):
     assert "girth = infinite" in capsys.readouterr().err
 
 
+def test_girth_of_a_large_tree_is_fast(tmp_path, capsys):
+    # a search from every vertex took minutes on this input; CPU time, so
+    # a busy host does not count against the bound
+    inst = str(tmp_path / "tree.txt")
+    assert run_command(["gen", "tree", "20000", "-o", inst]) == 0
+    start = time.process_time()
+    assert run_command(["girth", inst]) == 0
+    assert time.process_time() - start < 2.0
+    assert "girth = infinite" in capsys.readouterr().err
+
+
 def test_audit_mad_output(tmp_path, capsys):
     inst = tmp_path / "sp.txt"
     assert run_command(["gen", "sparse-mad3", "16", "--seed", "1",
@@ -215,6 +226,17 @@ def test_audit_girth7_on_generated(tmp_path, capsys):
     assert run_command(["audit", str(inst), "--scheme", "girth7"]) == 0
     err = capsys.readouterr().err
     assert "identity total: -14" in err
+
+
+@pytest.mark.parametrize("scheme", [[], ["--scheme", "mad"]])
+@pytest.mark.parametrize("cap", ["3", "99"])
+def test_audit_delta_cap_is_girth7_only(tmp_path, capsys, scheme, cap):
+    inst = write(tmp_path, "c5.txt", C5)
+    assert run_command(["audit", inst, *scheme, "--delta-cap", cap]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("usage error: --delta-cap applies only to "
+                            "--scheme girth7\n")
 
 
 def test_audit_is_linear_in_negative_elements(tmp_path, capsys):

@@ -16,7 +16,9 @@ from __future__ import annotations
 import hashlib
 import random
 import time
+from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +28,8 @@ from strongedge import (ClaimTag, GenSpec, HypothesisError,
                         solve_girth7, solve_mad3, uniform_lists,
                         verify_strong)
 from strongedge import colorer
-from strongedge.reducer import GIRTH7_MATCHERS, MAD_MATCHERS
+from strongedge.graph import PeelState
+from strongedge.reducer import GIRTH7_MATCHERS, MAD_MATCHERS, Matcher
 from tests.helpers import (plan_in_labels, random_sparse_graph,
                            reference_solve)
 
@@ -294,6 +297,58 @@ def test_exact_fallback_stops_at_24_edges():
             "3*delta_cap", fall_back=True)
         assert how in report.fallback and not report.certified
         check_same(g, uniform_lists(g, 12), "girth7", 4, threshold=24)
+
+
+def _peel_work(monkeypatch, solve):
+    """The ball radii and the tags whose matchers ``solve()`` asked for,
+    with how often each was asked."""
+    radii, tags = Counter(), Counter()
+    real_ball = PeelState.ball
+
+    def ball(self, v, radius):
+        radii[radius] += 1
+        return real_ball(self, v, radius)
+
+    def recording(matcher):
+        def match(g, v, d):
+            tags[matcher.tag.value] += 1
+            return matcher.match(g, v, d)
+        return Matcher(matcher.tag, match, matcher.radius)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PeelState, "ball", ball)
+        for name in ("MAD_MATCHERS", "GIRTH7_MATCHERS"):
+            patch.setattr(colorer, name,
+                          tuple(map(recording, getattr(colorer, name))))
+        assert solve().certified
+    return radii, tags
+
+
+PEEL_CASES = {
+    # a tag's worklist is built when the loop first gets to it, and a
+    # deletion re-queues as far as the built tags' radii reach: M1 alone
+    # reads only the deleted vertex's neighbors, G1 reads to distance 3
+    "tree-mad3": (GenSpec("tree", 2000), "mad3", {1}, {"M1"}),
+    "tree-girth7": (GenSpec("tree", 2000), "girth7", {3}, {"G1"}),
+    "planar-mad3": (GenSpec("planar-girth7", 400, delta=4), "mad3", {1, 2},
+                    {"M1", "M2"}),
+}
+
+
+@pytest.mark.parametrize("case", PEEL_CASES)
+def test_peel_reaches_only_the_tags_in_use(monkeypatch, case):
+    spec, pipeline, radii, tags = PEEL_CASES[case]
+    g = generate(spec).graph
+    if pipeline == "mad3":
+        def solve():
+            return solve_mad3(g, uniform_lists(g, 13))
+    else:
+        def solve():
+            return solve_girth7(g, uniform_lists(g, 12), delta_cap=4)
+    work = _peel_work(monkeypatch, solve)
+    assert (set(work[0]), set(work[1])) == (radii, tags)
+    assert sum(work[0].values()) == g.n  # one ball per deletion
+    assert _peel_work(monkeypatch, solve) == work
 
 
 def test_large_inputs_peel_in_linear_time():

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strongedge import Graph, GraphError, build_graph, degree_class, girth
+from strongedge import (GenSpec, Graph, GraphError, build_graph, degree_class,
+                        generate, girth)
 from strongedge.graph import PeelState
 
 from tests.helpers import bfs_girth, delete_vertex, random_graph
@@ -148,6 +149,63 @@ def test_bounded_girth_on_a_long_cycle():
     assert time.process_time() - start < 1.0
     assert girth(build_graph([(i, (i + 1) % 6) for i in range(6)]),
                  limit=7) == 6
+
+
+@st.composite
+def cycles_with_tails(draw):
+    """Short cycles joined by paths, with pendant trees hung on them: a
+    2-core to keep and at least one vertex to strip."""
+    edges: list[tuple[int, int]] = []
+    n = 0
+
+    def path_from(u, length):
+        nonlocal n
+        for _ in range(length):
+            edges.append((u, n))
+            u, n = n, n + 1
+        return u
+
+    for k in range(draw(st.integers(0, 4))):
+        length = draw(st.integers(3, 8))
+        first = n
+        n += length
+        edges += [(first + i, first + (i + 1) % length)
+                  for i in range(length)]
+        if k:  # join to an earlier vertex by a path of 1-3 edges
+            end = path_from(draw(st.integers(0, first - 1)),
+                            draw(st.integers(0, 2)))
+            edges.append((end, first + draw(st.integers(0, length - 1))))
+    for _ in range(draw(st.integers(0, 2))):  # extra paths close new cycles
+        if n >= 2:
+            u, v = draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                 max_size=2, unique=True))
+            edges.append((path_from(u, draw(st.integers(1, 3))), v))
+    for _ in range(draw(st.integers(1, 12))):  # pendant trees
+        if n:
+            edges.append((draw(st.integers(0, n - 1)), n))
+        n += 1
+    return n, edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(cycles_with_tails())
+def test_girth_on_the_core_matches_reference(case):
+    n, edges = case
+    g = build_graph(edges, vertices=range(n))
+    assert min(g.degree(v) for v in range(g.n)) < 2
+    exact = bfs_girth(edges, n)
+    for limit in (4, 7, float("inf")):
+        assert girth(g, limit=limit) == (exact if exact < limit
+                                         else float("inf"))
+
+
+def test_unbounded_girth_of_a_large_tree_is_linear():
+    # the whole tree strips away before any search; a search from every
+    # vertex took minutes on it.  CPU time, so a busy host does not count
+    tree = generate(GenSpec("tree", 20_000)).graph
+    start = time.process_time()
+    assert girth(tree) == float("inf")
+    assert time.process_time() - start < 2.0
 
 
 def _peel_view(g, alive):
