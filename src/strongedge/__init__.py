@@ -19,11 +19,11 @@ from .colorer import (ExtensionError, ExtensionRecord, HypothesisError,
 from .conflicts import conflict_graph, edges_within_distance_two
 from .density import DensityWitness, density_exceeds, mad, mad_deficit_sum
 from .discharge import (AuditReport, ChargeLedger, Embedding, EmbeddingError,
-                        Transfer, apply_rules_girth7, apply_rules_mad, audit,
-                        euler_charge_identity, trace_faces)
+                        Transfer, apply_rules_girth7, apply_rules_mad,
+                        audit_girth7, audit_mad, euler_charge_identity,
+                        trace_faces)
 from .generate import FAMILIES, GenSpec, generate
-from .graph import (Graph, GraphError, build_graph, DegreeClass,
-                    degree_class, girth)
+from .graph import Graph, GraphError, build_graph, count_twos, girth
 from .instances import (InstanceFile, ParseError, parse_coloring,
                         parse_instance, serialize_coloring,
                         serialize_instance)
@@ -37,19 +37,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuditReport", "BudgetExceededError", "ChargeLedger", "ClaimTag",
-    "DegreeClass", "DensityWitness", "Embedding", "EmbeddingError",
-    "ExtensionError", "ExtensionRecord", "ExtensionStep",
-    "FAMILIES", "GenSpec", "Graph", "GraphError", "HypothesisError",
-    "InstanceFile", "OracleResult", "ParseError", "PropositionCheck",
-    "ReductionPlan", "SearchBudget", "SolveReport", "TheoremViolationError",
-    "Transfer", "Violation", "apply_rules_girth7", "apply_rules_mad",
-    "audit", "build_graph", "check_proposition_small_delta",
-    "conflict_graph", "degree_class", "density_exceeds",
-    "edges_within_distance_two", "euler_charge_identity",
-    "find_reducible_girth7", "find_reducible_mad", "generate", "girth",
-    "greedy_color", "list_strong_colorable", "mad", "mad_deficit_sum",
-    "parse_coloring", "parse_instance", "run_command", "serialize_coloring",
-    "serialize_instance", "solve_girth7", "solve_mad3",
-    "strong_chromatic_index_exact", "trace_faces", "uniform_lists",
-    "verify_strong",
+    "DensityWitness", "Embedding", "EmbeddingError", "ExtensionError",
+    "ExtensionRecord", "ExtensionStep", "FAMILIES", "GenSpec", "Graph",
+    "GraphError", "HypothesisError", "InstanceFile", "OracleResult",
+    "ParseError", "PropositionCheck", "ReductionPlan", "SearchBudget",
+    "SolveReport", "TheoremViolationError", "Transfer", "Violation",
+    "apply_rules_girth7", "apply_rules_mad", "audit_girth7", "audit_mad",
+    "build_graph", "check_proposition_small_delta", "conflict_graph",
+    "count_twos", "density_exceeds", "edges_within_distance_two",
+    "euler_charge_identity", "find_reducible_girth7", "find_reducible_mad",
+    "generate", "girth", "greedy_color", "list_strong_colorable", "mad",
+    "mad_deficit_sum", "parse_coloring", "parse_instance", "run_command",
+    "serialize_coloring", "serialize_instance", "solve_girth7",
+    "solve_mad3", "strong_chromatic_index_exact", "trace_faces",
+    "uniform_lists", "verify_strong",
 ]

@@ -21,7 +21,7 @@ from pathlib import Path
 from .colorer import (HypothesisError, TheoremViolationError, solve_girth7,
                       solve_mad3, uniform_lists, verify_strong)
 from .density import density_exceeds, mad
-from .discharge import audit, trace_faces
+from .discharge import audit_girth7, audit_mad, trace_faces
 from .generate import FAMILIES, GenSpec, generate
 from .graph import girth
 from .instances import (InstanceFile, ParseError, parse_coloring,
@@ -53,15 +53,18 @@ def _say(msg: str):
 
 
 def _cmd_color(args) -> int:
+    if args.delta_cap is not None and args.pipeline != "girth7":
+        _say("usage error: --delta-cap applies only to --pipeline girth7")
+        return 2
     inst = _load(args.instance)
     g = inst.graph
     delta = g.max_degree()
     if args.pipeline == "mad3":
         budget = 3 * delta + 1
     else:
-        cap = args.delta_cap if args.delta_cap else max(4, delta)
+        cap = args.delta_cap if args.delta_cap is not None else max(4, delta)
         budget = 3 * cap
-    if args.colors:
+    if args.colors is not None:
         lists = uniform_lists(g, args.colors)
     elif inst.lists is not None:
         lists = dict(inst.lists)
@@ -171,16 +174,16 @@ def _cmd_audit(args) -> int:
         return 2
     inst = _load(args.instance)
     g = inst.graph
-    emb = None
     if args.scheme == "girth7":
         if inst.rotation is None:
             _say("the girth-7 scheme needs rotation records (r lines)")
             return 1
-        emb = trace_faces(g, inst.rotation)
-    report = audit(g, emb, which=args.scheme, delta_cap=args.delta_cap)
+        report = audit_girth7(trace_faces(g, inst.rotation), args.delta_cap)
+    else:
+        report = audit_mad(g)
     led = report.ledger
-    total = led.total_initial()  # audit raises unless the final sums to it
-    _say(f"scheme {report.which}: total initial charge {total}, "
+    total = led.total_initial()  # audits raise unless the final sums to it
+    _say(f"scheme {args.scheme}: total initial charge {total}, "
          f"total final {total}, {len(led.transfers)} transfers")
     _say(f"identity total: {report.identity_total}")
     if report.plan is not None:
@@ -220,9 +223,9 @@ def _parser() -> argparse.ArgumentParser:
     c = sub.add_parser("color", help="color an instance constructively")
     c.add_argument("instance")
     c.add_argument("--pipeline", choices=("mad3", "girth7"), default="mad3")
-    c.add_argument("--delta-cap", type=int, default=0,
+    c.add_argument("--delta-cap", type=int, default=None,
                    help="degree cap for the girth7 pipeline (>= 4)")
-    c.add_argument("--colors", type=int, default=0,
+    c.add_argument("--colors", type=int, default=None,
                    help="ignore instance lists; use colors 0..N-1 everywhere")
     c.add_argument("-o", "--output", default=None)
     c.set_defaults(func=_cmd_color)

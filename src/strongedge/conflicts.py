@@ -16,7 +16,7 @@ from .graph import Graph, build_graph
 def edges_within_distance_two(g: Graph, e: int) -> frozenset[int]:
     """Edge ids conflicting with edge ``e`` (excluding ``e`` itself), in a
     graph or, over its alive edges only, in a peel state."""
-    u, v = g.endpoints(e)
+    u, v = g.edges[e]
     adj, edge_at = g.adj, g.edge_at
     out: set[int] = set()
     for w in {*adj[u], *adj[v]}:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .density import mad_deficit_sum
-from .graph import Graph, _min_first, degree_class, girth as graph_girth
+from .graph import Graph, _min_first, count_twos, girth as graph_girth
 from .reducer import (ReductionPlan, find_reducible_girth7,
                       find_reducible_mad)
 
@@ -152,7 +152,7 @@ class ChargeLedger:
     All rules are applied simultaneously against the frozen initial
     classification — transfers never cascade.  Conservation
     (``total_final == total_initial``) holds by construction and is
-    re-checked by :func:`audit`.
+    re-checked by :func:`audit_mad` and :func:`audit_girth7`.
     """
 
     initial: dict[Element, Fraction]
@@ -184,20 +184,12 @@ def apply_rules_mad(g: Graph) -> ChargeLedger:
     """
     initial: dict[Element, Fraction] = {
         ("v", v): Fraction(g.degree(v) - 3) for v in range(g.n)}
-    classes = [degree_class(g, v) for v in range(g.n)]
+    pays = {1: (Fraction(1), "R1"), 2: (Fraction(1, 2), "R2")}
     transfers: list[Transfer] = []
     for v in range(g.n):
-        dc = classes[v]
-        if dc.k == 4 and dc.t == 1:
-            for u in g.adj[v]:
-                if g.degree(u) == 2:
-                    transfers.append(
-                        Transfer(("v", v), ("v", u), Fraction(1), "R1"))
-        elif dc.k == 4 and dc.t == 2:
-            for u in g.adj[v]:
-                if g.degree(u) == 2:
-                    transfers.append(
-                        Transfer(("v", v), ("v", u), Fraction(1, 2), "R2"))
+        if g.degree(v) == 4 and (pay := pays.get(count_twos(g, v))):
+            transfers.extend(Transfer(("v", v), ("v", u), *pay)
+                             for u in g.adj[v] if g.degree(u) == 2)
     return ChargeLedger(initial, tuple(transfers))
 
 
@@ -207,16 +199,17 @@ def apply_rules_girth7(emb: Embedding) -> ChargeLedger:
     Vertices start at ``5/2*deg - 7``, faces at ``deg - 7``.  Rules R1-R5
     are sender-driven (faces and low-degree-2-heavy 4-vertices pay their
     weak neighbors); R6-R10 route payments to a 2-vertex based on the
-    degree classes of its two neighbors.  A 2-vertex no rule pays is
-    reported as an ``uncovered case`` finding — on inputs satisfying the
-    pipeline's hypotheses those profiles are exactly the reducible ones.
+    degrees and degree-2 neighbor counts of its two neighbors.  A 2-vertex
+    no rule pays is reported as an ``uncovered case`` finding — on inputs
+    satisfying the pipeline's hypotheses those profiles are exactly the
+    reducible ones.
     """
     g = emb.graph
     initial: dict[Element, Fraction] = {
         ("v", v): Fraction(5, 2) * g.degree(v) - 7 for v in range(g.n)}
     for i, walk in enumerate(emb.faces):
         initial[("f", i)] = Fraction(len(walk) - 7)
-    classes = [degree_class(g, v) for v in range(g.n)]
+    twos = [count_twos(g, v) for v in range(g.n)]
     transfers: list[Transfer] = []
 
     def send(src: Element, dst: Element, amount: Fraction, rule: str):
@@ -228,17 +221,14 @@ def apply_rules_girth7(emb: Embedding) -> ChargeLedger:
             send(("f", emb.face_of(v, u)), ("v", v), Fraction(2), "R1")
             send(("v", u), ("v", v), Fraction(5, 2), "R2")
 
+    # a 4-vertex with no or four degree-2 neighbors pays nothing
+    pays = {1: (Fraction(3), "R3"), 2: (Fraction(3, 2), "R4"),
+            3: (Fraction(1), "R5")}
     for v in range(g.n):
-        dc = classes[v]
-        if dc.k != 4 or dc.t == 0:
-            continue
-        amount = {1: Fraction(3), 2: Fraction(3, 2), 3: Fraction(1)}.get(dc.t)
-        if amount is None:
-            continue  # a 4-vertex with four degree-2 neighbors pays nothing
-        rule = {1: "R3", 2: "R4", 3: "R5"}[dc.t]
-        for u in g.adj[v]:
-            if g.degree(u) == 2:
-                send(("v", v), ("v", u), amount, rule)
+        if g.degree(v) == 4 and (pay := pays.get(twos[v])):
+            for u in g.adj[v]:
+                if g.degree(u) == 2:
+                    send(("v", v), ("v", u), *pay)
 
     received = {t.sink for t in transfers}
     findings: list[str] = []
@@ -248,29 +238,29 @@ def apply_rules_girth7(emb: Embedding) -> ChargeLedger:
         got_conditional = False
         a, b = g.adj[v]
         for u, w in ((a, b), (b, a)):
-            cu, cw = classes[u], classes[w]
-            if cu.k >= 5:
-                if cw.k == 2:
+            ku, kw = g.degree(u), g.degree(w)
+            if ku >= 5:
+                if kw == 2:
                     send(("v", u), ("v", v), Fraction(2), "R6")
                     got_conditional = True
-                elif cw.k == 3 and cw.t == 1:
+                elif kw == 3 and twos[w] == 1:
                     send(("v", u), ("v", v), Fraction(3, 2), "R8")
                     send(("v", w), ("v", v), Fraction(1, 2), "R8")
                     got_conditional = True
-                elif cw.k == 3 and cw.t == 2:
+                elif kw == 3 and twos[w] == 2:
                     send(("v", u), ("v", v), Fraction(2), "R9")
                     got_conditional = True
-                elif cw.k >= 4:
+                elif kw >= 4:
                     send(("v", u), ("v", v), Fraction(1), "R10")
                     got_conditional = True
-            elif cu.k == 4 and cu.t == 2 and cw.k == 3 and cw.t == 1:
+            elif ku == 4 and twos[u] == 2 and kw == 3 and twos[w] == 1:
                 send(("v", w), ("v", v), Fraction(1, 2), "R7")
                 got_conditional = True
         if not got_conditional and ("v", v) not in received:
             findings.append(
                 f"uncovered case: 2-vertex {v} with neighbor profile "
-                f"(k={classes[a].k},t={classes[a].t}) / "
-                f"(k={classes[b].k},t={classes[b].t}) matches no rule")
+                f"(k={g.degree(a)},t={twos[a]}) / "
+                f"(k={g.degree(b)},t={twos[b]}) matches no rule")
 
     return ChargeLedger(initial, tuple(transfers), tuple(findings))
 
@@ -287,7 +277,6 @@ class AuditReport:
     ``2|E| - 3|V|`` for the sparse scheme, exactly -14 for the planar one.
     """
 
-    which: str
     ledger: ChargeLedger
     identity_total: Fraction
     negatives: tuple[tuple[Element, Fraction], ...]
@@ -296,50 +285,57 @@ class AuditReport:
     notes: tuple[str, ...]
 
 
-def audit(g: Graph, emb: Embedding | None = None, which: str = "mad",
-          delta_cap: int | None = None) -> AuditReport:
-    """Run a charge scheme and cross-reference the matching detector.
+def audit_mad(g: Graph) -> AuditReport:
+    """Run the sparse charge scheme and cross-reference its detector.
 
-    ``which`` selects the scheme: ``"mad"`` (graph only) or ``"girth7"``
-    (needs ``emb``).  The audit is deliberately runnable outside the
-    pipelines' hypotheses — breaches are reported in ``notes`` rather
-    than rejected, except for structurally impossible input (girth-7
-    scheme without an embedding, or a disconnected embedding, whose
-    charge identity would be meaningless).
+    Runnable outside the pipeline's hypotheses: a maximum degree above 4
+    or a nonnegative total charge is a note, not a rejection.
     """
     notes: list[str] = []
     delta = g.max_degree()
-    if which == "mad":
-        ledger = apply_rules_mad(g)
-        identity = Fraction(mad_deficit_sum(g))
-        if delta > 4:
-            notes.append(f"maximum degree {delta} exceeds 4")
-        if identity >= 0 and g.n:  # mad is undefined on the empty graph
-            notes.append(
-                f"total initial charge {identity} is not negative, so the "
-                f"maximum average degree is at least 3")
-        plan = find_reducible_mad(g)
-    elif which == "girth7":
-        if emb is None:
-            raise ValueError("the girth-7 scheme needs an embedding")
-        if emb.graph is not g:
-            raise ValueError("embedding belongs to a different graph")
-        cap = delta_cap if delta_cap is not None else max(4, delta)
-        if cap < 4:
-            raise ValueError(f"delta_cap must be >= 4, got {cap}")
-        ledger = apply_rules_girth7(emb)
-        identity = euler_charge_identity(emb)
-        got_girth = graph_girth(g, limit=7)
-        if got_girth < 7:
-            notes.append(f"girth {got_girth} is below 7")
-        if delta > cap:
-            notes.append(f"maximum degree {delta} exceeds the cap {cap}")
-            plan = None
-        else:
-            plan = find_reducible_girth7(g, cap)
-    else:
-        raise ValueError(f"unknown charge scheme {which!r}")
+    identity = Fraction(mad_deficit_sum(g))
+    if delta > 4:
+        notes.append(f"maximum degree {delta} exceeds 4")
+    if identity >= 0 and g.n:  # mad is undefined on the empty graph
+        notes.append(
+            f"total initial charge {identity} is not negative, so the "
+            f"maximum average degree is at least 3")
+    return _report(g, (), apply_rules_mad(g), identity,
+                   find_reducible_mad(g), notes)
 
+
+def audit_girth7(emb: Embedding, delta_cap: int | None = None) -> AuditReport:
+    """Run the girth-7 charge scheme and cross-reference its detector at
+    ``delta_cap`` (default ``max(4, maximum degree)``).
+
+    Girth below 7, or a degree above the cap (then with no plan), is a
+    note; a cap below 4 or a disconnected embedding raises ValueError.
+    """
+    g = emb.graph
+    delta = g.max_degree()
+    cap = delta_cap if delta_cap is not None else max(4, delta)
+    if cap < 4:
+        raise ValueError(f"delta_cap must be >= 4, got {cap}")
+    ledger = apply_rules_girth7(emb)
+    identity = euler_charge_identity(emb)
+    notes: list[str] = []
+    got_girth = graph_girth(g, limit=7)
+    if got_girth < 7:
+        notes.append(f"girth {got_girth} is below 7")
+    if delta > cap:
+        notes.append(f"maximum degree {delta} exceeds the cap {cap}")
+        plan = None
+    else:
+        plan = find_reducible_girth7(g, cap)
+    return _report(g, emb.faces, ledger, identity, plan, notes)
+
+
+def _report(g: Graph, faces: Sequence[Sequence[tuple[int, int]]],
+            ledger: ChargeLedger, identity: Fraction,
+            plan: ReductionPlan | None, notes: list[str]) -> AuditReport:
+    """The audits' shared tail: check conservation, append the ledger's
+    findings to ``notes``, and list the negatives and what ``plan``
+    touches of them (face elements index ``faces``)."""
     final = ledger.final()
     if (sum(final.values(), start=Fraction(0))
             != ledger.total_initial()):  # pragma: no cover - by construction
@@ -357,8 +353,7 @@ def audit(g: Graph, emb: Embedding | None = None, which: str = "mad",
                 hit = (plan.delete_vertex == i
                        or plan.delete_vertex in g.adj[i])
             else:
-                hit = any(plan.delete_vertex in pair
-                          for pair in emb.faces[i]) if emb else False
+                hit = any(plan.delete_vertex in pair for pair in faces[i])
         touches.append((el, hit))
-    return AuditReport(which, ledger, identity, negatives, plan,
-                       tuple(touches), tuple(notes))
+    return AuditReport(ledger, identity, negatives, plan, tuple(touches),
+                       tuple(notes))

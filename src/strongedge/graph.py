@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 INFINITY = float("inf")
@@ -72,9 +71,6 @@ class Graph:
         if e is None:
             raise GraphError(f"no edge between vertices {u} and {v}")
         return e
-
-    def endpoints(self, e: int) -> tuple[int, int]:
-        return self.edges[e]
 
     def vertex_of_label(self, label: int) -> int:
         try:
@@ -165,22 +161,21 @@ class PeelState:
     ``adj[v]`` lists the alive neighbors of ``v`` in ascending id order,
     as ``Graph.adj`` does; a deleted vertex has no entry.  The state
     answers the read-only queries that detectors, plans and extension
-    steps make of a graph (``n``, ``adj``, ``degree``, ``max_degree``,
-    ``edge_at``, ``edge_id``, ``endpoints``, ``label_pair``); ``edge_at``
-    is the graph's, so read it only for pairs found through ``adj``.
+    steps make of a graph (``adj``, ``degree``, ``max_degree``, ``edges``,
+    ``edge_at``, ``edge_id``, ``label_pair``); ``edges`` and ``edge_at``
+    are the graph's, so read them only for edges found through ``adj``.
     ``max_degree`` is the maximum over the alive vertices, kept from
     per-degree counts in O(1) amortized time.
     """
 
-    __slots__ = ("n", "adj", "edge_at", "edge_id", "endpoints", "label_pair",
+    __slots__ = ("adj", "edges", "edge_at", "edge_id", "label_pair",
                  "_count", "_max")
 
     def __init__(self, g: Graph, component: Iterable[int]):
-        self.n = g.n
         self.adj = {v: list(g.adj[v]) for v in component}
+        self.edges = g.edges
         self.edge_at = g.edge_at
         self.edge_id = g.edge_id
-        self.endpoints = g.endpoints
         self.label_pair = g.label_pair
         self._max = max((len(a) for a in self.adj.values()), default=0)
         self._count = [0] * (self._max + 1)
@@ -235,26 +230,10 @@ class PeelState:
         self._max = max(self._max, len(nbrs))
 
 
-@dataclass(frozen=True)
-class DegreeClass:
-    """Degree profile of one vertex: its degree and its degree-2 neighbors.
-
-    ``k`` is the vertex degree and ``t`` the number of degree-2 neighbors,
-    so a vertex with ``k=4, t=1`` is a 4-vertex with exactly one degree-2
-    neighbor.  The profile reads only the vertex and its neighbors, in
-    O(degree) time.
-    """
-
-    k: int
-    t: int
-
-
-def degree_class(g: Graph, v: int) -> DegreeClass:
-    """Classify vertex ``v`` by its degree and its neighbors' degrees."""
-    if not 0 <= v < g.n:
-        raise GraphError(f"vertex {v} out of range")
-    t = sum(1 for w in g.adj[v] if g.degree(w) == 2)
-    return DegreeClass(k=g.degree(v), t=t)
+def count_twos(g: Graph, v: int) -> int:
+    """Number of degree-2 neighbors of ``v``, in O(degree) time; a
+    4-vertex with ``count_twos == 1`` is "a 4-vertex with one 2-neighbor"."""
+    return sum(1 for w in g.adj[v] if g.degree(w) == 2)
 
 
 def girth(g: Graph, limit: int | float = INFINITY) -> int | float:

@@ -36,7 +36,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from .conflicts import edges_within_distance_two
-from .graph import Graph, degree_class
+from .graph import Graph, count_twos
 
 
 class ClaimTag(str, Enum):
@@ -143,7 +143,7 @@ def _m3(g: Graph, v1: int, d: int) -> ReductionPlan | None:
     if g.degree(v1) != 2:
         return None
     for v, w1 in (g.adj[v1], g.adj[v1][::-1]):
-        if g.degree(w1) <= 3 and degree_class(g, v).t >= 2:
+        if g.degree(w1) <= 3 and count_twos(g, v) >= 2:
             return _plan(g, ClaimTag.M3_TWO_TWOS, v1, [],
                          [((v, v1), 2 * d + 4), ((v1, w1), 2 * d + 4)])
     return None
@@ -168,7 +168,7 @@ def _m5(g: Graph, v: int, d: int) -> ReductionPlan | None:
         return None
     for v1 in twos:
         w1 = _other_neighbor(g, v1, v)
-        if g.degree(w1) == 4 and degree_class(g, w1).t == 1:
+        if g.degree(w1) == 4 and count_twos(g, w1) == 1:
             continue
         v2 = min(u for u in twos if u != v1)
         return _plan(g, ClaimTag.M5_THREE_TWOS, v1, [(v, v2)],
@@ -219,7 +219,7 @@ def _g4(g: Graph, v: int, d: int) -> ReductionPlan | None:
         return None
     for u, w in (g.adj[v], g.adj[v][::-1]):
         if (g.degree(u) == 4 and g.degree(w) == 2
-                and degree_class(g, u).t != 1):
+                and count_twos(g, u) != 1):
             return _plan(g, ClaimTag.G4_FOUR_AND_TWO, v, [],
                          [((u, v), 2 * d + 3), ((w, v), d + 4)])
     return None
@@ -232,7 +232,7 @@ def _g5(g: Graph, v: int, d: int) -> ReductionPlan | None:
         return None
     for u, w in (g.adj[v], g.adj[v][::-1]):
         if (g.degree(u) == 4 and g.degree(w) == 3
-                and degree_class(g, u).t == 3):
+                and count_twos(g, u) == 3):
             return _plan(g, ClaimTag.G5_FOUR_AND_THREE, v, [],
                          [((w, v), 2 * d + 3), ((u, v), d + 7)])
     return None
@@ -245,11 +245,11 @@ def _g6(g: Graph, v1: int, d: int) -> ReductionPlan | None:
     if g.degree(v1) != 2:
         return None
     for v, w1 in (g.adj[v1], g.adj[v1][::-1]):
-        if g.degree(v) != 3 or degree_class(g, v).t != 2:
+        if g.degree(v) != 3 or count_twos(g, v) != 2:
             continue
         if g.degree(w1) >= 5:
             continue
-        if g.degree(w1) == 4 and degree_class(g, w1).t == 1:
+        if g.degree(w1) == 4 and count_twos(g, w1) == 1:
             continue
         v2 = next(u for u in g.adj[v] if u != v1 and g.degree(u) == 2)
         return _plan(g, ClaimTag.G6_THREE_WITH_TWO_TWOS, v1, [(v, v2)],
@@ -306,7 +306,7 @@ def _g8(g: Graph, v: int, d: int) -> ReductionPlan | None:
         twos = [u for u in g.adj[v] if g.degree(u) == 2]
         fars = [_other_neighbor(g, u, v) for u in twos]
         if all(g.degree(w) == 2
-               or (g.degree(w) == 3 and degree_class(g, w).t == 2)
+               or (g.degree(w) == 3 and count_twos(g, w) == 2)
                for w in fars):
             (v1, v2, v3), (w1, w2, w3) = twos, fars
             return _plan(g, ClaimTag.G8_TWO_STRONG_NEIGHBORS, v1,

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 from strongedge import (GenSpec, TheoremViolationError, apply_rules_girth7,
-                        apply_rules_mad, audit, build_graph,
+                        apply_rules_mad, audit_girth7, build_graph,
                         euler_charge_identity, generate, girth,
                         list_strong_colorable, mad, mad_deficit_sum,
                         solve_girth7, solve_mad3,
@@ -173,7 +173,7 @@ def test_criterion_8_charge_identities():
             emb = trace_faces(inst.graph, inst.rotation)
             assert euler_charge_identity(emb) == -14
             assert apply_rules_girth7(emb).conserved()
-            assert audit(inst.graph, emb, which="girth7").identity_total == -14
+            assert audit_girth7(emb).identity_total == -14
 
         # worked examples, sparse scheme: a 4-vertex with one weak
         # neighbor pays it off exactly, and a 2-vertex between two

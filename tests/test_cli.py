@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strongedge
-from strongedge import (InstanceFile, build_graph, parse_coloring,
-                        parse_instance, run_command, serialize_instance)
+from strongedge import (InstanceFile, SolveReport, TheoremViolationError,
+                        build_graph, parse_coloring, parse_instance,
+                        run_command, serialize_instance)
 
 C5 = "e 0 1\ne 1 2\ne 2 3\ne 3 4\ne 0 4\n"
 
@@ -146,6 +147,71 @@ def test_color_has_no_fallback_option(tmp_path):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("pipeline", [[], ["--pipeline", "mad3"]])
+@pytest.mark.parametrize("cap", ["0", "3", "99"])
+def test_color_delta_cap_is_girth7_only(tmp_path, capsys, pipeline, cap):
+    inst = write(tmp_path, "c5.txt", C5)
+    assert run_command(["color", inst, *pipeline, "--delta-cap", cap]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("usage error: --delta-cap applies only to "
+                            "--pipeline girth7\n")
+
+
+C7 = "".join(f"e {i} {(i + 1) % 7}\n" for i in range(7))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--pipeline", "girth7", "--delta-cap", "0"],
+     "error: delta_cap must be >= 4, got 0"),
+    (["--pipeline", "girth7", "--delta-cap", "3"],
+     "error: delta_cap must be >= 4, got 3"),
+    (["--colors", "0"], "rejected: every edge needs a nonempty color list"),
+    (["--colors", "-5"], "rejected: every edge needs a nonempty color list"),
+    (["--pipeline", "girth7", "--colors", "0"],
+     "rejected: every edge needs a nonempty color list"),
+])
+def test_color_zero_option_values_are_checked(tmp_path, capsys, argv,
+                                               message):
+    # 0 is a value like any other: it reaches the library's own checks
+    inst = write(tmp_path, "c7.txt", C7)
+    assert run_command(["color", inst, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
+def test_color_exit_3_on_a_violated_guarantee(tmp_path, capsys,
+                                              monkeypatch):
+    def broken(g, lists, delta_cap):
+        raise TheoremViolationError("no reducible configuration found")
+
+    monkeypatch.setattr(strongedge.cli, "solve_girth7", broken)
+    inst = write(tmp_path, "c7.txt", C7)
+    assert run_command(["color", inst, "--pipeline", "girth7"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal guarantee violated: no reducible "
+                            "configuration found\n")
+
+
+def test_color_exit_2_without_a_complete_coloring(tmp_path, capsys,
+                                                  monkeypatch):
+    def incomplete(g, lists, delta_cap):
+        return SolveReport({0: 0}, "girth7", certified=False,
+                           fallback="greedy fallback", failed_edge=1)
+
+    monkeypatch.setattr(strongedge.cli, "solve_girth7", incomplete)
+    inst = write(tmp_path, "c7.txt", C7)
+    out = tmp_path / "col.txt"
+    assert run_command(["color", inst, "--pipeline", "girth7",
+                        "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.endswith("NOT certified: greedy fallback\n"
+                                 "no complete coloring was produced\n")
+    assert not out.exists()
+
+
 def test_exact_on_cycle(tmp_path, capsys):
     inst = write(tmp_path, "c5.txt", C5)
     assert run_command(["exact", inst]) == 0
@@ -156,6 +222,14 @@ def test_exact_refuses_oversized(tmp_path, capsys):
     inst = write(tmp_path, "big.txt", C5)
     assert run_command(["exact", inst, "--edge-cap", "3"]) == 1
     assert "refused" in capsys.readouterr().err
+
+
+def test_exact_gives_up_past_its_node_budget(tmp_path, capsys):
+    inst = write(tmp_path, "c5.txt", C5)
+    assert run_command(["exact", inst, "--max-nodes", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gave up: ")
 
 
 def test_mad_and_threshold(tmp_path, capsys):
@@ -436,3 +510,47 @@ def test_console_script_target(tmp_path):
                     reason="the strongedge script is not installed")
 def test_installed_script_on_path(tmp_path):
     check_command(["strongedge"], tmp_path)
+
+
+AUDIT_FORMS = ([], ["--scheme", "mad"], ["--scheme", "girth7"],
+               *(["--scheme", "girth7", "--delta-cap", c]
+                 for c in ("3", "4", "5", "7")),
+               ["--delta-cap", "4"], ["--scheme", "mad", "--delta-cap", "7"])
+
+
+def _audit_pin_instances():
+    """Seeded instances for the audit pin; trees and blow-ups also get a
+    rotation (the adjacency order), which is planar on a tree and not on
+    a blow-up, so both the ledger and the embedding error are covered."""
+    from strongedge import GenSpec, generate
+    for n in (12, 30):
+        for seed in (1, 2, 3, 4):
+            yield generate(GenSpec("sparse-mad3", n, seed=seed))
+    for delta in (4, 5, 6):
+        for n in (20, 40):
+            for seed in (1, 2, 3):
+                yield generate(GenSpec("planar-girth7", n, delta=delta,
+                                       seed=seed))
+    for n in (5, 7, 9):
+        yield generate(GenSpec("cycle", n))
+    for family, n in (("tree", 15), ("tree", 40), ("c5-blowup", 10)):
+        for seed in (1, 2):
+            inst = generate(GenSpec(family, n, seed=seed))
+            yield inst
+            yield InstanceFile(inst.graph, rotation=tuple(inst.graph.adj))
+
+
+def test_audit_output_is_pinned(tmp_path, capsys):
+    # sha256 over the exit code, stdout and stderr of every audit form on
+    # every instance; any change to what audit prints or returns shows here
+    import hashlib
+    digest = hashlib.sha256()
+    for i, inst in enumerate(_audit_pin_instances()):
+        path = write(tmp_path, f"a{i}.txt", serialize_instance(inst))
+        for form in AUDIT_FORMS:
+            code = run_command(["audit", path, *form])
+            captured = capsys.readouterr()
+            digest.update(f"{i} {form} -> {code}\n{captured.out}\0"
+                          f"{captured.err}\0".encode())
+    assert digest.hexdigest() == (
+        "bc0cee4f1e7ea3c2c4dd847f5d1f3722ebe224feb5f8bd4285de28588ba02763")

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from strongedge import (ClaimTag, EmbeddingError, apply_rules_girth7,
-                        apply_rules_mad, audit, build_graph,
+                        apply_rules_mad, audit_girth7, audit_mad, build_graph,
                         euler_charge_identity, trace_faces)
 
 
@@ -102,7 +102,7 @@ def test_face_tracing_is_linear_in_components_and_pendants():
                        + [(i, s + 2 * i + j) for i in range(s)
                           for j in range(2)])
     start = time.process_time()
-    report = audit(tree, trace_faces(tree, tuple(tree.adj)), which="girth7")
+    report = audit_girth7(trace_faces(tree, tuple(tree.adj)))
     assert report.ledger.conserved()
     assert time.process_time() - start < 4
 
@@ -176,7 +176,7 @@ def test_girth7_conditional_rules_and_uncovered_finding():
 def test_audit_mad_cross_references_detector():
     g = build_graph([(0, i) for i in range(1, 5)]
                     + [(i, 5) for i in range(1, 5)])
-    report = audit(g, which="mad")
+    report = audit_mad(g)
     assert report.identity_total == 2 * 8 - 3 * 6 == -2
     assert report.plan is not None
     assert report.plan.claim_tag is ClaimTag.M4_ALL_TWOS
@@ -190,34 +190,27 @@ def test_audit_reports_breaches_without_refusing():
     k4 = build_graph([(i, j) for i in range(4) for j in range(i + 1, 4)])
     rotation = [(1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1)]
     emb = trace_faces(k4, rotation)
-    report = audit(k4, emb, which="girth7", delta_cap=4)
+    report = audit_girth7(emb, delta_cap=4)
     assert any("girth 3" in note for note in report.notes)
     assert report.identity_total == -14
     assert report.plan is None  # nothing fires on a 3-regular graph
     k5 = build_graph([(i, j) for i in range(5) for j in range(i + 1, 5)])
-    rep = audit(k5, which="mad")  # 4-regular, so only the density breach
+    rep = audit_mad(k5)  # 4-regular, so only the density breach
     assert any("at least 3" in n for n in rep.notes)
     star = build_graph([(0, i) for i in range(1, 7)])
-    rep = audit(star, which="mad")
+    rep = audit_mad(star)
     assert any("degree 6 exceeds 4" in n for n in rep.notes)
 
 
 def test_audit_of_the_empty_graph_claims_no_density():
     # mad is undefined without vertices, so "at least 3" would be false
-    report = audit(build_graph([]), which="mad")
+    report = audit_mad(build_graph([]))
     assert report.identity_total == 0
     assert report.notes == ()
 
 
 def test_audit_argument_validation():
     g = build_graph([(0, 1)])
-    with pytest.raises(ValueError, match="embedding"):
-        audit(g, which="girth7")
-    other = build_graph([(0, 1)])
-    emb = trace_faces(other, tuple(other.adj))
-    with pytest.raises(ValueError, match="different graph"):
-        audit(g, emb, which="girth7")
-    with pytest.raises(ValueError, match="unknown"):
-        audit(g, which="nonsense")
+    emb = trace_faces(g, tuple(g.adj))
     with pytest.raises(ValueError, match="delta_cap"):
-        audit(other, emb, which="girth7", delta_cap=3)
+        audit_girth7(emb, delta_cap=3)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strongedge import (GenSpec, Graph, GraphError, build_graph, degree_class,
+from strongedge import (GenSpec, Graph, GraphError, build_graph, count_twos,
                         generate, girth)
 from strongedge.graph import PeelState
 
@@ -26,7 +26,7 @@ def test_build_basic():
     assert g.adj[0] == (1, 2)
     assert g.edges == ((0, 1), (0, 2), (1, 2))
     assert g.edge_id(2, 1) == 2
-    assert g.endpoints(0) == (0, 1)
+    assert g.edges[0] == (0, 1)
     assert g.max_degree() == 2
 
 
@@ -94,8 +94,7 @@ def test_degree_class_counts():
     # hub with one pendant, one 2-path, and two degree-3 neighbors
     g = build_graph([(0, 1), (0, 2), (2, 9), (0, 3), (0, 4),
                      (3, 5), (3, 6), (4, 7), (4, 8)])
-    dc = degree_class(g, 0)
-    assert (dc.k, dc.t) == (4, 1)
+    assert (g.degree(0), count_twos(g, 0)) == (4, 1)
 
 
 def test_girth_known_values():
