@@ -81,7 +81,7 @@ def _cmd_color(args) -> int:
     except TheoremViolationError as exc:
         _say(f"internal guarantee violated: {exc}")
         return 3
-    _say(f"pipeline {report.path}: {g.n} vertices, {g.m} edges, "
+    _say(f"pipeline {args.pipeline}: {g.n} vertices, {g.m} edges, "
          f"{report.colors_used} colors used")
     if report.certified:
         _say("certified: every extension step stayed within its bound")

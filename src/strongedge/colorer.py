@@ -11,13 +11,14 @@ Two certified pipelines plus a greedy baseline:
 
 The certified pipelines peel one vertex at a time off a mutable
 :class:`~strongedge.graph.PeelState` per component, following the plans
-of the reducer's matchers, then put the vertices back in reverse order
-and re-color the peeled edges.  A plan's bounds are its configuration's
-formulas; each re-colored edge's colored conflicts are counted once, when
-it is re-colored, and checked against the formula, and its list must be
-longer than that count so that a color is spare.  A detector miss is a
-hard "theorem violation" error on the sparse pipeline; on the girth-7 one
-a component of at most 24 edges falls back to exact search, greedy beyond.
+of the reducer's matchers, then walk the plans in reverse on the input
+graph and re-color each plan's erased edges.  A plan's bounds are its
+configuration's formulas; each re-colored edge's colored conflicts are
+counted once, when it is re-colored, and checked against the formula,
+and its list must be longer than that count so that a color is spare.
+A detector miss is a hard "theorem violation" error on the sparse
+pipeline; on the girth-7 one a component of at most 24 edges falls back
+to exact search, greedy beyond.
 """
 
 from __future__ import annotations
@@ -115,7 +116,6 @@ class SolveReport:
     """
 
     coloring: PartialColoring
-    path: str
     certified: bool
     fallback: str | None = None
     failed_edge: int | None = None
@@ -188,10 +188,9 @@ def greedy_color(g: Graph, lists: ColorLists) -> SolveReport:
                 if f in coloring}
         spare = sorted(lists[e] - used)
         if not spare:
-            return SolveReport(coloring, "greedy", certified=False,
-                               failed_edge=e)
+            return SolveReport(coloring, certified=False, failed_edge=e)
         coloring[e] = spare[0]
-    return SolveReport(coloring, "greedy", certified=False)
+    return SolveReport(coloring, certified=False)
 
 
 def extend(g: Graph, partial: PartialColoring, plan: ReductionPlan,
@@ -248,33 +247,33 @@ def _normalize_lists(g: Graph, lists: dict[int, Iterable[int]]) -> ColorLists:
     missing = sorted(e for e in range(g.m) if e not in lists)
     if missing:
         raise HypothesisError(
-            f"edges without a color list: ids {missing}")
+            f"edges without a color list: "
+            f"{[g.label_pair(e) for e in missing]}")
     return {e: frozenset(lists[e]) for e in range(g.m)}
 
 
 def _peel(state: PeelState, matchers: tuple[Matcher, ...],
-          delta_cap: int | None) -> list[tuple[ReductionPlan, list[int]]]:
+          delta_cap: int | None) -> list[ReductionPlan]:
     """Delete vertices by plans until ``state`` is empty.
 
-    Returns the plans in peel order, each with the neighbors its vertex
-    had when deleted.  Plans are made at the state's current maximum
-    degree, or at ``delta_cap`` when given.  Each matcher has a min-heap
-    of vertex ids that holds every vertex it currently fires at (plus
-    stale ones, dropped when they reach the top and no longer fire).  The
-    first tag with a firing vertex wins, at its smallest id — the plan a
-    full scan by ``find_reducible_*`` would find.  A tag's heap is built
-    the first time the loop reaches the tag, from every alive vertex;
-    tags are reached in priority order, so the built heaps are a prefix
-    of ``matchers``.  After a deletion only the vertices within a built
-    matcher's radius of the deleted vertex go back on its heap, and the
-    ball around the deleted vertex reaches only the largest built radius.
+    Returns the plans in peel order.  Plans are made at the state's current
+    maximum degree, or at ``delta_cap`` when given.  Each matcher has a
+    min-heap of vertex ids that holds every vertex it currently fires at
+    (plus stale ones, dropped when they reach the top and no longer fire).
+    The first tag with a firing vertex wins, at its smallest id — the plan a
+    full scan by ``find_reducible_*`` would find.  A tag's heap is built the
+    first time the loop reaches the tag, from every alive vertex; tags are
+    reached in priority order, so the built heaps are a prefix of
+    ``matchers``.  After a deletion only the vertices within a built
+    matcher's radius of the deleted vertex go back on its heap, and the ball
+    around the deleted vertex reaches only the largest built radius.
     Raises :class:`_NoPlan` when no matcher fires.
     """
     adj = state.adj
     heaps: list[list[int]] = []
     queued: list[set[int]] = []
     reach = 0
-    stack: list[tuple[ReductionPlan, list[int]]] = []
+    plans: list[ReductionPlan] = []
     while adj:
         d = delta_cap if delta_cap is not None else state.max_degree()
         plan = None
@@ -299,7 +298,8 @@ def _peel(state: PeelState, matchers: tuple[Matcher, ...],
             raise _NoPlan(len(adj))
         x = plan.delete_vertex
         rings = state.ball(x, reach)
-        stack.append((plan, state.delete(x)))
+        plans.append(plan)
+        state.delete(x)
         # zip stops at the first unbuilt heap
         for matcher, heap, inq in zip(matchers, heaps, queued):
             for ring in rings[1:matcher.radius + 1]:
@@ -307,22 +307,10 @@ def _peel(state: PeelState, matchers: tuple[Matcher, ...],
                     if w not in inq:
                         inq.add(w)
                         heapq.heappush(heap, w)
-    return stack
+    return plans
 
 
-def _unwind(state: PeelState, stack: list[tuple[ReductionPlan, list[int]]],
-            lists: ColorLists, coloring: PartialColoring,
-            trace: list[ExtensionRecord]) -> None:
-    """Put the peeled vertices back in reverse order, extending
-    ``coloring`` over each one's plan."""
-    for plan, nbrs in reversed(stack):
-        state.restore(plan.delete_vertex, nbrs)
-        for e in plan.erase_edges:
-            coloring.pop(e, None)
-        extend(state, coloring, plan, lists, trace)
-
-
-def _solve_components(g: Graph, lists: dict[int, Iterable[int]], path: str,
+def _solve_components(g: Graph, lists: dict[int, Iterable[int]],
                       matchers: tuple[Matcher, ...], delta_cap: int | None,
                       budget: int, formula: str, *,
                       fall_back: bool) -> SolveReport:
@@ -339,12 +327,12 @@ def _solve_components(g: Graph, lists: dict[int, Iterable[int]], path: str,
     if any(not lst for lst in lists.values()):
         raise HypothesisError("every edge needs a nonempty color list")
     if g.m == 1:
-        return SolveReport({0: min(lists[0])}, path, certified=True)
+        return SolveReport({0: min(lists[0])}, certified=True)
     short = sorted(e for e in range(g.m) if len(lists[e]) < budget)
     if short:
         raise HypothesisError(
             f"lists must have at least {formula} = {budget} colors; "
-            f"too short on edge ids {short}")
+            f"too short on edges {[g.label_pair(e) for e in short]}")
     trace: list[ExtensionRecord] = []
     coloring: PartialColoring = {}
     notes: list[str] = []
@@ -359,9 +347,8 @@ def _solve_components(g: Graph, lists: dict[int, Iterable[int]], path: str,
             e = g.edge_id(*comp)
             coloring[e] = min(lists[e])
             continue
-        state = PeelState(g, comp)
         try:
-            stack = _peel(state, matchers, delta_cap)
+            plans = _peel(PeelState(g, comp), matchers, delta_cap)
         except _NoPlan as miss:
             if not fall_back:
                 raise TheoremViolationError(
@@ -394,13 +381,17 @@ def _solve_components(g: Graph, lists: dict[int, Iterable[int]], path: str,
             for i, c in sub_coloring.items():
                 coloring[ids[i]] = c
             continue
-        _unwind(state, stack, lists, coloring, trace)
+        for plan in reversed(plans):
+            for e in plan.erase_edges:
+                coloring.pop(e, None)
+            # later plans colored only edges alive when this one was made,
+            # so on g the step sees the colored conflicts the state had then
+            extend(g, coloring, plan, lists, trace)
 
     if failed is None and (bad := verify_strong(g, coloring, lists)):
         raise TheoremViolationError(
             f"solver produced an invalid coloring: {bad[:3]}")
-    return SolveReport(coloring, path,
-                       certified=certified and failed is None,
+    return SolveReport(coloring, certified=certified and failed is None,
                        fallback="; ".join(notes) if notes else None,
                        failed_edge=failed, trace=tuple(trace))
 
@@ -429,7 +420,7 @@ def solve_mad3(g: Graph, lists: dict[int, Iterable[int]]) -> SolveReport:
             f"maximum average degree is {witness.density} >= 3 on "
             f"vertices {sorted(g.labels[v] for v in witness.vertices)}",
             witness=witness)
-    return _solve_components(g, lists, "mad3", MAD_MATCHERS, None,
+    return _solve_components(g, lists, MAD_MATCHERS, None,
                              3 * delta + 1, "3*max_degree+1", fall_back=False)
 
 
@@ -455,5 +446,5 @@ def solve_girth7(g: Graph, lists: dict[int, Iterable[int]],
         raise HypothesisError(
             f"girth {got_girth} is below 7; the girth-7 pipeline does "
             f"not apply")
-    return _solve_components(g, lists, "girth7", GIRTH7_MATCHERS, delta_cap,
+    return _solve_components(g, lists, GIRTH7_MATCHERS, delta_cap,
                              3 * delta_cap, "3*delta_cap", fall_back=True)

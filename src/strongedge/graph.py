@@ -6,13 +6,11 @@ from arbitrary integer labels the original labels are kept in a side table
 ids ``0 .. m-1`` assigned in sorted order of their endpoint pairs, which
 makes the id assignment canonical: it does not depend on the order edges
 were supplied in.  :class:`PeelState` is the one mutable view: a component
-that the reduction engine deletes vertices from and restores, in the
-graph's own ids.
+that the reduction engine deletes vertices from, in the graph's own ids.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import deque
 from typing import Iterable, Sequence
 
@@ -155,28 +153,26 @@ def build_graph(edge_pairs: Iterable[tuple[int, int]],
 class PeelState:
     """One connected component of a :class:`Graph`, peeled in place.
 
-    The reduction engine deletes vertices from it one at a time and puts
-    them back in reverse order.  Vertex and edge ids stay those of the
-    graph it was made from, so plans built on it need no remapping.
-    ``adj[v]`` lists the alive neighbors of ``v`` in ascending id order,
-    as ``Graph.adj`` does; a deleted vertex has no entry.  The state
-    answers the read-only queries that detectors, plans and extension
-    steps make of a graph (``adj``, ``degree``, ``max_degree``, ``edges``,
-    ``edge_at``, ``edge_id``, ``label_pair``); ``edges`` and ``edge_at``
-    are the graph's, so read them only for edges found through ``adj``.
+    The reduction engine deletes vertices from it one at a time; it
+    never puts one back.  Vertex and edge ids stay those of the graph it
+    was made from, so plans built on it need no remapping.  ``adj[v]``
+    lists the alive neighbors of ``v`` in ascending id order, as
+    ``Graph.adj`` does; a deleted vertex has no entry.  The state answers
+    the read-only queries that detectors and plans make of a graph
+    (``adj``, ``degree``, ``max_degree``, ``edges``, ``edge_at``,
+    ``edge_id``); ``edges`` and ``edge_at`` are the graph's, so read them
+    only for edges found through ``adj``.
     ``max_degree`` is the maximum over the alive vertices, kept from
     per-degree counts in O(1) amortized time.
     """
 
-    __slots__ = ("adj", "edges", "edge_at", "edge_id", "label_pair",
-                 "_count", "_max")
+    __slots__ = ("adj", "edges", "edge_at", "edge_id", "_count", "_max")
 
     def __init__(self, g: Graph, component: Iterable[int]):
         self.adj = {v: list(g.adj[v]) for v in component}
         self.edges = g.edges
         self.edge_at = g.edge_at
         self.edge_id = g.edge_id
-        self.label_pair = g.label_pair
         self._max = max((len(a) for a in self.adj.values()), default=0)
         self._count = [0] * (self._max + 1)
         for a in self.adj.values():
@@ -202,8 +198,8 @@ class PeelState:
             out.append(ring)
         return out
 
-    def delete(self, v: int) -> list[int]:
-        """Delete ``v``; returns its neighbors, for :meth:`restore`."""
+    def delete(self, v: int) -> None:
+        """Delete ``v`` and its edges."""
         count, adj = self._count, self.adj
         nbrs = adj.pop(v)
         count[len(nbrs)] -= 1
@@ -214,20 +210,6 @@ class PeelState:
             count[len(a)] += 1
         while self._max and not count[self._max]:
             self._max -= 1
-        return nbrs
-
-    def restore(self, v: int, nbrs: list[int]) -> None:
-        """Undo :meth:`delete` of ``v``; valid in reverse deletion order."""
-        count, adj = self._count, self.adj
-        for w in nbrs:
-            a = adj[w]
-            count[len(a)] -= 1
-            insort(a, v)
-            count[len(a)] += 1
-            self._max = max(self._max, len(a))
-        adj[v] = nbrs
-        count[len(nbrs)] += 1
-        self._max = max(self._max, len(nbrs))
 
 
 def count_twos(g: Graph, v: int) -> int:

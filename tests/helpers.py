@@ -341,7 +341,7 @@ def _ref_reduce_and_unwind(g, lists, detect, trace, plans):
             for (a, b), c in by_labels.items()}
 
 
-def reference_solve(g, lists, path, detect, fallback_threshold):
+def reference_solve(g, lists, detect, fallback_threshold):
     """The peeling engine before the mutable peel state, kept as the slow
     reference: per component it runs a public detector on a freshly built
     graph at every level, builds the next level with
@@ -409,8 +409,7 @@ def reference_solve(g, lists, path, detect, fallback_threshold):
     if failed is None:
         assert not verify_strong(g, coloring)
         assert all(c in lists[e] for e, c in coloring.items())
-    report = SolveReport(coloring, path,
-                         certified=certified and failed is None,
+    report = SolveReport(coloring, certified=certified and failed is None,
                          fallback="; ".join(notes) if notes else None,
                          failed_edge=failed, trace=tuple(trace))
     return report, plans

@@ -64,7 +64,6 @@ def test_criterion_2_planar_pipeline_end_to_end():
         lists = uniform_lists(g, 12)
         report = solve_girth7(g, lists, delta_cap=4)
         _assert_certified(g, lists, report)
-        assert report.path == "girth7"
 
 
 def test_criterion_3_five_hundred_sparse_instances():

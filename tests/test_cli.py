@@ -181,6 +181,37 @@ def test_color_zero_option_values_are_checked(tmp_path, capsys, argv,
     assert captured.err == message + "\n"
 
 
+def _labelled_path(sizes):
+    """Edges 10-20, 20-30 and 30-40, with a color list of each given size
+    (``None`` for no list) on each."""
+    text = "e 10 20\ne 20 30\ne 30 40\n"
+    for (u, v), size in zip(((10, 20), (20, 30), (30, 40)), sizes):
+        if size is not None:
+            text += f"l {u} {v} : {' '.join(map(str, range(size)))}\n"
+    return text
+
+
+MISSING = "edges without a color list: [(20, 30), (30, 40)]"
+
+
+@pytest.mark.parametrize("pipeline, sizes, message", [
+    ("mad3", (12, None, None), MISSING),
+    ("girth7", (12, None, None), MISSING),
+    ("mad3", (5, 7, 7), "lists must have at least 3*max_degree+1 = 7 "
+                        "colors; too short on edges [(10, 20)]"),
+    ("girth7", (5, 7, 7), "lists must have at least 3*delta_cap = 12 "
+                          "colors; too short on edges [(10, 20), (20, 30), "
+                          "(30, 40)]"),
+])
+def test_color_list_rejections_name_labels(tmp_path, capsys, pipeline,
+                                           sizes, message):
+    inst = write(tmp_path, "labels.txt", _labelled_path(sizes))
+    assert run_command(["color", inst, "--pipeline", pipeline]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"rejected: {message}\n"
+
+
 def test_color_exit_3_on_a_violated_guarantee(tmp_path, capsys,
                                               monkeypatch):
     def broken(g, lists, delta_cap):
@@ -198,7 +229,7 @@ def test_color_exit_3_on_a_violated_guarantee(tmp_path, capsys,
 def test_color_exit_2_without_a_complete_coloring(tmp_path, capsys,
                                                   monkeypatch):
     def incomplete(g, lists, delta_cap):
-        return SolveReport({0: 0}, "girth7", certified=False,
+        return SolveReport({0: 0}, certified=False,
                            fallback="greedy fallback", failed_edge=1)
 
     monkeypatch.setattr(strongedge.cli, "solve_girth7", incomplete)

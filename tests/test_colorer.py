@@ -149,7 +149,7 @@ def test_density_rejection_on_a_long_graph():
 
 def test_short_and_missing_lists_rejected():
     g = build_graph([(i, (i + 1) % 7) for i in range(7)])
-    with pytest.raises(HypothesisError, match="ids \\[3\\]"):
+    with pytest.raises(HypothesisError, match="edges \\[\\(2, 3\\)\\]"):
         lists = uniform_lists(g, 7)
         lists[3] = frozenset({1, 2})
         solve_mad3(g, lists)

@@ -8,7 +8,9 @@ and bounds, in peel order) and return an equal report (coloring, trace,
 certification, fallback notes, failed edge), or raise the same error.
 The reference shares the detectors and ``extend`` with the engine, so a
 change to either moves both; a sha256 of the answers on seeded inputs
-catches that.
+catches that.  The engine runs ``extend`` on the input graph and the
+reference on each rebuilt level, so equal traces also mean equal counts
+of colored conflicts on the two.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ def run_engine(g, solve):
     real = colorer._peel
 
     def peel(state, matchers, delta_cap):
-        stack = real(state, matchers, delta_cap)
-        plans.append([plan_in_labels(g, plan) for plan, _ in stack])
-        return stack
+        peeled = real(state, matchers, delta_cap)
+        plans.append([plan_in_labels(g, plan) for plan in peeled])
+        return peeled
     colorer._peel = peel
     try:
         return _outcome(solve), plans
@@ -71,14 +73,13 @@ def check_same(g, lists, pipeline, cap=None, threshold=24, solve=None):
     if solve is None:
         # a list budget of 0 lets lists below either pipeline's budget through
         solve = lambda: colorer._solve_components(  # noqa: E731
-            g, lists, pipeline, matchers, cap, 0, "0",
+            g, lists, matchers, cap, 0, "0",
             fall_back=threshold is not None)
     new, new_plans = run_engine(g, solve)
     ref_plans = []
 
     def ref():
-        report, plans = reference_solve(g, lists, pipeline, detect,
-                                        threshold)
+        report, plans = reference_solve(g, lists, detect, threshold)
         ref_plans.extend(plans)
         return report
     assert new == _outcome(ref)
@@ -271,16 +272,16 @@ def test_engine_matches_reference_on_detector_misses():
             lists = {e: rng.sample(POOL[:pool], size) for e in range(g.m)}
             check_same(g, lists, "girth7", 4)
     report = colorer._solve_components(
-        petersen, uniform_lists(petersen, 12), "girth7", GIRTH7_MATCHERS, 4,
-        12, "3*delta_cap", fall_back=True)
+        petersen, uniform_lists(petersen, 12), GIRTH7_MATCHERS, 4, 12,
+        "3*delta_cap", fall_back=True)
     assert "no reducible configuration at 10 vertices" in report.fallback
     # the sparse pipeline treats a miss as a broken guarantee
     k4_tail = _relabel([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
                         (3, 4), (4, 5)], rng)
     assert check_same(k4_tail, uniform_lists(k4_tail, 13), "mad3") == set()
     out, _ = run_engine(k4_tail, lambda: colorer._solve_components(
-        k4_tail, uniform_lists(k4_tail, 13), "mad3", MAD_MATCHERS, None,
-        13, "3*max_degree+1", fall_back=False))
+        k4_tail, uniform_lists(k4_tail, 13), MAD_MATCHERS, None, 13,
+        "3*max_degree+1", fall_back=False))
     assert out[0] == "TheoremViolationError" and "4 vertices" in out[1]
 
 
@@ -293,8 +294,8 @@ def test_exact_fallback_stops_at_24_edges():
         g = build_graph(PETERSEN + tail)
         assert g.m == 15 + length
         report = colorer._solve_components(
-            g, uniform_lists(g, 12), "girth7", GIRTH7_MATCHERS, 4, 12,
-            "3*delta_cap", fall_back=True)
+            g, uniform_lists(g, 12), GIRTH7_MATCHERS, 4, 12, "3*delta_cap",
+            fall_back=True)
         assert how in report.fallback and not report.certified
         check_same(g, uniform_lists(g, 12), "girth7", 4, threshold=24)
 

@@ -215,19 +215,13 @@ def _peel_view(g, alive):
 
 @settings(max_examples=100, deadline=None)
 @given(edge_lists(12), st.randoms(use_true_random=False))
-def test_peel_state_deletes_and_restores(case, rnd):
+def test_peel_state_deletes(case, rnd):
     n, edges = case
     g = build_graph(edges, vertices=range(n))
     comp = max(g.components(), key=len)
     state = PeelState(g, comp)
     order = rnd.sample(comp, len(comp))
-    undo = []
     for k, v in enumerate(order):
-        undo.append(state.delete(v))
+        state.delete(v)
         assert (state.adj, state.max_degree()) == \
             _peel_view(g, set(order[k + 1:]))
-    for k in reversed(range(len(order))):
-        state.restore(order[k], undo[k])
-        assert (state.adj, state.max_degree()) == \
-            _peel_view(g, set(order[k:]))
-    assert state.adj == {v: list(g.adj[v]) for v in comp}
