@@ -267,6 +267,11 @@ def _peel(state: PeelState, matchers: tuple[Matcher, ...],
     ``matchers``.  After a deletion only the vertices within a built
     matcher's radius of the deleted vertex go back on its heap, and the ball
     around the deleted vertex reaches only the largest built radius.
+    A vertex goes on a heap, at the build or after a deletion, only while
+    its degree lies in the matcher's window.  That keeps every firing
+    vertex queued: degrees only fall, and a vertex's degree falls only
+    when a neighbor is deleted, which puts it in ring 1 of the deletion,
+    re-queued on every built heap with its new degree.
     Raises :class:`_NoPlan` when no matcher fires.
     """
     adj = state.adj
@@ -280,8 +285,9 @@ def _peel(state: PeelState, matchers: tuple[Matcher, ...],
         for k, matcher in enumerate(matchers):
             if k == len(heaps):
                 # deletions only pop keys, so ``adj`` stays ascending: a heap
-                heaps.append(list(adj))
-                queued.append(set(adj))
+                lo, hi = matcher.window
+                heaps.append([v for v, a in adj.items() if lo <= len(a) <= hi])
+                queued.append(set(heaps[k]))
                 reach = max(reach, matcher.radius)
             heap, inq = heaps[k], queued[k]
             while heap:
@@ -302,9 +308,10 @@ def _peel(state: PeelState, matchers: tuple[Matcher, ...],
         state.delete(x)
         # zip stops at the first unbuilt heap
         for matcher, heap, inq in zip(matchers, heaps, queued):
+            lo, hi = matcher.window
             for ring in rings[1:matcher.radius + 1]:
                 for w in ring:
-                    if w not in inq:
+                    if w not in inq and lo <= len(adj[w]) <= hi:
                         inq.add(w)
                         heapq.heappush(heap, w)
     return plans

@@ -230,6 +230,9 @@ def girth(g: Graph, limit: int | float = INFINITY) -> int | float:
     the cost is O(n + core * maxdeg**((limit-1)//2)), O(n + core *
     maxdeg**3) at ``limit=7`` and O(n) on a forest: the result is the
     exact girth when that is below ``limit``, and ``INFINITY`` otherwise.
+    The searches share three flat arrays, allocated once: ``dist`` and
+    ``parent`` are valid at ``y`` only while ``seen[y]`` equals the
+    current start vertex, so no array is cleared between searches.
     """
     deg = [len(a) for a in g.adj]
     strip = [v for v in range(g.n) if deg[v] < 2]
@@ -241,23 +244,22 @@ def girth(g: Graph, limit: int | float = INFINITY) -> int | float:
     # now deg[v] >= 2 exactly on the core, where it counts core neighbors
     core_adj = [[y for y in a if deg[y] >= 2] for a in g.adj]
     best: int | float = limit
+    dist, parent, seen = [0] * g.n, [-1] * g.n, [-1] * g.n
     for s in range(g.n):
         if deg[s] < 2:
             continue
-        dist = {s: 0}
-        parent = {s: -1}
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            if 2 * dist[x] >= best - 1:
+        seen[s], dist[s], parent[s] = s, 0, -1
+        queue = [s]
+        for x in queue:  # grows while read: breadth-first order
+            dx = dist[x]
+            if 2 * dx >= best - 1:
                 continue
             for y in core_adj[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    parent[y] = x
+                if seen[y] != s:
+                    seen[y], dist[y], parent[y] = s, dx + 1, x
                     queue.append(y)
                 elif parent[x] != y:
-                    cycle = dist[x] + dist[y] + 1
+                    cycle = dx + dist[y] + 1
                     if cycle < best:
                         best = cycle
     return best if best < limit else INFINITY

@@ -21,11 +21,22 @@ Each matcher also has a radius: deleting a vertex can change its answer
 at ``v`` only if ``v`` lies within that distance of the deleted vertex.
 A matcher that reads degrees up to distance ``r`` from ``v`` has radius
 ``r + 1``, because a deletion changes exactly the degrees of the deleted
-vertex's neighbors.  Each matcher's docstring names that farthest read:
-1 for M2, M4, G2 and G3 (radius 2), 2 for M3 and G1, G4-G7 (radius 3),
-3 for M5 and G8 (radius 4), and M1 reads only ``v`` (radius 1).  The
-reduction engine uses the radii to re-check only the vertices near each
-deletion.
+vertex's neighbors.  Each matcher's docstring names that farthest read.
+And each matcher has a degree window: its first test is on the degree
+of ``v`` itself, so it can fire only while that degree lies in the
+window.  The reduction engine uses the radii to re-check only the
+vertices near each deletion, and the windows to skip those whose own
+degree rules the tag out:
+
+    tag  radius  window       tag  radius  window
+    M1   1       at most 1    G1   3       at most 1
+    M2   2       2            G2   2       2
+    M3   3       2            G3   2       at least 1
+    M4   2       4            G4   3       2
+    M5   4       4            G5   3       2
+                              G6   3       2
+                              G7   3       at least 5
+                              G8   4       at least 5
 """
 
 from __future__ import annotations
@@ -36,7 +47,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from .conflicts import edges_within_distance_two
-from .graph import Graph, count_twos
+from .graph import INFINITY, Graph, count_twos
 
 
 class ClaimTag(str, Enum):
@@ -323,30 +334,35 @@ def _g8(g: Graph, v: int, d: int) -> ReductionPlan | None:
 # ---------------------------------------------------------------------
 
 class Matcher(NamedTuple):
-    """One tag's matcher and its radius (see the module docstring)."""
+    """One tag's matcher, its radius and its degree window ``(lo, hi)``:
+    the matcher fires at ``v`` only if ``lo <= degree(v) <= hi`` (see the
+    module docstring)."""
 
     tag: ClaimTag
     match: Callable[[Graph, int, int], ReductionPlan | None]
     radius: int
+    window: tuple[int, int | float]
 
 
 MAD_MATCHERS = (
-    Matcher(ClaimTag.M1_PENDANT, _m1, 1),
-    Matcher(ClaimTag.M2_TWO_WEAK, partial(_two_weak, ClaimTag.M2_TWO_WEAK), 2),
-    Matcher(ClaimTag.M3_TWO_TWOS, _m3, 3),
-    Matcher(ClaimTag.M4_ALL_TWOS, _m4, 2),
-    Matcher(ClaimTag.M5_THREE_TWOS, _m5, 4),
+    Matcher(ClaimTag.M1_PENDANT, _m1, 1, (0, 1)),
+    Matcher(ClaimTag.M2_TWO_WEAK, partial(_two_weak, ClaimTag.M2_TWO_WEAK),
+            2, (2, 2)),
+    Matcher(ClaimTag.M3_TWO_TWOS, _m3, 3, (2, 2)),
+    Matcher(ClaimTag.M4_ALL_TWOS, _m4, 2, (4, 4)),
+    Matcher(ClaimTag.M5_THREE_TWOS, _m5, 4, (4, 4)),
 )
 
 GIRTH7_MATCHERS = (
-    Matcher(ClaimTag.G1_PENDANT, _g1, 3),
-    Matcher(ClaimTag.G2_TWO_WEAK, partial(_two_weak, ClaimTag.G2_TWO_WEAK), 2),
-    Matcher(ClaimTag.G3_ALL_WEAK, _g3, 2),
-    Matcher(ClaimTag.G4_FOUR_AND_TWO, _g4, 3),
-    Matcher(ClaimTag.G5_FOUR_AND_THREE, _g5, 3),
-    Matcher(ClaimTag.G6_THREE_WITH_TWO_TWOS, _g6, 3),
-    Matcher(ClaimTag.G7_ONE_STRONG_NEIGHBOR, _g7, 3),
-    Matcher(ClaimTag.G8_TWO_STRONG_NEIGHBORS, _g8, 4),
+    Matcher(ClaimTag.G1_PENDANT, _g1, 3, (0, 1)),
+    Matcher(ClaimTag.G2_TWO_WEAK, partial(_two_weak, ClaimTag.G2_TWO_WEAK),
+            2, (2, 2)),
+    Matcher(ClaimTag.G3_ALL_WEAK, _g3, 2, (1, INFINITY)),
+    Matcher(ClaimTag.G4_FOUR_AND_TWO, _g4, 3, (2, 2)),
+    Matcher(ClaimTag.G5_FOUR_AND_THREE, _g5, 3, (2, 2)),
+    Matcher(ClaimTag.G6_THREE_WITH_TWO_TWOS, _g6, 3, (2, 2)),
+    Matcher(ClaimTag.G7_ONE_STRONG_NEIGHBOR, _g7, 3, (5, INFINITY)),
+    Matcher(ClaimTag.G8_TWO_STRONG_NEIGHBORS, _g8, 4, (5, INFINITY)),
 )
 
 

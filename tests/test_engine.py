@@ -31,7 +31,7 @@ from strongedge import (ClaimTag, GenSpec, HypothesisError,
                         verify_strong)
 from strongedge import colorer
 from strongedge.graph import PeelState
-from strongedge.reducer import GIRTH7_MATCHERS, MAD_MATCHERS, Matcher
+from strongedge.reducer import GIRTH7_MATCHERS, MAD_MATCHERS
 from tests.helpers import (plan_in_labels, random_sparse_graph,
                            reference_solve)
 
@@ -314,7 +314,7 @@ def _peel_work(monkeypatch, solve):
         def match(g, v, d):
             tags[matcher.tag.value] += 1
             return matcher.match(g, v, d)
-        return Matcher(matcher.tag, match, matcher.radius)
+        return matcher._replace(match=match)
 
     with monkeypatch.context() as patch:
         patch.setattr(PeelState, "ball", ball)
@@ -350,6 +350,19 @@ def test_peel_reaches_only_the_tags_in_use(monkeypatch, case):
     assert (set(work[0]), set(work[1])) == (radii, tags)
     assert sum(work[0].values()) == g.n  # one ball per deletion
     assert _peel_work(monkeypatch, solve) == work
+
+
+def test_g1_is_asked_only_where_its_window_lets_it_fire(monkeypatch):
+    # G1 fires only at a vertex of degree <= 1, so a deletion re-queues
+    # only the vertices near it that are pendant by then.  On a tree G1
+    # fires once per deletion, so every other call is a stale pop: a
+    # pendant whose edge still has 3*cap conflicts nearby.  Re-queuing
+    # the whole radius-3 ball would make about 5 calls per deletion
+    g = generate(PEEL_CASES["tree-girth7"][0]).graph
+    _, tags = _peel_work(monkeypatch, lambda: solve_girth7(
+        g, uniform_lists(g, 12), delta_cap=4))
+    stale = tags["G1"] - g.n
+    assert 0 <= stale <= g.n // 20
 
 
 def test_large_inputs_peel_in_linear_time():

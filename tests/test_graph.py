@@ -198,6 +198,45 @@ def test_girth_on_the_core_matches_reference(case):
                                          else float("inf"))
 
 
+GIRTH_LIMITS = (3, 4, 5, 6, 7, 8, float("inf"))
+
+
+def _solve_inputs():
+    """The shapes ``solve_girth7`` checks: planar girth-7 graphs under caps
+    4-6, a tree and a long cycle, each also with one chord that closes a
+    cycle of length 3 to 6 through vertex 0."""
+    graphs = [generate(GenSpec("planar-girth7", n, delta=cap, seed=seed)).graph
+              for seed in (1, 2) for n in (100, 200, 400) for cap in (4, 5, 6)]
+    graphs += [generate(GenSpec("tree", 400, seed=1)).graph,
+               build_graph([(i, (i + 1) % 400) for i in range(400)])]
+    for i, g in enumerate(list(graphs)):
+        state = PeelState(g, range(g.n))
+        rings = state.ball(0, 5)
+        far = next(ring[0] for ring in rings[2 + i % 4:] if ring)
+        edges = [(g.labels[u], g.labels[v]) for u, v in g.edges]
+        graphs.append(build_graph(edges + [(g.labels[0], g.labels[far])],
+                                  vertices=g.labels))
+    return graphs
+
+
+def test_girth_matches_reference_on_the_solve_inputs():
+    for g in _solve_inputs():
+        exact = bfs_girth(list(g.edges), g.n)
+        for limit in GIRTH_LIMITS:
+            assert girth(g, limit=limit) == (exact if exact < limit
+                                             else float("inf"))
+
+
+def test_girth_reads_no_stale_visit():
+    # the 4-cycle on 40..43 (dense ids 8..11) hangs off the 8-cycle at 0;
+    # the search from 0 reaches all of it and sees only a 6-cycle estimate,
+    # so a later search from 8 must not take those visits for its own
+    g = build_graph([(i, (i + 1) % 8) for i in range(8)] + [(0, 40)]
+                    + [(40 + i, 40 + (i + 1) % 4) for i in range(4)])
+    for limit in GIRTH_LIMITS:
+        assert girth(g, limit=limit) == (4 if limit > 4 else float("inf"))
+
+
 def test_unbounded_girth_of_a_large_tree_is_linear():
     # the whole tree strips away before any search; a search from every
     # vertex took minutes on it.  CPU time, so a busy host does not count

@@ -18,8 +18,8 @@ from strongedge import (ClaimTag, GenSpec, build_graph,
                         edges_within_distance_two, find_reducible_girth7,
                         find_reducible_mad, generate, uniform_lists)
 from strongedge.colorer import extend
-from strongedge.graph import PeelState
-from strongedge.reducer import (GIRTH7_MATCHERS, MAD_MATCHERS, Matcher,
+from strongedge.graph import INFINITY, PeelState
+from strongedge.reducer import (GIRTH7_MATCHERS, MAD_MATCHERS,
                                 _first_match, _g1)
 from tests.helpers import delete_vertex, random_sparse_graph, set_count_g1
 
@@ -160,7 +160,7 @@ def test_g1_degree_sum_matches_the_conflict_set():
     # hung on the vertices below the cap: where a triangle makes the
     # degree sum overcount, the conflict set must decide alike
     rng = random.Random(3)
-    twin = (Matcher(ClaimTag.G1_PENDANT, set_count_g1, 3),
+    twin = (GIRTH7_MATCHERS[0]._replace(match=set_count_g1),
             *GIRTH7_MATCHERS[1:])
     overcounted = 0
     for trial in range(150):
@@ -391,3 +391,37 @@ def test_matcher_radii_bound_what_a_deletion_changes():
             range(g.n)))
     radius = {m.tag: m.radius for m in MAD_MATCHERS + GIRTH7_MATCHERS}
     assert reached == radius
+
+
+def test_matcher_windows_are_sound_and_tight():
+    # on every prefix of a random deletion order, a tag fires only where
+    # the center's own degree lies in its window, and each finite end of
+    # each window is reached by some firing, so none is wider than needed
+    degrees = {}
+    order_rng = random.Random(2)
+
+    def walk(g, matchers, d, first=()):
+        rest = [v for v in range(g.n) if v not in first]
+        order_rng.shuffle(rest)
+        state = PeelState(g, range(g.n))
+        for x in [*first, *rest]:
+            for v in state.adj:
+                for m in matchers:
+                    if m.match(state, v, d) is not None:
+                        degrees.setdefault(m.tag, set()).add(state.degree(v))
+            state.delete(x)
+    # the far deletion first: it is what lets M5, G7 and G8 fire there
+    for edges, matchers, d, x in FAR_CHANGES:
+        g = build_graph(edges)
+        walk(g, matchers, d, [g.vertex_of_label(x)])
+    rng = random.Random(1)
+    for i in range(40):
+        cap = (4, 5, 6)[i % 3]
+        edges, vertices = random_sparse_graph(rng, rng.randint(5, 14), cap)
+        g = build_graph(edges, vertices=vertices)
+        walk(g, MAD_MATCHERS if cap == 4 else GIRTH7_MATCHERS, cap)
+    for m in MAD_MATCHERS + GIRTH7_MATCHERS:
+        lo, hi = m.window
+        assert all(lo <= k <= hi for k in degrees[m.tag]), m.tag
+        ends = {lo} if hi == INFINITY else {lo, hi}
+        assert ends <= degrees[m.tag], m.tag
