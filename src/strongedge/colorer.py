@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .conflicts import edges_within_distance_two
 from .density import mad, mad_below_3
@@ -85,13 +85,13 @@ class Violation:
     color: int | None = None
 
 
-@dataclass(frozen=True)
-class ExtensionRecord:
+class ExtensionRecord(NamedTuple):
     """Instrumentation for one extension step (labels, not dense ids).
 
     ``actual`` counts the colored edges within distance two of ``edge``
     when it was re-colored, and the list was longer; ``bound`` equals
     ``actual``, as :func:`extend` checks the formula without recording it.
+    A named tuple: a trace holds one per re-colored edge.
     """
 
     claim_tag: ClaimTag
@@ -109,9 +109,9 @@ class SolveReport:
     reduction machinery with every per-step conflict bound verified;
     ``fallback`` carries a note whenever a component had to fall back to
     the exact oracle or to greedy.  ``trace`` records every extension
-    step that ran: the edge as a label pair, the bound (equal to the
-    actual count, see :class:`ExtensionRecord`), the actual count of
-    colored conflicts and the color taken.
+    step that ran, one :class:`ExtensionRecord` named tuple each: the
+    tag, the edge as a label pair, the bound (equal to the actual count),
+    the actual count of colored conflicts and the color taken.
     ``colors_used`` counts the distinct colors in ``coloring``.
     """
 
@@ -145,7 +145,9 @@ def verify_strong(g: Graph, coloring: PartialColoring,
     edges within distance two that share a color and, when ``lists`` is
     given, each colored edge whose color is outside its list, in
     ``coloring``'s order.  An edge with no entry in ``lists`` may take
-    any color.
+    any color.  Each edge's two stars are first checked by their colors
+    alone; only where a color repeats are the (edge, color) pairs built
+    that name the clashing edges.
     """
     out: list[Violation] = []
     for e in sorted(coloring):
@@ -156,15 +158,22 @@ def verify_strong(g: Graph, coloring: PartialColoring,
             out.append(Violation("uncolored", (e,)))
     # two edges lie within distance two exactly when both touch the ends
     # of one edge xy, so each edge's two stars are checked for a repeat
-    colored_at = [[(f, c) for f in at.values()
-                   if (c := coloring.get(f)) is not None]
-                  for at in g.edge_at]
+    edge_at = g.edge_at
+    colors_at = [[c for f in at.values() if (c := coloring.get(f)) is not None]
+                 for at in edge_at]
     clashes: set[tuple[int, int]] = set()
     for e, (x, y) in enumerate(g.edges):
-        near = colored_at[x] + [fc for fc in colored_at[y] if fc[0] != e]
-        if len({c for _, c in near}) < len(near):
-            clashes.update((f, h) for (f, c), (h, k)
-                           in combinations(sorted(near), 2) if c == k)
+        cx, cy = colors_at[x], colors_at[y]
+        # a colored e is in both stars, so its color counts once
+        if (len({*cx, *cy})
+                == len(cx) + len(cy) - (coloring.get(e) is not None)):
+            continue
+        near = [(f, c) for f in edge_at[x].values()
+                if (c := coloring.get(f)) is not None]
+        near += [(f, c) for f in edge_at[y].values()
+                 if f != e and (c := coloring.get(f)) is not None]
+        clashes.update((f, h) for (f, c), (h, k)
+                       in combinations(sorted(near), 2) if c == k)
     out += [Violation("conflict", (e, f), coloring[e])
             for e, f in sorted(clashes)]
     if lists is not None:
@@ -198,37 +207,48 @@ def extend(g: Graph, partial: PartialColoring, plan: ReductionPlan,
            trace: list[ExtensionRecord]) -> PartialColoring:
     """Run a plan's extension steps on top of ``partial``, in place.
 
-    ``partial`` must already be erased according to the plan (its erased
-    edges uncolored); it is extended and returned, each step appended to
-    ``trace``.  Each step counts the colored conflicts of its edge
-    (``actual``) and checks the paper's claim ``actual <= step.bound``;
+    ``g`` is a :class:`~strongedge.graph.Graph`, not a peel state: the
+    step reads whole stars.  ``partial`` must already be erased according
+    to the plan (its erased edges uncolored); it is extended and returned,
+    each step appended to ``trace``.  Each step counts the colored
+    conflicts of its edge ``uv`` (``actual``): the colored edges, other
+    than ``uv``, of the stars of the vertices of ``N(u) | N(v)``, gathered
+    in one set.  It checks the paper's claim ``actual <= step.bound``;
     the list must be longer than ``actual``, which leaves a spare color,
     and the smallest spare color is taken.  Violated promises raise
     :class:`ExtensionError` — loudly, because they mean the machinery's
     guarantee failed.
     """
-    for step in plan.extension_order:
-        e = step.edge
-        colored = [partial[f] for f in edges_within_distance_two(g, e)
-                   if f in partial]
+    adj, edge_at, edges = g.adj, g.edge_at, g.edges
+    tag = plan.claim_tag
+    for e, bound in plan.extension_order:
+        u, v = edges[e]
+        near: set[int] = set()
+        for w in adj[u]:
+            near.update(edge_at[w].values())
+        for w in adj[v]:
+            near.update(edge_at[w].values())
+        near.discard(e)
+        colored = [partial[f] for f in near if f in partial]
         actual = len(colored)
-        if actual > step.bound:
+        if actual > bound:
             raise ExtensionError(
-                f"extension of edge {g.label_pair(e)} under {plan.claim_tag.value}: "
+                f"extension of edge {g.label_pair(e)} under {tag.value}: "
                 f"{actual} colored conflicts exceed the promised bound "
-                f"{step.bound}", claim_tag=plan.claim_tag, edge=e,
-                bound=step.bound, actual=actual)
-        if len(lists[e]) <= actual:
+                f"{bound}", claim_tag=tag, edge=e, bound=bound,
+                actual=actual)
+        allowed = lists[e]
+        if len(allowed) <= actual:
             raise ExtensionError(
-                f"edge {g.label_pair(e)} under {plan.claim_tag.value}: list of "
-                f"size {len(lists[e])} cannot guarantee a spare color "
-                f"against bound {actual}", claim_tag=plan.claim_tag,
-                edge=e, bound=actual, actual=actual)
+                f"edge {g.label_pair(e)} under {tag.value}: list of "
+                f"size {len(allowed)} cannot guarantee a spare color "
+                f"against bound {actual}", claim_tag=tag, edge=e,
+                bound=actual, actual=actual)
         # more list colors than colored conflicts: a spare one exists
-        color = min(lists[e].difference(colored))
+        color = min(allowed.difference(colored))
         partial[e] = color
-        trace.append(ExtensionRecord(plan.claim_tag, g.label_pair(e),
-                                     actual, actual, color))
+        trace.append(ExtensionRecord(tag, g.label_pair(e), actual, actual,
+                                     color))
     return partial
 
 
@@ -243,12 +263,20 @@ class _NoPlan(Exception):
         self.n = n
 
 
+def _name_edges(g: Graph, ids: list[int]) -> str:
+    """The first 10 edges of ``ids`` as a list of label pairs, then how
+    many more there are, so a message stays short on any graph."""
+    text = str([g.label_pair(e) for e in ids[:10]])
+    if len(ids) > 10:
+        text += f" and {len(ids) - 10} more"
+    return text
+
+
 def _normalize_lists(g: Graph, lists: dict[int, Iterable[int]]) -> ColorLists:
-    missing = sorted(e for e in range(g.m) if e not in lists)
+    missing = [e for e in range(g.m) if e not in lists]
     if missing:
         raise HypothesisError(
-            f"edges without a color list: "
-            f"{[g.label_pair(e) for e in missing]}")
+            f"edges without a color list: {_name_edges(g, missing)}")
     return {e: frozenset(lists[e]) for e in range(g.m)}
 
 
@@ -335,11 +363,11 @@ def _solve_components(g: Graph, lists: dict[int, Iterable[int]],
         raise HypothesisError("every edge needs a nonempty color list")
     if g.m == 1:
         return SolveReport({0: min(lists[0])}, certified=True)
-    short = sorted(e for e in range(g.m) if len(lists[e]) < budget)
+    short = [e for e in range(g.m) if len(lists[e]) < budget]
     if short:
         raise HypothesisError(
             f"lists must have at least {formula} = {budget} colors; "
-            f"too short on edges {[g.label_pair(e) for e in short]}")
+            f"too short on edges {_name_edges(g, short)}")
     trace: list[ExtensionRecord] = []
     coloring: PartialColoring = {}
     notes: list[str] = []

@@ -159,20 +159,19 @@ class PeelState:
     lists the alive neighbors of ``v`` in ascending id order, as
     ``Graph.adj`` does; a deleted vertex has no entry.  The state answers
     the read-only queries that detectors and plans make of a graph
-    (``adj``, ``degree``, ``max_degree``, ``edges``, ``edge_at``,
-    ``edge_id``); ``edges`` and ``edge_at`` are the graph's, so read them
-    only for edges found through ``adj``.
+    (``adj``, ``degree``, ``max_degree``, ``edges``, ``edge_at``);
+    ``edges`` and ``edge_at`` are the graph's, so read them only for
+    edges found through ``adj``.
     ``max_degree`` is the maximum over the alive vertices, kept from
     per-degree counts in O(1) amortized time.
     """
 
-    __slots__ = ("adj", "edges", "edge_at", "edge_id", "_count", "_max")
+    __slots__ = ("adj", "edges", "edge_at", "_count", "_max")
 
     def __init__(self, g: Graph, component: Iterable[int]):
         self.adj = {v: list(g.adj[v]) for v in component}
         self.edges = g.edges
         self.edge_at = g.edge_at
-        self.edge_id = g.edge_id
         self._max = max((len(a) for a in self.adj.values()), default=0)
         self._count = [0] * (self._max + 1)
         for a in self.adj.values():

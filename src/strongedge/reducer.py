@@ -41,7 +41,6 @@ degree rules the tag out:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import Callable, NamedTuple
@@ -68,23 +67,21 @@ class ClaimTag(str, Enum):
     G8_TWO_STRONG_NEIGHBORS = "G8"
 
 
-@dataclass(frozen=True)
-class ExtensionStep:
+class ExtensionStep(NamedTuple):
     """One edge to re-color, with its guaranteed conflict bound.
 
     ``bound`` is the configuration's formula (for example ``2*d + 3``),
     not clipped to the graph at hand: the claim is that when this step
     runs, at most ``bound`` colored edges lie within distance two of
     ``edge``.  :func:`~strongedge.colorer.extend` counts them and checks
-    the claim.
+    the claim.  A named tuple, so a step unpacks as ``edge, bound``.
     """
 
     edge: int
     bound: int
 
 
-@dataclass(frozen=True)
-class ReductionPlan:
+class ReductionPlan(NamedTuple):
     """Recipe produced by a detector, in the detected graph's edge ids.
 
     Apply by deleting ``delete_vertex``, coloring the rest (recursively),
@@ -110,10 +107,11 @@ def _plan(g: Graph, tag: ClaimTag, delete_vertex: int,
     meets is left to :func:`~strongedge.colorer.extend`, which does it
     anyway when the step runs.
     """
+    edge_at = g.edge_at
     return ReductionPlan(
-        tag, delete_vertex, tuple(g.edge_id(u, v) for (u, v) in erase_pairs),
-        tuple(ExtensionStep(g.edge_id(u, v), formula)
-              for ((u, v), formula) in extension))
+        tag, delete_vertex, tuple([edge_at[u][v] for u, v in erase_pairs]),
+        tuple([ExtensionStep(edge_at[u][v], formula)
+               for (u, v), formula in extension]))
 
 
 def _other_neighbor(g: Graph, v: int, not_this: int) -> int:
@@ -202,15 +200,16 @@ def _g1(g: Graph, v: int, d: int) -> ReductionPlan | None:
     when it is below 3*cap; only when it is not is the exact set counted.
     The plan's bound is the formula 3*cap itself.
     """
-    if g.degree(v) == 0:
-        return _plan(g, ClaimTag.G1_PENDANT, v, [], [])
-    if g.degree(v) == 1:
-        adj = g.adj
+    adj = g.adj
+    if not adj[v]:
+        return ReductionPlan(ClaimTag.G1_PENDANT, v, (), ())
+    if len(adj[v]) == 1:
         u = adj[v][0]
+        e = g.edge_at[u][v]
         if (sum(len(adj[w]) for w in adj[u]) - 1 < 3 * d
-                or len(edges_within_distance_two(
-                    g, g.edge_id(u, v))) < 3 * d):
-            return _plan(g, ClaimTag.G1_PENDANT, v, [], [((u, v), 3 * d)])
+                or len(edges_within_distance_two(g, e)) < 3 * d):
+            return ReductionPlan(ClaimTag.G1_PENDANT, v, (),
+                                 (ExtensionStep(e, 3 * d),))
     return None
 
 

@@ -8,9 +8,10 @@ backtracking color search, the textbook definition of a strong edge
 coloring instead of precomputed conflict sets, a graph rebuilt at every
 peel level instead of one mutable peel state, faces re-traced after
 every insertion instead of kept incrementally, color sets rebuilt at
-every search node instead of bitmasks over color ranks, and conflict
-sets instead of degree sums.  Slow but obviously correct, and only run
-on small inputs.
+every search node instead of bitmasks over color ranks, and whole
+conflict sets instead of degree sums (G1) or stars counted in place
+(each extension step).  Slow but obviously correct, and only run on
+small inputs.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from strongedge import (ClaimTag, DensityWitness, GraphError,
-                        ReductionPlan, SearchBudget, SolveReport,
-                        TheoremViolationError, build_graph, density_exceeds,
-                        greedy_color, list_strong_colorable, trace_faces,
-                        verify_strong)
-from strongedge.colorer import extend
+from strongedge import (ClaimTag, DensityWitness, ExtensionError,
+                        ExtensionRecord, GraphError, ReductionPlan,
+                        SearchBudget, SolveReport, TheoremViolationError,
+                        build_graph, density_exceeds,
+                        edges_within_distance_two, greedy_color,
+                        list_strong_colorable, trace_faces, verify_strong)
 from strongedge.reducer import ExtensionStep
 
 Edge = tuple[int, int]
@@ -316,6 +317,35 @@ def plan_in_labels(g, plan):
                   for s in plan.extension_order))
 
 
+def reference_extend(g, partial, plan, lists, trace):
+    """``colorer.extend`` as it was before it counted in place, kept as the
+    slow reference: each step takes its edge's whole conflict set from
+    ``edges_within_distance_two`` (a frozenset) and counts the colored
+    members.  The same checks, messages, records and colors."""
+    for step in plan.extension_order:
+        e = step.edge
+        colored = [partial[f] for f in edges_within_distance_two(g, e)
+                   if f in partial]
+        actual = len(colored)
+        if actual > step.bound:
+            raise ExtensionError(
+                f"extension of edge {g.label_pair(e)} under "
+                f"{plan.claim_tag.value}: {actual} colored conflicts exceed "
+                f"the promised bound {step.bound}", claim_tag=plan.claim_tag,
+                edge=e, bound=step.bound, actual=actual)
+        if len(lists[e]) <= actual:
+            raise ExtensionError(
+                f"edge {g.label_pair(e)} under {plan.claim_tag.value}: list "
+                f"of size {len(lists[e])} cannot guarantee a spare color "
+                f"against bound {actual}", claim_tag=plan.claim_tag,
+                edge=e, bound=actual, actual=actual)
+        color = min(lists[e].difference(colored))
+        partial[e] = color
+        trace.append(ExtensionRecord(plan.claim_tag, g.label_pair(e),
+                                     actual, actual, color))
+    return partial
+
+
 def _ref_reduce_and_unwind(g, lists, detect, trace, plans):
     stack = []
     cur, cur_lists = g, lists
@@ -335,7 +365,7 @@ def _ref_reduce_and_unwind(g, lists, detect, trace, plans):
             for (a, b), c in by_labels.items()}
         for e in plan.erase_edges:
             partial.pop(e, None)
-        partial = extend(level, partial, plan, level_lists, trace)
+        partial = reference_extend(level, partial, plan, level_lists, trace)
         by_labels = {level.label_pair(e): c for e, c in partial.items()}
     return {g.edge_id(g.vertex_of_label(a), g.vertex_of_label(b)): c
             for (a, b), c in by_labels.items()}

@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strongedge import (ClaimTag, ExtensionError, GenSpec,
-                        HypothesisError, ReductionPlan, build_graph,
+from strongedge import (FAMILIES, ClaimTag, ExtensionError, ExtensionRecord,
+                        GenSpec, HypothesisError, ReductionPlan, build_graph,
                         generate, greedy_color, solve_girth7, solve_mad3,
                         uniform_lists, verify_strong)
 from strongedge import colorer
 from strongedge.colorer import TheoremViolationError, extend
-from strongedge.reducer import ExtensionStep
+from strongedge.reducer import GIRTH7_MATCHERS, MAD_MATCHERS, ExtensionStep
 
-from tests.helpers import naive_strong_ok, naive_verdict, random_graph
+from tests.helpers import (naive_strong_ok, naive_verdict, random_graph,
+                           reference_extend, set_count_g1)
 
 
 def test_verify_catches_planted_conflict():
@@ -102,6 +103,113 @@ def test_extend_requires_list_margin():
     assert info.value.actual == 3 and info.value.bound == 3
 
 
+def _extended(extend_fn, g, partial, plan, lists):
+    """What ``extend_fn`` does to a copy of ``partial``: the coloring and
+    records it leaves, and the error it raised, in plain values."""
+    partial, trace = dict(partial), []
+    try:
+        extend_fn(g, partial, plan, lists, trace)
+    except ExtensionError as exc:
+        return (partial, trace, type(exc), str(exc), exc.claim_tag, exc.edge,
+                exc.bound, exc.actual)
+    return partial, trace
+
+
+def _with_step(plan, k, bound):
+    steps = list(plan.extension_order)
+    steps[k] = steps[k]._replace(bound=bound)
+    return plan._replace(extension_order=tuple(steps))
+
+
+EXTEND_CASES = [(family, n, cap, seed)
+                for family, n, caps in (("cycle", 40, (4,)),
+                                        ("tree", 120, (4, 5)),
+                                        ("c5-blowup", 0, (2, 4)),
+                                        ("sparse-mad3", 80, (4,)),
+                                        ("planar-girth7", 120, (4, 5, 6)))
+                for cap in caps for seed in range(3)]
+
+
+def test_extend_matches_reference_on_every_family(monkeypatch):
+    # every step of every plan of both pipelines, run by ``extend`` and by
+    # its slow twin from the same partial coloring; then each step again
+    # with its bound one below its count, and with its list cut to its
+    # count, so that both ExtensionError paths are compared as well
+    assert {case[0] for case in EXTEND_CASES} == set(FAMILIES)
+    real = colorer.extend
+    errors = {"bound": 0, "list": 0}
+
+    def twin(g, partial, plan, lists, trace):
+        got = _extended(real, g, partial, plan, lists)
+        assert got == _extended(reference_extend, g, partial, plan, lists)
+        for k, (e, _) in enumerate(plan.extension_order):
+            actual = got[1][k].actual
+            cases = [("list", plan, {**lists,
+                                     e: frozenset(sorted(lists[e])[:actual])})]
+            if actual:
+                cases.append(("bound", _with_step(plan, k, actual - 1), lists))
+            for kind, bad_plan, bad_lists in cases:
+                out = _extended(real, g, partial, bad_plan, bad_lists)
+                assert len(out) == 8 and len(out[1]) == k
+                assert out == _extended(reference_extend, g, partial,
+                                        bad_plan, bad_lists)
+                errors[kind] += 1
+        return real(g, partial, plan, lists, trace)
+
+    monkeypatch.setattr(colorer, "extend", twin)
+    rng = random.Random(17)
+    for family, n, cap, seed in EXTEND_CASES:
+        g = generate(GenSpec(family, n, delta=cap, seed=seed)).graph
+        lists = {e: frozenset(rng.sample(range(40), 3 * max(cap, 4) + 1))
+                 for e in range(g.m)}
+        pipelines = [(GIRTH7_MATCHERS, max(cap, 4))]
+        if g.max_degree() <= 4:
+            pipelines.append((MAD_MATCHERS, None))
+        for matchers, delta_cap in pipelines:
+            report = colorer._solve_components(
+                g, lists, matchers, delta_cap, 0, "0", fall_back=True)
+            assert report.complete
+    assert min(errors.values()) > 1000
+
+
+def test_extension_types_are_named_tuples():
+    assert ExtensionStep._fields == ("edge", "bound")
+    assert ReductionPlan._fields == ("claim_tag", "delete_vertex",
+                                     "erase_edges", "extension_order")
+    assert ExtensionRecord._fields == ("claim_tag", "edge", "bound",
+                                       "actual", "color")
+    step = ExtensionStep(3, 7)
+    plan = ReductionPlan(ClaimTag.G1_PENDANT, 2, (), (step,))
+    record = ExtensionRecord(ClaimTag.G1_PENDANT, (1, 2), 5, 5, 0)
+    assert (step.edge, step.bound) == (3, 7)
+    assert plan.extension_order[0] is step and plan.erase_edges == ()
+    assert (record.edge, record.actual, record.color) == ((1, 2), 5, 0)
+    for obj, name in ((step, "bound"), (plan, "claim_tag"),
+                      (record, "color")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0)
+    # positional construction, as the slow G1 twin builds its plans
+    g = build_graph([(0, 1), (1, 2)])
+    assert set_count_g1(g, 0, 4) == ReductionPlan(
+        ClaimTag.G1_PENDANT, 0, (), (ExtensionStep(g.edge_id(0, 1), 12),))
+
+
+def test_solves_never_build_a_conflict_set(monkeypatch):
+    # extend counts stars and verify_strong screens colors, so neither
+    # asks colorer's conflict-set function; greedy_color still does
+    def refuse(g, e):
+        raise AssertionError("conflict set built on the solve path")
+
+    monkeypatch.setattr(colorer, "edges_within_distance_two", refuse)
+    g = generate(GenSpec("planar-girth7", 300, delta=4, seed=4)).graph
+    report = solve_mad3(g, uniform_lists(g, 13))
+    assert report.certified and report.trace
+    report = solve_girth7(g, uniform_lists(g, 12), delta_cap=4)
+    assert report.certified and report.trace
+    with pytest.raises(AssertionError, match="solve path"):
+        greedy_color(g, uniform_lists(g, 12))
+
+
 def test_single_edge_and_empty_graphs():
     lone = build_graph([(0, 1)])
     rep = solve_mad3(lone, {0: {42}})
@@ -157,6 +265,28 @@ def test_short_and_missing_lists_rejected():
         solve_mad3(g, {0: {1}})
     with pytest.raises(HypothesisError, match="nonempty"):
         solve_mad3(build_graph([(0, 1)]), {0: frozenset()})
+
+
+def test_list_rejections_name_at_most_ten_edges():
+    # a 2000-vertex tree: every edge is too short, or has no list; the
+    # message names the first ten label pairs and counts the rest
+    g = generate(GenSpec("tree", 2000, delta=4, seed=1)).graph
+    first = str([g.label_pair(e) for e in range(10)])
+    for lists, start in ((uniform_lists(g, 12), "too short on edges "),
+                         ({}, "edges without a color list: ")):
+        with pytest.raises(HypothesisError) as info:
+            solve_mad3(g, lists)
+        message = str(info.value)
+        assert len(message) < 1000
+        assert message.endswith(f"{start}{first} and {g.m - 10} more")
+    # up to ten edges the whole list is named, as before
+    for m in (10, 11):
+        path = build_graph([(i, i + 1) for i in range(m)])
+        with pytest.raises(HypothesisError) as info:
+            solve_mad3(path, uniform_lists(path, 6))
+        named = str([(i, i + 1) for i in range(10)])
+        assert str(info.value).endswith(
+            f"edges {named}" + (" and 1 more" if m == 11 else ""))
 
 
 def test_mad3_certifies_trees_cycles_and_generated():

@@ -6,11 +6,13 @@ and colors carried over by labels.  On every input here the engine must
 make the same plans (tag, deleted label, erased pairs, extension pairs
 and bounds, in peel order) and return an equal report (coloring, trace,
 certification, fallback notes, failed edge), or raise the same error.
-The reference shares the detectors and ``extend`` with the engine, so a
-change to either moves both; a sha256 of the answers on seeded inputs
-catches that.  The engine runs ``extend`` on the input graph and the
-reference on each rebuilt level, so equal traces also mean equal counts
-of colored conflicts on the two.
+The reference shares the detectors with the engine, so a change to them
+moves both; a sha256 of the answers on seeded inputs catches that.  It
+unwinds with ``helpers.reference_extend``, which counts each step's
+colored conflicts from the whole conflict set, where the engine's
+``extend`` counts the stars in place.  The engine runs on the input graph
+and the reference on each rebuilt level, so equal traces mean equal
+counts from the two ways of counting on the two graphs.
 """
 
 from __future__ import annotations
