@@ -11,7 +11,7 @@ Two certified pipelines plus a greedy baseline:
 
 The certified pipelines peel one vertex at a time off a mutable
 :class:`~strongedge.graph.PeelState` per component, following the plans
-of the reducer's matchers, then walk the plans in reverse on the input
+that the reducer's engine yields, then walk them in reverse on the input
 graph and re-color each plan's erased edges.  A plan's bounds are its
 configuration's formulas; each re-colored edge's colored conflicts are
 counted once, when it is re-colored, and checked against the formula,
@@ -23,7 +23,6 @@ to exact search, greedy beyond.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, NamedTuple
@@ -33,7 +32,7 @@ from .density import mad, mad_below_3
 from .graph import Graph, PeelState, girth as graph_girth
 from .oracle import list_strong_colorable
 from .reducer import (GIRTH7_MATCHERS, MAD_MATCHERS, ClaimTag, Matcher,
-                      ReductionPlan)
+                      ReductionPlan, _peel)
 
 # exact search copies every edge's color mask per level: memory ~ m*depth
 EXACT_FALLBACK_EDGES = 24
@@ -253,15 +252,8 @@ def extend(g: Graph, partial: PartialColoring, plan: ReductionPlan,
 
 
 # ---------------------------------------------------------------------
-# the reduction engine shared by both pipelines
+# the list checks and the per-component solve shared by both pipelines
 # ---------------------------------------------------------------------
-
-class _NoPlan(Exception):
-    """Internal: no matcher fired while ``n`` vertices were left."""
-
-    def __init__(self, n: int):
-        self.n = n
-
 
 def _name_edges(g: Graph, ids: list[int]) -> str:
     """The first 10 edges of ``ids`` as a list of label pairs, then how
@@ -278,71 +270,6 @@ def _normalize_lists(g: Graph, lists: dict[int, Iterable[int]]) -> ColorLists:
         raise HypothesisError(
             f"edges without a color list: {_name_edges(g, missing)}")
     return {e: frozenset(lists[e]) for e in range(g.m)}
-
-
-def _peel(state: PeelState, matchers: tuple[Matcher, ...],
-          delta_cap: int | None) -> list[ReductionPlan]:
-    """Delete vertices by plans until ``state`` is empty.
-
-    Returns the plans in peel order.  Plans are made at the state's current
-    maximum degree, or at ``delta_cap`` when given.  Each matcher has a
-    min-heap of vertex ids that holds every vertex it currently fires at
-    (plus stale ones, dropped when they reach the top and no longer fire).
-    The first tag with a firing vertex wins, at its smallest id — the plan a
-    full scan by ``find_reducible_*`` would find.  A tag's heap is built the
-    first time the loop reaches the tag, from every alive vertex; tags are
-    reached in priority order, so the built heaps are a prefix of
-    ``matchers``.  After a deletion only the vertices within a built
-    matcher's radius of the deleted vertex go back on its heap, and the ball
-    around the deleted vertex reaches only the largest built radius.
-    A vertex goes on a heap, at the build or after a deletion, only while
-    its degree lies in the matcher's window.  That keeps every firing
-    vertex queued: degrees only fall, and a vertex's degree falls only
-    when a neighbor is deleted, which puts it in ring 1 of the deletion,
-    re-queued on every built heap with its new degree.
-    Raises :class:`_NoPlan` when no matcher fires.
-    """
-    adj = state.adj
-    heaps: list[list[int]] = []
-    queued: list[set[int]] = []
-    reach = 0
-    plans: list[ReductionPlan] = []
-    while adj:
-        d = delta_cap if delta_cap is not None else state.max_degree()
-        plan = None
-        for k, matcher in enumerate(matchers):
-            if k == len(heaps):
-                # deletions only pop keys, so ``adj`` stays ascending: a heap
-                lo, hi = matcher.window
-                heaps.append([v for v, a in adj.items() if lo <= len(a) <= hi])
-                queued.append(set(heaps[k]))
-                reach = max(reach, matcher.radius)
-            heap, inq = heaps[k], queued[k]
-            while heap:
-                v = heap[0]
-                if v in adj:
-                    plan = matcher.match(state, v, d)
-                    if plan is not None:
-                        break
-                heapq.heappop(heap)
-                inq.discard(v)
-            if plan is not None:
-                break
-        else:
-            raise _NoPlan(len(adj))
-        x = plan.delete_vertex
-        rings = state.ball(x, reach)
-        plans.append(plan)
-        state.delete(x)
-        # zip stops at the first unbuilt heap
-        for matcher, heap, inq in zip(matchers, heaps, queued):
-            lo, hi = matcher.window
-            for ring in rings[1:matcher.radius + 1]:
-                for w in ring:
-                    if w not in inq and lo <= len(adj[w]) <= hi:
-                        inq.add(w)
-                        heapq.heappush(heap, w)
-    return plans
 
 
 def _solve_components(g: Graph, lists: dict[int, Iterable[int]],
@@ -382,22 +309,22 @@ def _solve_components(g: Graph, lists: dict[int, Iterable[int]],
             e = g.edge_id(*comp)
             coloring[e] = min(lists[e])
             continue
-        try:
-            plans = _peel(PeelState(g, comp), matchers, delta_cap)
-        except _NoPlan as miss:
+        state = PeelState(g, comp)
+        plans = list(_peel(state, matchers, delta_cap))
+        if state.adj:  # no matcher fired on what is left
             if not fall_back:
                 raise TheoremViolationError(
                     f"no reducible configuration found on a "
-                    f"hypothesis-satisfying graph with {miss.n} vertices "
-                    f"— the guarantee this pipeline rests on failed"
-                ) from None
+                    f"hypothesis-satisfying graph with {len(state.adj)} "
+                    f"vertices — the guarantee this pipeline rests on failed")
             certified = False
             # the component's dense id i is comp[i]: both follow label order
             sub = g.induced(comp)
             ids = [g.edge_id(comp[a], comp[b]) for a, b in sub.edges]
             sub_lists = {i: lists[e] for i, e in enumerate(ids)}
             where = f"component {[g.labels[v] for v in comp]}:"
-            why = f"{where} no reducible configuration at {miss.n} vertices;"
+            why = (f"{where} no reducible configuration at {len(state.adj)} "
+                   f"vertices;")
             if m <= EXACT_FALLBACK_EDGES:
                 notes.append(f"{why} exact search fallback")
                 found = list_strong_colorable(sub, sub_lists)

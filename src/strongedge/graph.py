@@ -151,11 +151,13 @@ def build_graph(edge_pairs: Iterable[tuple[int, int]],
 
 
 class PeelState:
-    """One connected component of a :class:`Graph`, peeled in place.
+    """A set of a :class:`Graph`'s vertices, peeled in place.
 
-    The reduction engine deletes vertices from it one at a time; it
-    never puts one back.  Vertex and edge ids stay those of the graph it
-    was made from, so plans built on it need no remapping.  ``adj[v]``
+    Any vertex set, in ascending id order: one component for a solve,
+    every vertex for a detector call.  The reduction engine deletes
+    vertices from it one at a time; it never puts one back.  Vertex and
+    edge ids stay those of the graph it was made from, so plans built on
+    it need no remapping.  ``adj[v]``
     lists the alive neighbors of ``v`` in ascending id order, as
     ``Graph.adj`` does; a deleted vertex has no entry.  The state answers
     the read-only queries that detectors and plans make of a graph
@@ -168,8 +170,8 @@ class PeelState:
 
     __slots__ = ("adj", "edges", "edge_at", "_count", "_max")
 
-    def __init__(self, g: Graph, component: Iterable[int]):
-        self.adj = {v: list(g.adj[v]) for v in component}
+    def __init__(self, g: Graph, vertices: Iterable[int]):
+        self.adj = {v: list(g.adj[v]) for v in vertices}
         self.edges = g.edges
         self.edge_at = g.edge_at
         self._max = max((len(a) for a in self.adj.values()), default=0)

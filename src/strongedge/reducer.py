@@ -1,10 +1,10 @@
-"""Reducible-configuration detectors.
+"""Reducible configurations, the peeling engine over them, and detectors.
 
-Each detector looks for a local configuration that is guaranteed to be
-"unwindable": delete one vertex, color the smaller graph recursively,
-possibly erase a couple of edge colors, then re-color the affected edges
-in a fixed order — with a counting argument bounding how many colored
-edges can conflict with each re-colored edge at its turn.
+Each configuration is local and guaranteed to be "unwindable": delete
+one vertex, color the smaller graph recursively, possibly erase a couple
+of edge colors, then re-color the affected edges in a fixed order — with
+a counting argument bounding how many colored edges can conflict with
+each re-colored edge at its turn.
 
 Two families exist, one per solving pipeline: ``M1``..``M5`` for the
 sparse pipeline (max degree <= 4, maximum average degree < 3) and
@@ -14,8 +14,11 @@ configuration sits at vertex ``v`` and returns its plan or None, where
 ``d`` is the degree the bound formulas are evaluated at.  Matchers are
 pure queries: they never mutate the graph, and they are meaningful on any
 graph — whether the governing hypotheses hold is the caller's business.
-A detector tries the tags in order and, within a tag, the vertices by
-ascending id, so earlier tags win and ties go to the smallest vertex id.
+
+The next plan is chosen in one place, the engine :func:`_peel`: the
+first tag in order that fires anywhere wins, at its smallest vertex id.
+Both pipelines peel with it, and ``find_reducible_mad`` /
+``find_reducible_girth7`` take its first plan on every vertex of a graph.
 
 Each matcher also has a radius: deleting a vertex can change its answer
 at ``v`` only if ``v`` lies within that distance of the deleted vertex.
@@ -24,9 +27,9 @@ A matcher that reads degrees up to distance ``r`` from ``v`` has radius
 vertex's neighbors.  Each matcher's docstring names that farthest read.
 And each matcher has a degree window: its first test is on the degree
 of ``v`` itself, so it can fire only while that degree lies in the
-window.  The reduction engine uses the radii to re-check only the
-vertices near each deletion, and the windows to skip those whose own
-degree rules the tag out:
+window.  The engine uses the radii to re-check only the vertices near
+each deletion, and the windows to skip those whose own degree rules the
+tag out:
 
     tag  radius  window       tag  radius  window
     M1   1       at most 1    G1   3       at most 1
@@ -41,12 +44,13 @@ degree rules the tag out:
 
 from __future__ import annotations
 
+import heapq
 from enum import Enum
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .conflicts import edges_within_distance_two
-from .graph import INFINITY, Graph, count_twos
+from .graph import INFINITY, Graph, PeelState, count_twos
 
 
 class ClaimTag(str, Enum):
@@ -329,7 +333,7 @@ def _g8(g: Graph, v: int, d: int) -> ReductionPlan | None:
 
 
 # ---------------------------------------------------------------------
-# the matchers in priority order, and the detectors over them
+# the matchers in priority order, the engine over them, and the detectors
 # ---------------------------------------------------------------------
 
 class Matcher(NamedTuple):
@@ -365,24 +369,80 @@ GIRTH7_MATCHERS = (
 )
 
 
-def _first_match(g: Graph, matchers: tuple[Matcher, ...],
-                 d: int) -> ReductionPlan | None:
-    for matcher in matchers:
-        for v in range(g.n):
-            plan = matcher.match(g, v, d)
+def _peel(state: PeelState, matchers: tuple[Matcher, ...],
+          delta_cap: int | None) -> Iterator[ReductionPlan]:
+    """Yield plans, deleting each plan's vertex, until no matcher fires.
+
+    Each plan is yielded before its vertex is deleted, so the first one is
+    the answer on the state as given.  Plans are made at the state's
+    current maximum degree, or at ``delta_cap`` when given.  The generator
+    returns when ``state`` is empty or when no matcher fires at any vertex
+    left, which it leaves in ``state``: a miss is a nonempty ``state.adj``.
+    Each matcher has a min-heap of vertex ids that holds every vertex it
+    currently fires at (plus stale ones, dropped when they reach the top
+    and no longer fire).  The first tag with a firing vertex wins, at its
+    smallest id.  A tag's heap is built the first time the loop reaches
+    the tag, from every alive vertex; tags are reached in priority order,
+    so the built heaps are a prefix of ``matchers``.  After a deletion
+    only the vertices within a built matcher's radius of the deleted
+    vertex go back on its heap, and the ball around the deleted vertex
+    reaches only the largest built radius.
+    A vertex goes on a heap, at the build or after a deletion, only while
+    its degree lies in the matcher's window.  That keeps every firing
+    vertex queued: degrees only fall, and a vertex's degree falls only
+    when a neighbor is deleted, which puts it in ring 1 of the deletion,
+    re-queued on every built heap with its new degree.
+    """
+    adj = state.adj
+    heaps: list[list[int]] = []
+    queued: list[set[int]] = []
+    reach = 0
+    while adj:
+        d = delta_cap if delta_cap is not None else state.max_degree()
+        plan = None
+        for k, matcher in enumerate(matchers):
+            if k == len(heaps):
+                # deletions only pop keys, so ``adj`` stays ascending: a heap
+                lo, hi = matcher.window
+                heaps.append([v for v, a in adj.items() if lo <= len(a) <= hi])
+                queued.append(set(heaps[k]))
+                reach = max(reach, matcher.radius)
+            heap, inq = heaps[k], queued[k]
+            while heap:
+                v = heap[0]
+                if v in adj:
+                    plan = matcher.match(state, v, d)
+                    if plan is not None:
+                        break
+                heapq.heappop(heap)
+                inq.discard(v)
             if plan is not None:
-                return plan
-    return None
+                break
+        else:
+            return
+        yield plan
+        x = plan.delete_vertex
+        rings = state.ball(x, reach)
+        state.delete(x)
+        # zip stops at the first unbuilt heap
+        for matcher, heap, inq in zip(matchers, heaps, queued):
+            lo, hi = matcher.window
+            for ring in rings[1:matcher.radius + 1]:
+                for w in ring:
+                    if w not in inq and lo <= len(adj[w]) <= hi:
+                        inq.add(w)
+                        heapq.heappush(heap, w)
 
 
 def find_reducible_mad(g: Graph) -> ReductionPlan | None:
     """First reducible configuration for the sparse pipeline, or None.
 
     Tag priority M1 > M2 > M3 > M4 > M5, smallest vertex id first within
-    a tag.  Bound formulas are evaluated at the maximum degree of ``g``
-    itself; their validity rests on it being at most 4.
+    a tag: the engine's first plan on every vertex of ``g``.  Bound
+    formulas are evaluated at the maximum degree of ``g`` itself; their
+    validity rests on it being at most 4.
     """
-    return _first_match(g, MAD_MATCHERS, g.max_degree())
+    return next(_peel(PeelState(g, range(g.n)), MAD_MATCHERS, None), None)
 
 
 def find_reducible_girth7(g: Graph, delta_cap: int) -> ReductionPlan | None:
@@ -390,11 +450,14 @@ def find_reducible_girth7(g: Graph, delta_cap: int) -> ReductionPlan | None:
 
     ``delta_cap`` is the degree cap the governing color budget
     ``3 * delta_cap`` is computed from; it must be at least 4 and at least
-    the maximum degree of ``g``.  Tag priority G1 > ... > G8.
+    the maximum degree of ``g``.  Tag priority G1 > ... > G8, smallest
+    vertex id first within a tag: the engine's first plan on every vertex
+    of ``g``.
     """
     if delta_cap < 4:
         raise ValueError(f"delta_cap must be >= 4, got {delta_cap}")
     if g.max_degree() > delta_cap:
         raise ValueError(
             f"maximum degree {g.max_degree()} exceeds delta_cap {delta_cap}")
-    return _first_match(g, GIRTH7_MATCHERS, delta_cap)
+    return next(_peel(PeelState(g, range(g.n)), GIRTH7_MATCHERS, delta_cap),
+                None)

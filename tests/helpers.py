@@ -6,12 +6,12 @@ search over thresholds instead of Dinkelbach's iteration, edge-deletion
 BFS instead of cross-edge girth detection, independent-set DP instead of
 backtracking color search, the textbook definition of a strong edge
 coloring instead of precomputed conflict sets, a graph rebuilt at every
-peel level instead of one mutable peel state, faces re-traced after
-every insertion instead of kept incrementally, color sets rebuilt at
-every search node instead of bitmasks over color ranks, and whole
-conflict sets instead of degree sums (G1) or stars counted in place
-(each extension step).  Slow but obviously correct, and only run on
-small inputs.
+peel level instead of one mutable peel state, a full scan for each plan
+instead of per-tag heaps, faces re-traced after every insertion instead
+of kept incrementally, color sets rebuilt at every search node instead
+of bitmasks over color ranks, and whole conflict sets instead of degree
+sums (G1) or stars counted in place (each extension step).  Slow but
+obviously correct, and only run on small inputs.
 """
 
 from __future__ import annotations
@@ -95,6 +95,19 @@ def set_count_g1(g, v: int, d: int) -> ReductionPlan | None:
         if len(naive_conflicts(list(g.edges), e)) < 3 * d:
             return ReductionPlan(ClaimTag.G1_PENDANT, v, (),
                                  (ExtensionStep(e, 3 * d),))
+    return None
+
+
+def scan_first_plan(g, matchers, d):
+    """The first plan by a full scan, the slow twin of the engine's choice
+    (the first plan ``reducer._peel`` yields): every tag in priority
+    order and, within a tag, every vertex by ascending id, asking the
+    tag's matcher at degree ``d``; None when none fires."""
+    for matcher in matchers:
+        for v in range(g.n):
+            plan = matcher.match(g, v, d)
+            if plan is not None:
+                return plan
     return None
 
 
@@ -371,17 +384,21 @@ def _ref_reduce_and_unwind(g, lists, detect, trace, plans):
             for (a, b), c in by_labels.items()}
 
 
-def reference_solve(g, lists, detect, fallback_threshold):
+def reference_solve(g, lists, matchers, delta_cap, fallback_threshold):
     """The peeling engine before the mutable peel state, kept as the slow
-    reference: per component it runs a public detector on a freshly built
-    graph at every level, builds the next level with
-    :func:`delete_vertex`, carries the lists over by labels and remaps
-    colors by label pairs on the way back up.
+    reference: per component it runs :func:`scan_first_plan` on a freshly
+    built graph at every level, at ``delta_cap`` or else at the level's
+    maximum degree, builds the next level with :func:`delete_vertex`,
+    carries the lists over by labels and remaps colors by label pairs on
+    the way back up.
 
     ``lists`` must already map every edge id to a frozenset.  Returns the
     report and, per component peeled to the end, its plans in peel order
     (see :func:`plan_in_labels`).
     """
+    def detect(h):
+        d = delta_cap if delta_cap is not None else h.max_degree()
+        return scan_first_plan(h, matchers, d)
     trace, coloring, notes, plans = [], {}, [], []
     certified, failed = True, None
     for comp in g.components():

@@ -1,18 +1,19 @@
 """The peeling engine against its slow reference, and its answers pinned.
 
 ``helpers.reference_solve`` is the engine as it was before the mutable
-peel state: a public detector on a graph rebuilt at every level, lists
-and colors carried over by labels.  On every input here the engine must
-make the same plans (tag, deleted label, erased pairs, extension pairs
-and bounds, in peel order) and return an equal report (coloring, trace,
-certification, fallback notes, failed edge), or raise the same error.
-The reference shares the detectors with the engine, so a change to them
-moves both; a sha256 of the answers on seeded inputs catches that.  It
-unwinds with ``helpers.reference_extend``, which counts each step's
-colored conflicts from the whole conflict set, where the engine's
-``extend`` counts the stars in place.  The engine runs on the input graph
-and the reference on each rebuilt level, so equal traces mean equal
-counts from the two ways of counting on the two graphs.
+peel state: a full scan for the first plan (``helpers.scan_first_plan``,
+the twin of ``reducer._peel``'s choice) on a graph rebuilt at every
+level, lists and colors carried over by labels.  On every input here the
+engine must make the same plans (tag, deleted label, erased pairs,
+extension pairs and bounds, in peel order) and return an equal report
+(coloring, trace, certification, fallback notes, failed edge), or raise
+the same error.  The reference shares the matchers with the engine, so a
+change to them moves both; a sha256 of the answers on seeded inputs
+catches that.  It unwinds with ``helpers.reference_extend``, which counts
+each step's colored conflicts from the whole conflict set, where the
+engine's ``extend`` counts the stars in place.  The engine runs on the
+input graph and the reference on each rebuilt level, so equal traces
+mean equal counts from the two ways of counting on the two graphs.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strongedge import (ClaimTag, GenSpec, HypothesisError,
-                        TheoremViolationError, build_graph,
-                        find_reducible_girth7, find_reducible_mad, generate,
+                        TheoremViolationError, build_graph, generate,
                         solve_girth7, solve_mad3, uniform_lists,
                         verify_strong)
 from strongedge import colorer
@@ -48,14 +48,17 @@ def _outcome(solve):
 
 
 def run_engine(g, solve):
-    """``solve()``'s outcome and the plans of every peeled component."""
+    """``solve()``'s outcome and the plans of every component peeled to
+    empty; a component the matchers missed records none, as in the
+    reference."""
     plans = []
     real = colorer._peel
 
     def peel(state, matchers, delta_cap):
-        peeled = real(state, matchers, delta_cap)
-        plans.append([plan_in_labels(g, plan) for plan in peeled])
-        return peeled
+        peeled = list(real(state, matchers, delta_cap))
+        if not state.adj:
+            plans.append([plan_in_labels(g, plan) for plan in peeled])
+        return iter(peeled)
     colorer._peel = peel
     try:
         return _outcome(solve), plans
@@ -68,10 +71,8 @@ def check_same(g, lists, pipeline, cap=None, threshold=24, solve=None):
     lists = {e: frozenset(lists[e]) for e in range(g.m)}
     if pipeline == "mad3":
         matchers, cap, threshold = MAD_MATCHERS, None, None
-        detect = find_reducible_mad
     else:
         matchers = GIRTH7_MATCHERS
-        detect = lambda h: find_reducible_girth7(h, cap)  # noqa: E731
     if solve is None:
         # a list budget of 0 lets lists below either pipeline's budget through
         solve = lambda: colorer._solve_components(  # noqa: E731
@@ -81,7 +82,7 @@ def check_same(g, lists, pipeline, cap=None, threshold=24, solve=None):
     ref_plans = []
 
     def ref():
-        report, plans = reference_solve(g, lists, detect, threshold)
+        report, plans = reference_solve(g, lists, matchers, cap, threshold)
         ref_plans.extend(plans)
         return report
     assert new == _outcome(ref)

@@ -19,9 +19,10 @@ from strongedge import (ClaimTag, GenSpec, build_graph,
                         find_reducible_mad, generate, uniform_lists)
 from strongedge.colorer import extend
 from strongedge.graph import INFINITY, PeelState
-from strongedge.reducer import (GIRTH7_MATCHERS, MAD_MATCHERS,
-                                _first_match, _g1)
-from tests.helpers import delete_vertex, random_sparse_graph, set_count_g1
+from strongedge.reducer import GIRTH7_MATCHERS, MAD_MATCHERS, _g1
+from tests.helpers import (delete_vertex, random_graph,
+                           random_sparse_graph, scan_first_plan,
+                           set_count_g1)
 
 
 def eid(g, a, b):
@@ -184,7 +185,7 @@ def test_g1_degree_sum_matches_the_conflict_set():
                 exact = len(edges_within_distance_two(g, g.edge_id(u, v)))
                 overcounted += exact < 3 * cap <= near
         assert (find_reducible_girth7(g, cap)
-                == _first_match(g, twin, cap))
+                == scan_first_plan(g, twin, cap))
     assert overcounted > 0
 
 
@@ -301,6 +302,56 @@ def _mcgee():
         if i < j:
             edges.append((i, j))
     return edges
+
+
+def _detector_inputs(rng):
+    """The empty graph, isolated vertices, random graphs of any girth and
+    density (many with maximum degree above 4), sparse ones rich in
+    degree-2 vertices, and disjoint unions of them with isolated vertices,
+    relabeled at random so the components interleave by id."""
+    yield build_graph([])
+    yield build_graph([], vertices=range(5))
+    pieces = []
+    for trial in range(300):
+        n = rng.randint(2, 14)
+        if trial % 2:
+            edges = random_graph(rng, n, rng.choice((0.1, 0.25, 0.4, 0.7)))
+            vertices = range(n)
+        else:
+            edges, vertices = random_sparse_graph(rng, n, rng.randint(3, 6))
+        pieces.append((edges, len(vertices)))
+        yield build_graph(edges, vertices=vertices)
+        if trial % 3 == 0:
+            parts = rng.sample(pieces, min(3, len(pieces)))
+            parts.append(([], rng.randint(1, 3)))
+            edges, base = [], 0
+            for part, size in parts:
+                edges += [(base + u, base + v) for u, v in part]
+                base += size
+            label = rng.sample(range(3 * base), base)
+            yield build_graph([(label[u], label[v]) for u, v in edges],
+                              vertices=label)
+
+
+def test_detectors_match_the_full_scan():
+    # the engine's first plan against the full scan that takes every tag
+    # in priority order and every vertex by ascending id
+    fired = set()
+    compared = wide = 0
+    for g in _detector_inputs(random.Random(4)):
+        wide += g.max_degree() > 4
+        plan = find_reducible_mad(g)
+        assert plan == scan_first_plan(g, MAD_MATCHERS, g.max_degree())
+        fired.add(plan and plan.claim_tag.value)
+        for cap in (4, 5, 6):
+            if g.max_degree() > cap:
+                continue
+            plan = find_reducible_girth7(g, cap)
+            assert plan == scan_first_plan(g, GIRTH7_MATCHERS, cap)
+            fired.add(plan and plan.claim_tag.value)
+            compared += 1
+    assert compared > 300 and wide > 100
+    assert {None, "M1", "M2", "M3", "G1", "G2", "G3", "G4", "G7"} <= fired
 
 
 def test_plans_on_generated_instances_have_valid_shape():
