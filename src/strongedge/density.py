@@ -11,6 +11,10 @@ a maximum density subgraph", 1984), typically in two to four flow runs.
 The yes/no question ``mad(g) < 3`` that the sparse pipeline and its
 generator ask has a cheaper, incremental answer: :class:`MadBelowThree`
 plays the (3,1)-pebble game of Lee and Streinu on the doubled multigraph.
+A refused first copy of an edge proves the set its searches visited tight
+(Lee and Streinu's failed-search lemma; a refused second copy proves
+nothing), so the game keeps those sets as union-find classes, allocated
+at the first refusal, and refuses a pair inside one without searching.
 """
 
 from __future__ import annotations
@@ -194,41 +198,65 @@ class MadBelowThree:
     copy of ``uv`` goes in once ``u`` and ``v`` hold 2 free pebbles
     between them; pebbles are fetched by reversing out-paths to a vertex
     that has one.
+
+    A refused first copy proves a set tight (their failed-search lemma):
+    the set ``R`` its last two searches visited is closed under out-arcs
+    with at most one free pebble, so ``2G[R]`` spans ``3|R| - 1`` copies.
+    Tight sets stay tight, meeting ones have a tight union (``l < k``) and
+    none takes another pair, so ``tight`` keeps them as union-find classes,
+    allocated at the first refusal, and a pair inside one is refused
+    without a search.  A refused second copy proves nothing: rolled back,
+    its reach spans ``3|R| - 2`` copies.
     """
 
     def __init__(self, n: int):
         self.out: list[list[int]] = [[] for _ in range(n)]
+        self.tight: list[int] | None = None  # union-find parents
 
     def try_add(self, u: int, v: int) -> bool:
         """Add edge ``uv`` if ``mad`` stays below 3; else change nothing."""
-        first = self._add_copy(u, v)
+        tight = self.tight
+        if tight is not None and _find(tight, u) == _find(tight, v):
+            return False
+        first = self._add_copy(u, v, learn=True)
         if first is None:
             return False
-        if self._add_copy(u, v) is None:
+        if self._add_copy(u, v, learn=False) is None:
             # no search passes through u or v, so the first copy is still
             # the last out-arc of its tail
             self.out[first].pop()
             return False
         return True
 
-    def _add_copy(self, u: int, v: int) -> int | None:
-        """Insert one directed copy of ``uv``; its tail, or None if refused."""
+    def _add_copy(self, u: int, v: int, learn: bool) -> int | None:
+        """Insert one directed copy of ``uv``; its tail, or None if refused.
+        A refusal with ``learn`` set merges the searched set's classes."""
         out = self.out
         while len(out[u]) + len(out[v]) > 4:  # under 2 free pebbles
-            if not (self._fetch(u, v) or self._fetch(v, u)):
+            seen = {u, v}
+            if not (self._fetch(u, seen) or self._fetch(v, seen)):
+                if learn:
+                    tight = self.tight
+                    if tight is None:
+                        tight = self.tight = list(range(len(out)))
+                    root = _find(tight, u)
+                    for x in seen:
+                        tight[_find(tight, x)] = root
                 return None
         tail, head = (u, v) if len(out[u]) < 3 else (v, u)
         out[tail].append(head)
         return tail
 
-    def _fetch(self, root: int, keep: int) -> bool:
-        """Move a free pebble to ``root`` along an out-path avoiding ``keep``.
+    def _fetch(self, root: int, seen: set[int]) -> bool:
+        """Move a free pebble to ``root`` along an out-path avoiding ``seen``.
 
-        Iterative depth-first search; the path found is reversed, which
-        frees a pebble at ``root`` and spends the one at its far end.
+        Iterative depth-first search that adds each vertex it reaches to
+        ``seen``, so a search for the other endpoint after a failed one
+        skips that search's reach, which has no free pebble.  The path
+        found is reversed, which frees a pebble at ``root`` and spends the
+        one at its far end.
         """
         out = self.out
-        seen = {root, keep}
         path, pos = [root], [0]
         while path:
             a, i = path[-1], pos[-1]
@@ -249,6 +277,13 @@ class MadBelowThree:
                 return True
             pos.append(0)
         return False
+
+
+def _find(parent: list[int], x: int) -> int:
+    """Root of ``x``'s union-find class, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
 
 def mad_below_3(g: Graph) -> bool:

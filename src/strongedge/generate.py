@@ -10,7 +10,8 @@ Five families:
 * ``sparse-mad3`` — max degree <= ``delta`` (at most 4) and maximum
   average degree certified below 3: grown from a random tree by adding
   random edges, each kept only if the maximum average degree stays
-  below 3 (an exact pebble-game check, see ``density.MadBelowThree``).
+  below 3 (an exact pebble-game check, see ``density.MadBelowThree``,
+  whose learned tight classes settle most refusals without a search).
 * ``planar-girth7`` — a planar embedded graph with girth >= 7 and max
   degree <= ``delta``, grown from a 7-cycle by pendant insertions and by
   ears of six edges attached inside a face (both operations keep the

@@ -9,9 +9,11 @@ coloring instead of precomputed conflict sets, a graph rebuilt at every
 peel level instead of one mutable peel state, a full scan for each plan
 instead of per-tag heaps, faces re-traced after every insertion instead
 of kept incrementally, color sets rebuilt at every search node instead
-of bitmasks over color ranks, and whole conflict sets instead of degree
-sums (G1) or stars counted in place (each extension step).  Slow but
-obviously correct, and only run on small inputs.
+of bitmasks over color ranks, whole conflict sets instead of degree
+sums (G1) or stars counted in place (each extension step), and a pebble
+game that searches for every pair instead of refusing pairs inside the
+tight sets its failed searches proved.  Slow but obviously correct, and
+only run on small inputs.
 """
 
 from __future__ import annotations
@@ -153,6 +155,59 @@ def bisect_mad(g) -> DensityWitness:
     witness = density_exceeds(g, value - gap / 2)
     assert witness is not None and witness.density == value
     return witness
+
+
+class ReferenceMadBelowThree:
+    """The (3,1)-pebble game on ``2G`` that searches for every pair, the
+    slow twin of ``density.MadBelowThree``: it learns nothing from a
+    refusal, so each pair is decided by its own pebble searches."""
+
+    def __init__(self, n: int):
+        self.out: list[list[int]] = [[] for _ in range(n)]
+
+    def try_add(self, u: int, v: int) -> bool:
+        first = self._add_copy(u, v)
+        if first is None:
+            return False
+        if self._add_copy(u, v) is None:
+            self.out[first].pop()  # still the last out-arc of its tail
+            return False
+        return True
+
+    def _add_copy(self, u: int, v: int) -> int | None:
+        out = self.out
+        while len(out[u]) + len(out[v]) > 4:  # under 2 free pebbles
+            if not (self._fetch(u, v) or self._fetch(v, u)):
+                return None
+        tail, head = (u, v) if len(out[u]) < 3 else (v, u)
+        out[tail].append(head)
+        return tail
+
+    def _fetch(self, root: int, keep: int) -> bool:
+        """Free a pebble at ``root`` by reversing an out-path avoiding
+        ``keep`` to a vertex with a free pebble."""
+        out = self.out
+        seen = {root, keep}
+        path, pos = [root], [0]
+        while path:
+            a, i = path[-1], pos[-1]
+            if i == len(out[a]):
+                path.pop()
+                pos.pop()
+                continue
+            pos[-1] = i + 1
+            b = out[a][i]
+            if b in seen:
+                continue
+            seen.add(b)
+            path.append(b)
+            if len(out[b]) < 3:
+                for x, y, j in zip(path, path[1:], pos):
+                    del out[x][j - 1]
+                    out[y].append(x)
+                return True
+            pos.append(0)
+        return False
 
 
 def bfs_girth(edges: list[Edge], n: int) -> float:

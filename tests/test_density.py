@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import importlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,7 +17,10 @@ from strongedge import (GenSpec, GraphError, build_graph, density_exceeds,
 from strongedge import density
 from strongedge.density import MadBelowThree, mad_below_3
 
-from tests.helpers import bisect_mad, random_graph, subset_mad
+from tests.helpers import (ReferenceMadBelowThree, bisect_mad, random_graph,
+                           subset_mad)
+
+generate_module = importlib.import_module("strongedge.generate")
 
 cases = st.builds(
     lambda n, seed: (n, random_graph(random.Random(seed), n, 0.4)),
@@ -156,6 +161,115 @@ def test_pebble_game_on_large_inputs():
     assert all(checker.try_add(u, v) for u, v in ladder)
     assert checker.try_add(0, k - 1)
     assert not checker.try_add(k, 2 * k - 1)
+
+
+def random_streams(count, seed):
+    """``count`` shuffled edge streams on at most 30 vertices, p 0.2-0.9."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 30)
+        edges = random_graph(rng, n, rng.uniform(0.2, 0.9))
+        rng.shuffle(edges)
+        yield n, edges
+
+
+def tight_class_violations(checker, accepted):
+    """Learned classes of two or more vertices that do not span exactly
+    ``3|C| - 1`` copies of the accepted pairs."""
+    parent = checker.tight
+    if parent is None:
+        return []
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    roots = [root(x) for x in range(len(parent))]
+    pairs = Counter(roots[u] for u, v in accepted if roots[u] == roots[v])
+    return [r for r, k in Counter(roots).items()
+            if k > 1 and 2 * pairs[r] != 3 * k - 1]
+
+
+def test_pebble_game_matches_the_search_only_twin():
+    for n, edges in random_streams(2000, 19):
+        fast, slow = MadBelowThree(n), ReferenceMadBelowThree(n)
+        for u, v in edges:
+            assert fast.try_add(u, v) == slow.try_add(u, v)
+
+
+def test_learned_classes_stay_tight():
+    for n, edges in random_streams(1000, 20):
+        checker, accepted = MadBelowThree(n), []
+        for u, v in edges:
+            if checker.try_add(u, v):
+                accepted.append((u, v))
+            assert not tight_class_violations(checker, accepted)
+
+
+class CheckedGame:
+    """The pebble game beside its search-only twin: every answer must
+    agree, and every learned class must stay tight."""
+
+    def __init__(self, n):
+        self.fast = MadBelowThree(n)
+        self.slow = ReferenceMadBelowThree(n)
+        self.accepted = []
+
+    def try_add(self, u, v):
+        ok = self.fast.try_add(u, v)
+        assert ok == self.slow.try_add(u, v)
+        if ok:
+            self.accepted.append((u, v))
+        assert not tight_class_violations(self.fast, self.accepted)
+        return ok
+
+
+def test_pebble_game_matches_the_twin_on_generator_pairs(monkeypatch):
+    monkeypatch.setattr(generate_module, "MadBelowThree", CheckedGame)
+    for n, seed in ((60, 0), (60, 1), (120, 2), (200, 3), (300, 4)):
+        generate(GenSpec("sparse-mad3", n, seed=seed))
+
+
+def test_pair_inside_a_learned_class_is_refused_without_search(monkeypatch):
+    # K4 less the edge 23, plus a vertex 4 on 0 and 1: 7 edges on 5
+    # vertices, so 2G spans 14 = 3*5 - 1 copies and the set is tight
+    checker = MadBelowThree(5)
+    for u, v in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (4, 0), (4, 1)):
+        assert checker.try_add(u, v)
+    assert checker.tight is None
+    assert not checker.try_add(2, 3)
+    assert len({density._find(checker.tight, x) for x in range(5)}) == 1
+
+    def no_search(*args):
+        raise AssertionError("searched inside a learned class")
+
+    monkeypatch.setattr(MadBelowThree, "_fetch", no_search)
+    for u, v in ((2, 3), (2, 4), (3, 4), (0, 1)):
+        assert not checker.try_add(u, v)
+
+
+def test_generator_refusals_mostly_skip_the_search(monkeypatch):
+    # first-copy refusals, each of which ran a search, on sparse-mad3 at
+    # n = 1000: 666 when every pair is searched, 110 with learned classes
+    n = 1000
+    tails = []  # per try_add, what each of its _add_copy calls returned
+    try_add, add_copy = MadBelowThree.try_add, MadBelowThree._add_copy
+
+    def counted_try_add(self, u, v):
+        tails.append([])
+        return try_add(self, u, v)
+
+    def counted_add_copy(self, *args, **kwargs):
+        tail = add_copy(self, *args, **kwargs)
+        tails[-1].append(tail)
+        return tail
+
+    monkeypatch.setattr(MadBelowThree, "try_add", counted_try_add)
+    monkeypatch.setattr(MadBelowThree, "_add_copy", counted_add_copy)
+    generate(GenSpec("sparse-mad3", n, seed=1))
+    searched = sum(t[:1] == [None] for t in tails)
+    assert 0 < searched <= n // 8
 
 
 def test_mad_on_a_long_path():

@@ -98,6 +98,18 @@ def test_sparse_family_bytes_are_pinned():
         "a0a41967abe26e129bc4bfb5bab9c8a307a6eb31bafac6c52c973c37ccc01bb4")
 
 
+def test_larger_sparse_family_bytes_are_pinned():
+    # sizes at which the pebble game's learned tight classes grow large;
+    # the hash was taken before the game kept the tight sets its failed
+    # searches prove
+    digest = hashlib.sha256()
+    for n in (250, 500, 1000):
+        inst = generate(GenSpec("sparse-mad3", n, seed=1))
+        digest.update(serialize_instance(inst).encode())
+    assert digest.hexdigest() == (
+        "e1705437736f50d06a3fb4a1ba55d28add14859bd0599a7d51db33333b171f49")
+
+
 def test_tree_family_bytes_are_pinned():
     # (seed, n, delta) triples from one vertex up to 2000, degree caps 1 to
     # 10; the hash was taken before the generator kept its list of
