@@ -11,10 +11,12 @@ a maximum density subgraph", 1984), typically in two to four flow runs.
 The yes/no question ``mad(g) < 3`` that the sparse pipeline and its
 generator ask has a cheaper, incremental answer: :class:`MadBelowThree`
 plays the (3,1)-pebble game of Lee and Streinu on the doubled multigraph.
-A refused first copy of an edge proves the set its searches visited tight
-(Lee and Streinu's failed-search lemma; a refused second copy proves
-nothing), so the game keeps those sets as union-find classes, allocated
-at the first refusal, and refuses a pair inside one without searching.
+An edge goes in, both copies at once, when its ends gather 3 free
+pebbles.  A search that fails while they hold fewer than 2 proves the set
+it visited tight (Lee and Streinu's failed-search lemma); one that fails
+at 2 proves nothing.  The game keeps the tight sets as union-find classes,
+allocated at the first such refusal, and refuses a pair inside one
+without searching.
 """
 
 from __future__ import annotations
@@ -194,19 +196,21 @@ class MadBelowThree:
     when ``2G`` is (3,1)-sparse (Lee and Streinu, "Pebble game algorithms
     and sparse graphs", 2008).  Every vertex owns 3 pebbles and each
     accepted edge is two directed copies, each covered by a pebble of its
-    tail, so a vertex's free pebbles are ``3`` minus its out-degree.  A
-    copy of ``uv`` goes in once ``u`` and ``v`` hold 2 free pebbles
-    between them; pebbles are fetched by reversing out-paths to a vertex
-    that has one.
+    tail, so a vertex's free pebbles are ``3`` minus its out-degree.
+    Both copies of ``uv`` fit exactly when ``u`` and ``v`` can gather
+    3 free pebbles between them (``l + 2`` with ``l = 1``), so one round
+    fetches pebbles, by reversing out-paths to a vertex that has one,
+    until they hold 3, and only then inserts both copies, each from an
+    end with a free pebble.
 
-    A refused first copy proves a set tight (their failed-search lemma):
-    the set ``R`` its last two searches visited is closed under out-arcs
-    with at most one free pebble, so ``2G[R]`` spans ``3|R| - 1`` copies.
-    Tight sets stay tight, meeting ones have a tight union (``l < k``) and
-    none takes another pair, so ``tight`` keeps them as union-find classes,
-    allocated at the first refusal, and a pair inside one is refused
-    without a search.  A refused second copy proves nothing: rolled back,
-    its reach spans ``3|R| - 2`` copies.
+    A search round that fails leaves ``R``, the set its two searches
+    visited, closed under out-arcs.  If ``u`` and ``v`` hold fewer than 2
+    free pebbles, ``2G[R]`` spans ``3|R| - 1`` copies, so ``R`` is tight
+    (their failed-search lemma).  Tight sets stay tight, meeting ones have
+    a tight union (``l < k``) and none takes another pair, so ``tight``
+    keeps them as union-find classes, allocated at the first such refusal,
+    and a pair inside one is refused without a search.  A round that fails
+    at 2 free pebbles proves nothing: ``R`` spans ``3|R| - 2`` copies.
     """
 
     def __init__(self, n: int):
@@ -218,34 +222,23 @@ class MadBelowThree:
         tight = self.tight
         if tight is not None and _find(tight, u) == _find(tight, v):
             return False
-        first = self._add_copy(u, v, learn=True)
-        if first is None:
-            return False
-        if self._add_copy(u, v, learn=False) is None:
-            # no search passes through u or v, so the first copy is still
-            # the last out-arc of its tail
-            self.out[first].pop()
-            return False
-        return True
-
-    def _add_copy(self, u: int, v: int, learn: bool) -> int | None:
-        """Insert one directed copy of ``uv``; its tail, or None if refused.
-        A refusal with ``learn`` set merges the searched set's classes."""
         out = self.out
-        while len(out[u]) + len(out[v]) > 4:  # under 2 free pebbles
+        while len(out[u]) + len(out[v]) > 3:  # under 3 free pebbles
             seen = {u, v}
             if not (self._fetch(u, seen) or self._fetch(v, seen)):
-                if learn:
-                    tight = self.tight
+                if len(out[u]) + len(out[v]) > 4:  # under 2: seen is tight
                     if tight is None:
                         tight = self.tight = list(range(len(out)))
                     root = _find(tight, u)
                     for x in seen:
                         tight[_find(tight, x)] = root
-                return None
-        tail, head = (u, v) if len(out[u]) < 3 else (v, u)
-        out[tail].append(head)
-        return tail
+                return False
+        for _ in range(2):
+            if len(out[u]) < 3:
+                out[u].append(v)
+            else:
+                out[v].append(u)
+        return True
 
     def _fetch(self, root: int, seen: set[int]) -> bool:
         """Move a free pebble to ``root`` along an out-path avoiding ``seen``.

@@ -77,10 +77,10 @@ class Graph:
             raise GraphError(f"unknown vertex label {label!r}") from None
 
     def label_pair(self, e: int) -> tuple[int, int]:
-        """Endpoints of edge ``e`` expressed as original labels, sorted."""
+        """Endpoints of edge ``e`` expressed as original labels, sorted:
+        ids follow label order and every edge is stored with ``u < v``."""
         u, v = self.edges[e]
-        a, b = self.labels[u], self.labels[v]
-        return (a, b) if a <= b else (b, a)
+        return self.labels[u], self.labels[v]
 
     def components(self) -> list[tuple[int, ...]]:
         """Connected components as sorted tuples of vertex ids."""

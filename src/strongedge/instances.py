@@ -200,8 +200,8 @@ def serialize_instance(inst: InstanceFile) -> str:
                 f"{[g.labels[v] for v in degs]}")
     for key in sorted(inst.properties):
         out.append(f"p {key} {inst.properties[key]}")
-    for u, v in g.edges:
-        a, b = sorted((g.labels[u], g.labels[v]))
+    for e in range(g.m):
+        a, b = g.label_pair(e)
         out.append(f"e {a} {b}")
     if inst.rotation is not None:
         for w in range(g.n):

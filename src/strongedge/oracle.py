@@ -173,7 +173,8 @@ def list_strong_colorable(g: Graph, lists: dict[int, frozenset[int]],
         budget = SearchBudget()
     missing = [e for e in range(g.m) if e not in lists]
     if missing:
-        raise ValueError(f"edges without a color list: {missing}")
+        more = f" and {len(missing) - 10} more" if len(missing) > 10 else ""
+        raise ValueError(f"edges without a color list: {missing[:10]}{more}")
     return _search(conflict_graph(g),
                    [tuple(sorted(lists[e])) for e in range(g.m)], budget,
                    fresh=False)

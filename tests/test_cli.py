@@ -524,6 +524,9 @@ def check_command(command, tmp_path):
     proc = run()
     assert proc.returncode == 2  # argparse usage error
     assert "usage: strongedge" in proc.stderr
+    proc = run("gen", "sparse-mad3", "0")
+    assert proc.returncode == 1, proc.stderr
+    assert "at least one vertex" in proc.stderr
 
 
 def test_installed_entry_point(tmp_path):

@@ -250,26 +250,48 @@ def test_pair_inside_a_learned_class_is_refused_without_search(monkeypatch):
 
 
 def test_generator_refusals_mostly_skip_the_search(monkeypatch):
-    # first-copy refusals, each of which ran a search, on sparse-mad3 at
-    # n = 1000: 666 when every pair is searched, 110 with learned classes
+    # refusals that searched and then learned a class, on sparse-mad3 at
+    # n = 1000: 666 when every pair is searched, 110 with learned classes;
+    # the generation makes 1956 searches in all
     n = 1000
-    tails = []  # per try_add, what each of its _add_copy calls returned
-    try_add, add_copy = MadBelowThree.try_add, MadBelowThree._add_copy
+    fetches = 0
+    searched = 0
+    try_add, fetch = MadBelowThree.try_add, MadBelowThree._fetch
+
+    def counted_fetch(self, *args):
+        nonlocal fetches
+        fetches += 1
+        return fetch(self, *args)
 
     def counted_try_add(self, u, v):
-        tails.append([])
-        return try_add(self, u, v)
-
-    def counted_add_copy(self, *args, **kwargs):
-        tail = add_copy(self, *args, **kwargs)
-        tails[-1].append(tail)
-        return tail
+        nonlocal searched
+        before = fetches
+        ok = try_add(self, u, v)
+        tight = self.tight
+        if (not ok and fetches > before and tight is not None
+                and density._find(tight, u) == density._find(tight, v)):
+            searched += 1
+        return ok
 
     monkeypatch.setattr(MadBelowThree, "try_add", counted_try_add)
-    monkeypatch.setattr(MadBelowThree, "_add_copy", counted_add_copy)
+    monkeypatch.setattr(MadBelowThree, "_fetch", counted_fetch)
     generate(GenSpec("sparse-mad3", n, seed=1))
-    searched = sum(t[:1] == [None] for t in tails)
     assert 0 < searched <= n // 8
+    assert fetches <= 1956
+
+
+def test_pebbles_orient_the_doubled_graph():
+    # after every call, each accepted pair is two arcs between its ends,
+    # nothing else is an arc, and no vertex covers more than 3 of them
+    for n, edges in random_streams(500, 21):
+        checker, doubled = MadBelowThree(n), Counter()
+        for u, v in edges:
+            if checker.try_add(u, v):
+                doubled[frozenset((u, v))] += 2
+            out = checker.out
+            assert max(map(len, out)) <= 3
+            assert Counter(frozenset((a, b)) for a in range(n)
+                           for b in out[a]) == doubled
 
 
 def test_mad_on_a_long_path():

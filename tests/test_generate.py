@@ -9,6 +9,7 @@ import pytest
 
 from strongedge import (GenSpec, generate, girth, mad, serialize_instance,
                         trace_faces)
+from strongedge.density import mad_below_3
 from strongedge.generate import _planar_girth7
 from tests.helpers import bfs_girth, reference_planar_girth7, subset_mad
 
@@ -35,6 +36,15 @@ def test_tree_family():
         assert g.m == g.n - 1 == 29
         assert len(g.components()) == 1
         assert g.max_degree() <= 3
+
+
+def test_sparse_family_below_three_vertices_is_the_tree():
+    for n in (1, 2):
+        for seed in range(3):
+            g = generate(GenSpec("sparse-mad3", n, seed=seed)).graph
+            tree = generate(GenSpec("tree", n, seed=seed)).graph
+            assert (g.labels, g.edges) == (tree.labels, tree.edges)
+            assert mad_below_3(g)
 
 
 def test_blowup_family():

@@ -55,6 +55,22 @@ def test_duplicate_edges_collapse():
     assert g.m == 1
 
 
+def test_label_pairs_come_sorted():
+    # ids follow label order, so label_pair needs no comparison; labels
+    # here are negative, sparse and handed over in shuffled pair order
+    rng = random.Random(4)
+    for _ in range(200):
+        n = rng.randint(2, 12)
+        labels = rng.sample(range(-50, 50), n)
+        edges = [(labels[u], labels[v]) if rng.random() < 0.5
+                 else (labels[v], labels[u])
+                 for u, v in random_graph(rng, n, 0.5)]
+        g = build_graph(edges, vertices=labels)
+        for e, (u, v) in enumerate(g.edges):
+            assert g.label_pair(e) == tuple(sorted((g.labels[u],
+                                                    g.labels[v])))
+
+
 def test_missing_edge_and_label_raise():
     g = build_graph([(0, 1)])
     with pytest.raises(GraphError):

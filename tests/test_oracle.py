@@ -201,6 +201,16 @@ def test_list_solver_requires_full_lists():
         list_strong_colorable(g, {0: frozenset({1})})
 
 
+def test_missing_list_message_stays_short():
+    # naming every missing id took 10,918 characters on this path
+    path = build_graph([(i, i + 1) for i in range(2000)])
+    with pytest.raises(ValueError) as info:
+        list_strong_colorable(path, {})
+    text = str(info.value)
+    assert len(text) < 1000
+    assert text.endswith("and 1990 more")
+
+
 def test_proposition_small_delta():
     for n in range(2, 10):
         path = build_graph([(i, i + 1) for i in range(n - 1)])
