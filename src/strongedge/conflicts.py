@@ -10,7 +10,7 @@ special case of "within distance two" and needs no separate handling.
 
 from __future__ import annotations
 
-from .graph import Graph, build_graph
+from .graph import Graph
 
 
 def edges_within_distance_two(g: Graph, e: int) -> frozenset[int]:
@@ -31,7 +31,9 @@ def conflict_graph(g: Graph) -> Graph:
     A strong edge coloring of ``g`` is exactly a proper vertex coloring of
     this graph.
     """
+    # pairs come sorted with e < f, as Graph wants its edges; vertex e is
+    # labelled e, so no relabelling is needed
     pairs = [(e, f) for e in range(g.m)
-             for f in edges_within_distance_two(g, e) if e < f]
-    return build_graph(pairs, vertices=range(g.m))
+             for f in sorted(edges_within_distance_two(g, e)) if e < f]
+    return Graph(g.m, tuple(range(g.m)), tuple(pairs))
 

@@ -66,22 +66,29 @@ def _greedy_clique(h: Graph) -> list[int]:
 
 
 def _search(h: Graph, lists: list[tuple[int, ...]], budget: SearchBudget,
-            fresh: bool) -> dict[int, int] | None:
+            fresh: bool, twins: bool = False) -> dict[int, int] | None:
     """Proper-color ``h`` from per-vertex ascending color tuples, or None.
 
     Branching picks the vertex with the fewest admissible colors, ties
     broken by lowest id, and tries its colors in ascending order.  With
     ``fresh`` a vertex may take a color at most one above the largest used
     so far, which kills the color permutation symmetry of the uniform
-    lists ``0..k-1``.
+    lists ``0..k-1``.  With ``twins`` (every list the same) a vertex tries
+    at most one color that no ancestor uses: the unused colors are
+    interchangeable, so once one fails below it they all fail.  That
+    prunes only subtrees without a solution, and the vertex order never
+    depends on it, so the search returns what it would without ``twins``
+    after visiting a subset of the same nodes.
 
     Colors are searched as their ranks in the sorted union of the lists
     (the same order, so the same tree node for node) and mapped back on
     return, so any integers work; a vertex's admissible colors are one
     ``int`` bitmask.  Depth-first with an explicit stack of one frame per
     branching vertex: the vertex, its untried colors, every vertex's mask
-    before it was colored, its ceiling, the vertices left after it and its
-    color.  Coloring copies the masks, so backtracking restores nothing.
+    before it was colored, its ceiling, the vertices left after it, its
+    color and ``seen``, the colors its ancestors use (all ones without
+    ``twins``).  Coloring copies the masks, so backtracking restores
+    nothing.
     """
     palette = sorted(set().union(*lists))
     rank = {c: r for r, c in enumerate(palette)}
@@ -96,6 +103,7 @@ def _search(h: Graph, lists: list[tuple[int, ...]], budget: SearchBudget,
     adj = h.adj
     stack: list[list] = []
     avail, ceiling, rest = allowed, start, tuple(range(h.n))
+    seen = 0 if twins else -1
     while True:
         budget.tick()
         if not rest:
@@ -110,14 +118,16 @@ def _search(h: Graph, lists: list[tuple[int, ...]], budget: SearchBudget,
         if best_k:
             i = rest.index(best_v)
             stack.append([best_v, avail[best_v] & ceiling, avail, ceiling,
-                          rest[:i] + rest[i + 1:], -1])
+                          rest[:i] + rest[i + 1:], -1, seen])
         while stack:
             frame = stack[-1]
-            v, untried, before, under, left, _ = frame
+            v, untried, before, under, left, _, seen = frame
             if untried:
                 low = untried & -untried
-                frame[1] = untried ^ low
+                # past the first unused color, only used ones stay to try
+                frame[1] = untried ^ low if low & seen else untried & seen
                 r = frame[5] = low.bit_length() - 1
+                seen |= low
                 avail = before[:]
                 clear = ~low
                 for w in adj[v]:
@@ -162,7 +172,9 @@ def list_strong_colorable(g: Graph, lists: dict[int, frozenset[int]],
     """Complete search for a strong edge coloring from per-edge lists.
 
     Returns a coloring (edge id -> color) or ``None`` if none exists.
-    Every edge of ``g`` must have a list.
+    Every edge of ``g`` must have a list.  When every list is the same,
+    the search skips colorings that differ only by renaming colors no
+    edge uses yet; it returns the same answer, in fewer nodes.
 
     Memory grows with the depth of the search: each level keeps its own
     copy of the per-edge color masks, about ``16*m*d`` bytes at depth
@@ -175,9 +187,9 @@ def list_strong_colorable(g: Graph, lists: dict[int, frozenset[int]],
     if missing:
         more = f" and {len(missing) - 10} more" if len(missing) > 10 else ""
         raise ValueError(f"edges without a color list: {missing[:10]}{more}")
-    return _search(conflict_graph(g),
-                   [tuple(sorted(lists[e])) for e in range(g.m)], budget,
-                   fresh=False)
+    rows = [tuple(sorted(lists[e])) for e in range(g.m)]
+    return _search(conflict_graph(g), rows, budget, fresh=False,
+                   twins=len(set(rows)) == 1)
 
 
 @dataclass(frozen=True)

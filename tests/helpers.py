@@ -9,7 +9,9 @@ coloring instead of precomputed conflict sets, a graph rebuilt at every
 peel level instead of one mutable peel state, a full scan for each plan
 instead of per-tag heaps, faces re-traced after every insertion instead
 of kept incrementally, color sets rebuilt at every search node instead
-of bitmasks over color ranks, whole conflict sets instead of degree
+of bitmasks over color ranks and with no pruning of twin colors, a
+conflict graph relabelled through ``build_graph`` instead of built
+directly, whole conflict sets instead of degree
 sums (G1) or stars counted in place (each extension step), and a pebble
 game that searches for every pair instead of refusing pairs inside the
 tight sets its failed searches proved.  Slow but obviously correct, and
@@ -312,6 +314,15 @@ def delete_vertex(g, v):
     pairs = [(g.labels[a], g.labels[b]) for (a, b) in g.edges
              if a != v and b != v]
     return build_graph(pairs, vertices=keep_labels)
+
+
+def reference_conflict_graph(g):
+    """The conflict graph built the way ``conflicts.conflict_graph`` built
+    it before it made its ``Graph`` directly: conflicting pairs sent
+    through ``build_graph`` with the edge ids as labels."""
+    pairs = [(e, f) for e in range(g.m)
+             for f in edges_within_distance_two(g, e) if e < f]
+    return build_graph(pairs, vertices=range(g.m))
 
 
 def reference_search(h, lists, budget, fresh):

@@ -9,7 +9,8 @@ from strongedge import (build_graph, conflict_graph,
                         edges_within_distance_two, generate, GenSpec)
 from strongedge.graph import PeelState
 
-from tests.helpers import naive_conflicts, random_graph
+from tests.helpers import (naive_conflicts, random_graph,
+                           reference_conflict_graph)
 
 
 cases = st.builds(
@@ -90,3 +91,24 @@ def test_blowup_conflict_graph_is_complete():
     h = conflict_graph(g)
     assert h.m == h.n * (h.n - 1) // 2 == 190
 
+
+
+def _same_graph(a, b):
+    assert (a.n, a.labels, a.edges, a.adj, a.edge_at) == (
+        b.n, b.labels, b.edges, b.adj, b.edge_at)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12), st.floats(0, 1), st.integers(0, 10**6))
+def test_conflict_graph_matches_reference(n, p, seed):
+    # built directly, the conflict graph equals the one relabelled through
+    # build_graph: the same ids, labels, edges, neighbor tuples and edge ids
+    g = build_graph(random_graph(random.Random(seed), n, p),
+                    vertices=range(n))
+    _same_graph(conflict_graph(g), reference_conflict_graph(g))
+
+
+def test_conflict_graph_matches_reference_on_fixed_graphs():
+    for g in (build_graph([]), build_graph([], vertices=range(3)),
+              generate(GenSpec("c5-blowup", 0, delta=4)).graph):
+        _same_graph(conflict_graph(g), reference_conflict_graph(g))

@@ -64,8 +64,11 @@ def test_small_graph_answers_are_pinned():
     # chi_s, witness, clique bound and node counts of the exact search, then
     # the list search on chi_s - 1 uniform colors and on random 7-of-12
     # lists; the hash was taken before the two backtracking searches (one
-    # with color-symmetry breaking, one over per-edge lists) became one
-    digest = hashlib.sha256()
+    # with color-symmetry breaking, one over per-edge lists) became one.
+    # The chi_s - 1 entry is the search without twin pruning; the list
+    # search must answer it the same in no more nodes, and its own node
+    # counts have a second hash
+    digest, pruned = hashlib.sha256(), hashlib.sha256()
     for seed in range(500):
         rng = random.Random(seed)
         n = rng.randint(3, 8)
@@ -74,7 +77,15 @@ def test_small_graph_answers_are_pinned():
         g = build_graph(edges, vertices=range(n))
         exact, fewer, listed = SearchBudget(), SearchBudget(), SearchBudget()
         r = strong_chromatic_index_exact(g, exact)
-        below = list_strong_colorable(g, uniform_lists(g, r.chi_s - 1), fewer)
+        uniform = uniform_lists(g, r.chi_s - 1)
+        below = _search(conflict_graph(g),
+                        [tuple(sorted(uniform[e])) for e in range(g.m)],
+                        fewer, fresh=False)
+        twins = SearchBudget()
+        got = list_strong_colorable(g, uniform, twins)
+        assert (got and list(got.items())) == (below and list(below.items()))
+        assert twins.nodes_used <= fewer.nodes_used
+        pruned.update(repr(twins.nodes_used).encode())
         lists = {e: frozenset(rng.sample(range(12), 7)) for e in range(g.m)}
         found = list_strong_colorable(g, lists, listed)
         digest.update(repr((
@@ -84,6 +95,8 @@ def test_small_graph_answers_are_pinned():
             listed.nodes_used)).encode())
     assert digest.hexdigest() == (
         "c3eb928e0a444e93c2c7cadabfcdf35e26e4409352ee1ea9df6b1fe0ea0c324a")
+    assert pruned.hexdigest() == (
+        "bdf4a9e55482c8c05f3ce1ce3779697b9db68ca1df12af0173ac97ca4d6215cb")
 
 
 def _outcome(search, h, lists, fresh, max_nodes=2_000_000):
@@ -92,6 +105,16 @@ def _outcome(search, h, lists, fresh, max_nodes=2_000_000):
     budget = SearchBudget(max_nodes=max_nodes)
     try:
         found = search(h, lists, budget, fresh)
+    except BudgetExceededError:
+        return "budget", budget.nodes_used
+    return found and list(found.items()), budget.nodes_used
+
+
+def _listed(g, lists, max_nodes=2_000_000):
+    """``_outcome`` of ``list_strong_colorable`` on ``g`` itself."""
+    budget = SearchBudget(max_nodes=max_nodes)
+    try:
+        found = list_strong_colorable(g, lists, budget)
     except BudgetExceededError:
         return "budget", budget.nodes_used
     return found and list(found.items()), budget.nodes_used
@@ -116,6 +139,59 @@ def test_search_matches_reference(fresh, seed):
     cap = rng.choice((rng.randint(1, 20), 5000))
     assert (_outcome(_search, h, lists, fresh, cap)
             == _outcome(reference_search, h, lists, fresh, cap))
+
+
+_PALETTES = (
+    lambda rng, k: range(k),
+    lambda rng, k: rng.sample(range(-40, 0), k),
+    lambda rng, k: rng.sample((-(10**18), -1, 0, 10**18, 2**200, -(2**90),
+                               7, 10**9 + 7, 2**64, -(10**12)), k),
+    lambda rng, k: [rng.choice((-(10**18), 0, 2**200))],
+    lambda rng, k: [],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 7), st.integers(0, len(_PALETTES) - 1),
+       st.integers(0, 10**6))
+def test_twin_pruning_matches_reference(n, kind, seed):
+    # one list on every edge (small, negative, huge, single or empty colors,
+    # also with no edges at all): the answer of the search without twin
+    # pruning, items in the same order, in no more nodes; a cap the
+    # reference answers within is one the list search answers within
+    rng = random.Random(seed)
+    g = build_graph(random_graph(rng, n, rng.uniform(0.2, 0.6)),
+                    vertices=range(n))
+    chi = strong_chromatic_index_exact(g).chi_s
+    k = min(8, max(1, chi - 1 + rng.randint(0, 2)))
+    _check_twins(g, _PALETTES[kind](rng, k), rng)
+
+
+def _check_twins(g, palette, rng):
+    """Compare the list search on ``palette`` for every edge with the
+    reference, also under a random cap; returns the reference's answer."""
+    lists = {e: frozenset(palette) for e in range(g.m)}
+    rows = [tuple(sorted(set(palette)))] * g.m
+    answer, nodes = _outcome(reference_search, conflict_graph(g), rows,
+                             False, 20_000)
+    if answer == "budget":
+        return
+    same, own = _listed(g, lists)
+    assert same == answer and own <= nodes
+    cap = rng.randint(1, nodes)
+    assert _listed(g, lists, cap) == (
+        (answer, own) if own <= cap else ("budget", cap + 1))
+    return answer
+
+
+def test_twin_pruning_tries_an_unused_color_after_used_ones():
+    # a hexagon with pendant edges at two vertices two apart, 4 colors: in
+    # the search's order some edge must take an unused color while a used
+    # one is still open to it, so dropping the unused colors before trying
+    # one of them would refute a colorable graph
+    g = build_graph([(0, 5), (0, 6), (1, 2), (1, 4), (1, 6), (3, 7), (4, 7),
+                     (5, 7)])
+    assert _check_twins(g, range(4), random.Random(0)) is not None
 
 
 def test_list_search_keeps_color_values():
@@ -157,10 +233,12 @@ def test_budget_boundary_matches_reference(k_colors):
     for search in (_search, reference_search):
         assert _outcome(search, h, lists, False, k) == (answer, k)
         assert _outcome(search, h, lists, False, k - 1) == ("budget", k)
-    budget = SearchBudget(max_nodes=k - 1)
-    with pytest.raises(BudgetExceededError):
-        list_strong_colorable(g, uniform_lists(g, k_colors), budget)
-    assert budget.nodes_used == k
+    # the list search prunes twin colors, so its boundary is its own count
+    uniform = uniform_lists(g, k_colors)
+    same, own = _listed(g, uniform)
+    assert same == answer and own <= k
+    assert _listed(g, uniform, own) == (answer, own)
+    assert _listed(g, uniform, own - 1) == ("budget", own)
 
 
 def test_edge_cap_refusal_mentions_knob():
