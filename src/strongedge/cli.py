@@ -211,6 +211,19 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _at_least(low: int):
+    """An argparse ``type`` for integers no smaller than ``low``: anything
+    else is a usage error (exit 2) before any command runs."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
 @cache
 def _parser() -> argparse.ArgumentParser:
     # built once per process: parsing leaves the parser as it was, and each
@@ -237,8 +250,8 @@ def _parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("exact", help="exact strong chromatic index")
     e.add_argument("instance")
-    e.add_argument("--max-nodes", type=int, default=2_000_000)
-    e.add_argument("--edge-cap", type=int, default=28)
+    e.add_argument("--max-nodes", type=_at_least(1), default=2_000_000)
+    e.add_argument("--edge-cap", type=_at_least(0), default=28)
     e.add_argument("--force", action="store_true",
                    help="lift the edge cap to the instance size")
     e.add_argument("-o", "--output", default=None)

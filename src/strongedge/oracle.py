@@ -2,7 +2,8 @@
 
 Ground truth for tests and cross-validation: an exact strong chromatic
 index and a complete list-coloring search, both run by one backtracking
-search on the conflict graph.  The search works on bitmasks over the
+search over the conflict rows (each edge's conflicting edges, see
+:func:`conflicts.conflict_rows`).  The search works on bitmasks over the
 ranks of the colors in the sorted union of the lists, so any integer
 colors are accepted and returned as given.  Both are budgeted — blowing
 the node budget raises, it never returns a wrong answer.
@@ -13,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .conflicts import conflict_graph
+from .conflicts import conflict_rows
 from .graph import Graph
 
 
@@ -55,19 +56,22 @@ class OracleResult:
     lower_bound_clique: int
 
 
-def _greedy_clique(h: Graph) -> list[int]:
-    """Deterministic greedy clique: high degree first, ties by id."""
-    order = sorted(range(h.n), key=lambda v: (-h.degree(v), v))
+def _greedy_clique(adj: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Deterministic greedy clique in the graph with neighbor tuples
+    ``adj``: high degree first, ties by id."""
+    order = sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v))
     clique: list[int] = []
     for v in order:
-        if set(h.adj[v]).issuperset(clique):
+        if set(adj[v]).issuperset(clique):
             clique.append(v)
     return clique
 
 
-def _search(h: Graph, lists: list[tuple[int, ...]], budget: SearchBudget,
-            fresh: bool, twins: bool = False) -> dict[int, int] | None:
-    """Proper-color ``h`` from per-vertex ascending color tuples, or None.
+def _search(adj: tuple[tuple[int, ...], ...], lists: list[tuple[int, ...]],
+            budget: SearchBudget, fresh: bool,
+            twins: bool = False) -> dict[int, int] | None:
+    """Proper-color the graph with neighbor tuples ``adj`` from per-vertex
+    ascending color tuples, or None.
 
     Branching picks the vertex with the fewest admissible colors, ties
     broken by lowest id, and tries its colors in ascending order.  With
@@ -83,16 +87,18 @@ def _search(h: Graph, lists: list[tuple[int, ...]], budget: SearchBudget,
     Colors are searched as their ranks in the sorted union of the lists
     (the same order, so the same tree node for node) and mapped back on
     return, so any integers work; a vertex's admissible colors are one
-    ``int`` bitmask.  Depth-first with an explicit stack of one frame per
-    branching vertex: the vertex, its untried colors, every vertex's mask
-    before it was colored, its ceiling, the vertices left after it, its
-    color and ``seen``, the colors its ancestors use (all ones without
-    ``twins``).  Coloring copies the masks, so backtracking restores
+    ``int`` bitmask, computed once per distinct list.  Depth-first with an
+    explicit stack of one frame per branching vertex: the vertex, its
+    untried colors, every vertex's mask before it was colored, its
+    ceiling, the vertices left after it, its color and ``seen``, the
+    colors its ancestors use (all ones without ``twins``).  Coloring copies the masks, so backtracking restores
     nothing.
     """
-    palette = sorted(set().union(*lists))
+    distinct = set(lists)
+    palette = sorted(set().union(*distinct))
     rank = {c: r for r, c in enumerate(palette)}
-    allowed = [sum(1 << rank[c] for c in cs) for cs in lists]
+    masks = {cs: sum(1 << rank[c] for c in cs) for cs in distinct}
+    allowed = list(map(masks.__getitem__, lists))
     # the ceiling mask admits the colors up to one above the largest used
     # (ceilings[r] once rank r is used), or every color without ``fresh``
     if fresh:
@@ -100,9 +106,8 @@ def _search(h: Graph, lists: list[tuple[int, ...]], budget: SearchBudget,
         ceilings = [(1 << bisect_right(palette, c + 1)) - 1 for c in palette]
     else:
         start, ceilings = -1, [-1] * len(palette)
-    adj = h.adj
     stack: list[list] = []
-    avail, ceiling, rest = allowed, start, tuple(range(h.n))
+    avail, ceiling, rest = allowed, start, tuple(range(len(adj)))
     seen = 0 if twins else -1
     while True:
         budget.tick()
@@ -157,10 +162,10 @@ def strong_chromatic_index_exact(g: Graph,
             f"{budget.edge_cap}; raise SearchBudget.edge_cap to insist")
     if g.m == 0:
         return OracleResult(0, {}, 0)
-    h = conflict_graph(g)
-    clique = _greedy_clique(h)
-    for k in range(len(clique), h.n + 1):
-        witness = _search(h, [tuple(range(k))] * h.n, budget, fresh=True)
+    rows = conflict_rows(g)
+    clique = _greedy_clique(rows)
+    for k in range(len(clique), g.m + 1):
+        witness = _search(rows, [tuple(range(k))] * g.m, budget, fresh=True)
         if witness is not None:
             return OracleResult(k, witness, len(clique))
     raise AssertionError("coloring with one color per edge cannot fail")
@@ -187,9 +192,9 @@ def list_strong_colorable(g: Graph, lists: dict[int, frozenset[int]],
     if missing:
         more = f" and {len(missing) - 10} more" if len(missing) > 10 else ""
         raise ValueError(f"edges without a color list: {missing[:10]}{more}")
-    rows = [tuple(sorted(lists[e])) for e in range(g.m)]
-    return _search(conflict_graph(g), rows, budget, fresh=False,
-                   twins=len(set(rows)) == 1)
+    colors = [tuple(sorted(lists[e])) for e in range(g.m)]
+    return _search(conflict_rows(g), colors, budget, fresh=False,
+                   twins=len(set(colors)) == 1)
 
 
 @dataclass(frozen=True)

@@ -255,6 +255,24 @@ def test_exact_refuses_oversized(tmp_path, capsys):
     assert "refused" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value, low", [
+    ("--max-nodes", "-1", 1), ("--max-nodes", "0", 1),
+    ("--edge-cap", "-3", 0)])
+def test_exact_refuses_nonsense_budgets_as_usage_errors(tmp_path, capsys,
+                                                        option, value, low):
+    # a budget no search can use is a bad argument (exit 2), not a search
+    # that gave up or a graph above the cap (exit 1)
+    inst = write(tmp_path, "c5.txt", C5)
+    with pytest.raises(SystemExit) as info:
+        run_command(["exact", inst, option, value])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: strongedge exact")
+    assert captured.err.endswith(
+        f"error: argument {option}: must be at least {low}, got {value}\n")
+
+
 def test_exact_gives_up_past_its_node_budget(tmp_path, capsys):
     inst = write(tmp_path, "c5.txt", C5)
     assert run_command(["exact", inst, "--max-nodes", "1"]) == 1

@@ -5,8 +5,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strongedge import (build_graph, conflict_graph,
+from strongedge import (FAMILIES, build_graph, conflict_graph,
                         edges_within_distance_two, generate, GenSpec)
+from strongedge.conflicts import conflict_rows
 from strongedge.graph import PeelState
 
 from tests.helpers import (naive_conflicts, random_graph,
@@ -112,3 +113,38 @@ def test_conflict_graph_matches_reference_on_fixed_graphs():
     for g in (build_graph([]), build_graph([], vertices=range(3)),
               generate(GenSpec("c5-blowup", 0, delta=4)).graph):
         _same_graph(conflict_graph(g), reference_conflict_graph(g))
+
+
+def _check_rows(g):
+    """``conflict_rows`` equals the neighbor tuples of the conflict graph
+    relabelled through build_graph, and each row equals the edge's sorted
+    conflict set."""
+    rows = conflict_rows(g)
+    assert rows == reference_conflict_graph(g).adj
+    assert rows == tuple(tuple(sorted(edges_within_distance_two(g, e)))
+                         for e in range(g.m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12), st.floats(0, 1), st.integers(0, 10**6))
+def test_conflict_rows_match_reference(n, p, seed):
+    _check_rows(build_graph(random_graph(random.Random(seed), n, p),
+                            vertices=range(n)))
+
+
+ROW_CASES = [(family, n, delta, seed)
+             for family, n, deltas in (("cycle", 9, (4,)),
+                                       ("tree", 12, (3, 4)),
+                                       ("c5-blowup", 0, (2, 4, 6)),
+                                       ("sparse-mad3", 10, (4,)),
+                                       ("planar-girth7", 14, (4, 5)))
+             for delta in deltas for seed in range(3)]
+
+
+def test_conflict_rows_match_reference_on_fixed_graphs():
+    assert {case[0] for case in ROW_CASES} == set(FAMILIES)
+    fixed = [build_graph([]), build_graph([], vertices=range(3))]
+    fixed += [generate(GenSpec(family, n, delta=delta, seed=seed)).graph
+              for family, n, delta, seed in ROW_CASES]
+    for g in fixed:
+        _check_rows(g)

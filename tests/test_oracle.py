@@ -78,7 +78,7 @@ def test_small_graph_answers_are_pinned():
         exact, fewer, listed = SearchBudget(), SearchBudget(), SearchBudget()
         r = strong_chromatic_index_exact(g, exact)
         uniform = uniform_lists(g, r.chi_s - 1)
-        below = _search(conflict_graph(g),
+        below = _search(conflict_graph(g).adj,
                         [tuple(sorted(uniform[e])) for e in range(g.m)],
                         fewer, fresh=False)
         twins = SearchBudget()
@@ -99,9 +99,43 @@ def test_small_graph_answers_are_pinned():
         "bdf4a9e55482c8c05f3ce1ce3779697b9db68ca1df12af0173ac97ca4d6215cb")
 
 
+def test_exact_mix_answers_are_pinned():
+    # the benchmark's exact mix (trees n=8 at degree 4 and 3, sparse-mad3
+    # n=5) over 60 seeds: chi_s, witness, clique bound and node count of the
+    # exact search, the verdict and node count on chi_s - 1 uniform colors,
+    # then the list search on random lists of 2 to 4 colors out of -2..3;
+    # the hash was taken before the searches read conflict rows in place of
+    # a conflict Graph
+    digest = hashlib.sha256()
+    refuted = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        for family, n, delta in (("tree", 8, 4), ("sparse-mad3", 5, 4),
+                                 ("tree", 8, 3)):
+            g = generate(GenSpec(family, n, delta=delta, seed=seed)).graph
+            exact, fewer, listed = (SearchBudget(), SearchBudget(),
+                                    SearchBudget())
+            r = strong_chromatic_index_exact(g, exact)
+            below = list_strong_colorable(g, uniform_lists(g, r.chi_s - 1),
+                                          fewer)
+            lists = {e: frozenset(rng.sample(range(-2, 4), rng.randint(2, 4)))
+                     for e in range(g.m)}
+            found = list_strong_colorable(g, lists, listed)
+            refuted += found is None
+            digest.update(repr((
+                r.chi_s, sorted(r.witness.items()), r.lower_bound_clique,
+                exact.nodes_used, below, fewer.nodes_used,
+                found and sorted(found.items()),
+                listed.nodes_used)).encode())
+    assert refuted == 64  # both outcomes of the non-uniform search occur
+    assert digest.hexdigest() == (
+        "130ffb94ab90a2d7ce80358a3d3cf7520e7732158eb617d8fb1627da76c63661")
+
+
 def _outcome(search, h, lists, fresh, max_nodes=2_000_000):
     """What a search returns (items in order) or that it ran out of nodes,
-    with the nodes it used."""
+    with the nodes it used; ``h`` is what ``search`` takes, neighbor
+    tuples for ``_search`` and a Graph for ``reference_search``."""
     budget = SearchBudget(max_nodes=max_nodes)
     try:
         found = search(h, lists, budget, fresh)
@@ -137,7 +171,7 @@ def test_search_matches_reference(fresh, seed):
                                    width - short * rng.randint(0, 1))))
              for _ in range(n)]
     cap = rng.choice((rng.randint(1, 20), 5000))
-    assert (_outcome(_search, h, lists, fresh, cap)
+    assert (_outcome(_search, h.adj, lists, fresh, cap)
             == _outcome(reference_search, h, lists, fresh, cap))
 
 
@@ -228,11 +262,11 @@ def test_budget_boundary_matches_reference(k_colors):
     g = build_graph([(i, (i + 1) % 5) for i in range(5)])
     h = conflict_graph(g)
     lists = [tuple(range(k_colors))] * h.n
-    answer, k = _outcome(_search, h, lists, False)
+    answer, k = _outcome(_search, h.adj, lists, False)
     assert (answer is None) == (k_colors == 4)
-    for search in (_search, reference_search):
-        assert _outcome(search, h, lists, False, k) == (answer, k)
-        assert _outcome(search, h, lists, False, k - 1) == ("budget", k)
+    for search, graph in ((_search, h.adj), (reference_search, h)):
+        assert _outcome(search, graph, lists, False, k) == (answer, k)
+        assert _outcome(search, graph, lists, False, k - 1) == ("budget", k)
     # the list search prunes twin colors, so its boundary is its own count
     uniform = uniform_lists(g, k_colors)
     same, own = _listed(g, uniform)
