@@ -16,7 +16,7 @@ from .colorer import (ExtensionError, ExtensionRecord, HypothesisError,
                       SolveReport, TheoremViolationError, Violation,
                       greedy_color, solve_girth7, solve_mad3, uniform_lists,
                       verify_strong)
-from .conflicts import conflict_graph, edges_within_distance_two
+from .conflicts import conflict_rows, edges_within_distance_two
 from .density import DensityWitness, density_exceeds, mad, mad_deficit_sum
 from .discharge import (AuditReport, ChargeLedger, Embedding, EmbeddingError,
                         Transfer, apply_rules_girth7, apply_rules_mad,
@@ -43,7 +43,7 @@ __all__ = [
     "ParseError", "PropositionCheck", "ReductionPlan", "SearchBudget",
     "SolveReport", "TheoremViolationError", "Transfer", "Violation",
     "apply_rules_girth7", "apply_rules_mad", "audit_girth7", "audit_mad",
-    "build_graph", "check_proposition_small_delta", "conflict_graph",
+    "build_graph", "check_proposition_small_delta", "conflict_rows",
     "count_twos", "density_exceeds", "edges_within_distance_two",
     "euler_charge_identity", "find_reducible_girth7", "find_reducible_mad",
     "generate", "girth", "greedy_color", "list_strong_colorable", "mad",

@@ -27,7 +27,11 @@ def edges_within_distance_two(g: Graph, e: int) -> frozenset[int]:
 
 def conflict_rows(g: Graph) -> tuple[tuple[int, ...], ...]:
     """For each edge id, the ascending ids of the edges conflicting with it:
-    one set per edge from the stars of ``N(u) | N(v)``, less the edge."""
+    one set per edge from the stars of ``N(u) | N(v)``, less the edge.
+
+    These are the neighbor tuples of the conflict graph on the edge ids: a
+    strong edge coloring of ``g`` is exactly a proper coloring of it.
+    """
     adj, edge_at = g.adj, g.edge_at
     rows = []
     for e, (u, v) in enumerate(g.edges):
@@ -38,15 +42,3 @@ def conflict_rows(g: Graph) -> tuple[tuple[int, ...], ...]:
         rows.append(tuple(sorted(out)))
     return tuple(rows)
 
-
-def conflict_graph(g: Graph) -> Graph:
-    """Graph whose vertices are ``g``'s edge ids, adjacent iff conflicting.
-
-    A strong edge coloring of ``g`` is exactly a proper vertex coloring of
-    this graph.  Its neighbor tuples are :func:`conflict_rows`.
-    """
-    # ascending rows give the pairs sorted with e < f, as Graph wants its
-    # edges; vertex e is labelled e, so no relabelling is needed
-    pairs = tuple((e, f) for e, row in enumerate(conflict_rows(g))
-                  for f in row if e < f)
-    return Graph(g.m, tuple(range(g.m)), pairs)

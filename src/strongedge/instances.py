@@ -131,7 +131,8 @@ def parse_instance(text: str) -> InstanceFile:
         for u, v in edges:
             if not (0 <= u < declared_n and 0 <= v < declared_n):
                 raise ParseError(
-                    0, f"edge {u} {v} outside declared range 0..{declared_n - 1}")
+                    edge_lines[min(u, v), max(u, v)],
+                    f"edge {u} {v} outside declared range 0..{declared_n - 1}")
 
     def vid(label: int, lineno: int) -> int:
         try:
@@ -151,10 +152,11 @@ def parse_instance(text: str) -> InstanceFile:
             label = g.labels[w]
             if label in rotations:
                 # rotations are written in label space; map and sanity-check
-                mapped = [vid(x, 0) for x in rotations[label]]
+                lineno = rotation_lines[label]
+                mapped = [vid(x, lineno) for x in rotations[label]]
                 if sorted(mapped) != sorted(g.adj[w]):
                     raise ParseError(
-                        0, f"rotation at {label} does not list its "
+                        lineno, f"rotation at {label} does not list its "
                         f"neighbors exactly once")
                 rows.append(tuple(mapped))
             else:

@@ -11,7 +11,7 @@ the node budget raises, it never returns a wrong answer.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .conflicts import conflict_rows
@@ -68,76 +68,67 @@ def _greedy_clique(adj: tuple[tuple[int, ...], ...]) -> list[int]:
 
 
 def _search(adj: tuple[tuple[int, ...], ...], lists: list[tuple[int, ...]],
-            budget: SearchBudget, fresh: bool,
-            twins: bool = False) -> dict[int, int] | None:
+            budget: SearchBudget) -> dict[int, int] | None:
     """Proper-color the graph with neighbor tuples ``adj`` from per-vertex
-    ascending color tuples, or None.
+    ascending tuples of distinct colors, or None.
 
     Branching picks the vertex with the fewest admissible colors, ties
-    broken by lowest id, and tries its colors in ascending order.  With
-    ``fresh`` a vertex may take a color at most one above the largest used
-    so far, which kills the color permutation symmetry of the uniform
-    lists ``0..k-1``.  With ``twins`` (every list the same) a vertex tries
-    at most one color that no ancestor uses: the unused colors are
-    interchangeable, so once one fails below it they all fail.  That
-    prunes only subtrees without a solution, and the vertex order never
-    depends on it, so the search returns what it would without ``twins``
-    after visiting a subset of the same nodes.
+    broken by lowest id, and tries its colors in ascending order.  When
+    every vertex has the same list, a vertex tries at most one color that
+    no ancestor uses: the unused colors are interchangeable, so once one
+    fails below it they all fail.  That prunes only subtrees without a
+    solution, and the vertex order never depends on it, so the search
+    returns what it would without pruning after visiting a subset of the
+    same nodes.  On the lists ``0..k-1`` the colors used always form a
+    prefix, so a vertex tries the used colors and the lowest unused one,
+    which kills the color permutation symmetry of the exact index.
 
     Colors are searched as their ranks in the sorted union of the lists
     (the same order, so the same tree node for node) and mapped back on
     return, so any integers work; a vertex's admissible colors are one
     ``int`` bitmask, computed once per distinct list.  Depth-first with an
     explicit stack of one frame per branching vertex: the vertex, its
-    untried colors, every vertex's mask before it was colored, its
-    ceiling, the vertices left after it, its color and ``seen``, the
-    colors its ancestors use (all ones without ``twins``).  Coloring copies the masks, so backtracking restores
-    nothing.
+    untried colors, every vertex's mask before it was colored, the
+    vertices left after it, its color and ``seen``, the colors its
+    ancestors use (all ones when the lists differ).  Coloring copies the
+    masks, so backtracking restores nothing.
     """
     distinct = set(lists)
     palette = sorted(set().union(*distinct))
     rank = {c: r for r, c in enumerate(palette)}
     masks = {cs: sum(1 << rank[c] for c in cs) for cs in distinct}
-    allowed = list(map(masks.__getitem__, lists))
-    # the ceiling mask admits the colors up to one above the largest used
-    # (ceilings[r] once rank r is used), or every color without ``fresh``
-    if fresh:
-        start = (1 << bisect_right(palette, 0)) - 1
-        ceilings = [(1 << bisect_right(palette, c + 1)) - 1 for c in palette]
-    else:
-        start, ceilings = -1, [-1] * len(palette)
+    avail = list(map(masks.__getitem__, lists))
     stack: list[list] = []
-    avail, ceiling, rest = allowed, start, tuple(range(len(adj)))
-    seen = 0 if twins else -1
+    rest = tuple(range(len(adj)))
+    seen = 0 if len(distinct) == 1 else -1
     while True:
         budget.tick()
         if not rest:
-            return {frame[0]: palette[frame[5]] for frame in stack}
+            return {frame[0]: palette[frame[4]] for frame in stack}
         best_v, best_k = -1, len(palette) + 1
         for v in rest:
-            k = (avail[v] & ceiling).bit_count()
+            k = avail[v].bit_count()
             if k < best_k:
                 best_v, best_k = v, k
                 if not k:
                     break
         if best_k:
             i = rest.index(best_v)
-            stack.append([best_v, avail[best_v] & ceiling, avail, ceiling,
+            stack.append([best_v, avail[best_v], avail,
                           rest[:i] + rest[i + 1:], -1, seen])
         while stack:
             frame = stack[-1]
-            v, untried, before, under, left, _, seen = frame
+            v, untried, before, left, _, seen = frame
             if untried:
                 low = untried & -untried
                 # past the first unused color, only used ones stay to try
                 frame[1] = untried ^ low if low & seen else untried & seen
-                r = frame[5] = low.bit_length() - 1
+                frame[4] = low.bit_length() - 1
                 seen |= low
                 avail = before[:]
                 clear = ~low
                 for w in adj[v]:
                     avail[w] &= clear
-                ceiling = under | ceilings[r]
                 rest = left
                 break
             stack.pop()
@@ -165,21 +156,23 @@ def strong_chromatic_index_exact(g: Graph,
     rows = conflict_rows(g)
     clique = _greedy_clique(rows)
     for k in range(len(clique), g.m + 1):
-        witness = _search(rows, [tuple(range(k))] * g.m, budget, fresh=True)
+        witness = _search(rows, [tuple(range(k))] * g.m, budget)
         if witness is not None:
             return OracleResult(k, witness, len(clique))
     raise AssertionError("coloring with one color per edge cannot fail")
 
 
-def list_strong_colorable(g: Graph, lists: dict[int, frozenset[int]],
+def list_strong_colorable(g: Graph, lists: dict[int, Iterable[int]],
                           budget: SearchBudget | None = None
                           ) -> dict[int, int] | None:
     """Complete search for a strong edge coloring from per-edge lists.
 
     Returns a coloring (edge id -> color) or ``None`` if none exists.
-    Every edge of ``g`` must have a list.  When every list is the same,
-    the search skips colorings that differ only by renaming colors no
-    edge uses yet; it returns the same answer, in fewer nodes.
+    Every edge of ``g`` must have a list: any iterable of ints, in any
+    order, repeats allowed (a repeated color counts once).  When every
+    list holds the same colors, the search skips colorings that differ
+    only by renaming colors no edge uses yet; it returns the same answer,
+    in fewer nodes.
 
     Memory grows with the depth of the search: each level keeps its own
     copy of the per-edge color masks, about ``16*m*d`` bytes at depth
@@ -192,9 +185,8 @@ def list_strong_colorable(g: Graph, lists: dict[int, frozenset[int]],
     if missing:
         more = f" and {len(missing) - 10} more" if len(missing) > 10 else ""
         raise ValueError(f"edges without a color list: {missing[:10]}{more}")
-    colors = [tuple(sorted(lists[e])) for e in range(g.m)]
-    return _search(conflict_rows(g), colors, budget, fresh=False,
-                   twins=len(set(colors)) == 1)
+    colors = [tuple(sorted(set(lists[e]))) for e in range(g.m)]
+    return _search(conflict_rows(g), colors, budget)
 
 
 @dataclass(frozen=True)

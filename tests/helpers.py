@@ -317,8 +317,8 @@ def delete_vertex(g, v):
 
 
 def reference_conflict_graph(g):
-    """The conflict graph built the way ``conflicts.conflict_graph`` built
-    it before it made its ``Graph`` directly: conflicting pairs sent
+    """The conflict graph on ``g``'s edge ids, built the slow way as the
+    reference for ``conflicts.conflict_rows``: conflicting pairs sent
     through ``build_graph`` with the edge ids as labels."""
     pairs = [(e, f) for e in range(g.m)
              for f in edges_within_distance_two(g, e) if e < f]
@@ -335,7 +335,10 @@ def reference_search(h, lists, budget, fresh):
     broken by lowest id, and tries its colors in ascending order.  With
     ``fresh`` a vertex may take a color at most one above the largest used
     so far, which kills the color permutation symmetry of the uniform
-    lists ``0..k-1``.  Depth-first with an explicit stack holding one
+    lists ``0..k-1``: on those lists it is the twin of ``_search``, whose
+    twin pruning on one shared list builds the same tree node for node.
+    Without ``fresh`` it is the twin of ``_search`` on lists that differ.
+    Depth-first with an explicit stack holding one
     frame per branching vertex: the vertex, an iterator over its untried
     colors and the color ceiling it was chosen under.
     """

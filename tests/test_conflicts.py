@@ -5,9 +5,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strongedge import (FAMILIES, build_graph, conflict_graph,
+from strongedge import (FAMILIES, build_graph, conflict_rows,
                         edges_within_distance_two, generate, GenSpec)
-from strongedge.conflicts import conflict_rows
 from strongedge.graph import PeelState
 
 from tests.helpers import (naive_conflicts, random_graph,
@@ -82,37 +81,17 @@ def test_conflict_symmetry_and_index(case):
 
 def test_c7_conflict_graph_is_4_regular():
     g = build_graph([(i, (i + 1) % 7) for i in range(7)])
-    h = conflict_graph(g)
-    assert h.n == 7
-    assert all(h.degree(v) == 4 for v in range(h.n))
+    rows = conflict_rows(g)
+    assert len(rows) == 7
+    assert all(len(row) == 4 for row in rows)
 
 
 def test_blowup_conflict_graph_is_complete():
     g = generate(GenSpec("c5-blowup", 0, delta=4)).graph
-    h = conflict_graph(g)
-    assert h.m == h.n * (h.n - 1) // 2 == 190
-
-
-
-def _same_graph(a, b):
-    assert (a.n, a.labels, a.edges, a.adj, a.edge_at) == (
-        b.n, b.labels, b.edges, b.adj, b.edge_at)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 12), st.floats(0, 1), st.integers(0, 10**6))
-def test_conflict_graph_matches_reference(n, p, seed):
-    # built directly, the conflict graph equals the one relabelled through
-    # build_graph: the same ids, labels, edges, neighbor tuples and edge ids
-    g = build_graph(random_graph(random.Random(seed), n, p),
-                    vertices=range(n))
-    _same_graph(conflict_graph(g), reference_conflict_graph(g))
-
-
-def test_conflict_graph_matches_reference_on_fixed_graphs():
-    for g in (build_graph([]), build_graph([], vertices=range(3)),
-              generate(GenSpec("c5-blowup", 0, delta=4)).graph):
-        _same_graph(conflict_graph(g), reference_conflict_graph(g))
+    rows = conflict_rows(g)
+    assert len(rows) == 20
+    assert all(row == tuple(f for f in range(20) if f != e)
+               for e, row in enumerate(rows))
 
 
 def _check_rows(g):

@@ -92,8 +92,9 @@ def test_serialize_refuses_sparse_isolated():
     ("e 0 1\nr 0 1\n", 2, "r syntax"),
     ("e 0 1\nr 0 : 1\nr 0 : 1\n", 3, "repeated rotation"),
     ("e 0 1\nr 5 : 0\n", 2, "rotation for unknown vertex 5"),
-    ("e 0 1\ne 1 2\nr 1 : 0 0\n", 0, "neighbors exactly once"),
-    ("e 0 1\ne 1 2\nr 1 : 0\n", 0, "neighbors exactly once"),
+    ("e 0 1\ne 1 2\nr 1 : 0 0\n", 3, "neighbors exactly once"),
+    ("e 0 1\ne 1 2\nr 1 : 0\n", 3, "neighbors exactly once"),
+    ("e 0 1\ne 1 2\nr 1 : 0 9\n", 3, "unknown vertex 9"),
     ("e 0 1\nl 0 1\n", 2, "l syntax"),
     ("e 0 1\nl 0 2 : 4\n", 2, "unknown vertex 2"),
     ("e 0 1\ne 1 2\nl 0 2 : 4\n", 3, "no edge 0 2"),
@@ -102,7 +103,7 @@ def test_serialize_refuses_sparse_isolated():
     ("p a 1\np a 2\n", 2, "repeated property a"),
     ("e 0 1\np delta x\n", 0, "must be an integer"),
     ("e 0 1\ne 0 2\ne 0 3\np delta 2\n", 0, "degree 3"),
-    ("v 2\ne 0 5\n", 0, "outside declared range"),
+    ("v 2\ne 0 5\n", 2, "outside declared range"),
 ])
 def test_parse_errors(text, line, fragment):
     with pytest.raises(ParseError, match=fragment) as info:

@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strongedge import (BudgetExceededError, SearchBudget, build_graph,
-                        check_proposition_small_delta, conflict_graph,
+                        check_proposition_small_delta, conflict_rows,
                         generate, GenSpec, list_strong_colorable,
                         strong_chromatic_index_exact, uniform_lists,
                         verify_strong)
 
 from strongedge.oracle import _search
 from tests.helpers import (dp_chromatic, naive_strong_ok, random_graph,
-                           reference_search)
+                           reference_conflict_graph, reference_search)
 
 
 def test_cycle_values():
@@ -50,12 +50,8 @@ def test_matches_independent_chromatic_dp(n, seed):
     if not edges:
         return
     g = build_graph(edges, vertices=range(n))
-    h = conflict_graph(g)
-    masks = [0] * h.n
-    for u, v in h.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    assert strong_chromatic_index_exact(g).chi_s == dp_chromatic(h.n, masks)
+    masks = [sum(1 << f for f in row) for row in conflict_rows(g)]
+    assert strong_chromatic_index_exact(g).chi_s == dp_chromatic(g.m, masks)
     assert naive_strong_ok(list(g.edges),
                            strong_chromatic_index_exact(g).witness)
 
@@ -65,9 +61,9 @@ def test_small_graph_answers_are_pinned():
     # the list search on chi_s - 1 uniform colors and on random 7-of-12
     # lists; the hash was taken before the two backtracking searches (one
     # with color-symmetry breaking, one over per-edge lists) became one.
-    # The chi_s - 1 entry is the search without twin pruning; the list
-    # search must answer it the same in no more nodes, and its own node
-    # counts have a second hash
+    # The chi_s - 1 entry is the slow reference search without symmetry
+    # breaking; the list search must answer it the same in no more nodes,
+    # and its own node counts have a second hash
     digest, pruned = hashlib.sha256(), hashlib.sha256()
     for seed in range(500):
         rng = random.Random(seed)
@@ -78,9 +74,9 @@ def test_small_graph_answers_are_pinned():
         exact, fewer, listed = SearchBudget(), SearchBudget(), SearchBudget()
         r = strong_chromatic_index_exact(g, exact)
         uniform = uniform_lists(g, r.chi_s - 1)
-        below = _search(conflict_graph(g).adj,
-                        [tuple(sorted(uniform[e])) for e in range(g.m)],
-                        fewer, fresh=False)
+        below = reference_search(
+            reference_conflict_graph(g),
+            [tuple(sorted(uniform[e])) for e in range(g.m)], fewer, False)
         twins = SearchBudget()
         got = list_strong_colorable(g, uniform, twins)
         assert (got and list(got.items())) == (below and list(below.items()))
@@ -132,13 +128,14 @@ def test_exact_mix_answers_are_pinned():
         "130ffb94ab90a2d7ce80358a3d3cf7520e7732158eb617d8fb1627da76c63661")
 
 
-def _outcome(search, h, lists, fresh, max_nodes=2_000_000):
+def _outcome(search, h, lists, *fresh, max_nodes=2_000_000):
     """What a search returns (items in order) or that it ran out of nodes,
     with the nodes it used; ``h`` is what ``search`` takes, neighbor
-    tuples for ``_search`` and a Graph for ``reference_search``."""
+    tuples for ``_search`` and a Graph for ``reference_search``, which
+    also takes its ``fresh`` flag."""
     budget = SearchBudget(max_nodes=max_nodes)
     try:
-        found = search(h, lists, budget, fresh)
+        found = search(h, lists, budget, *fresh)
     except BudgetExceededError:
         return "budget", budget.nodes_used
     return found and list(found.items()), budget.nodes_used
@@ -157,22 +154,33 @@ def _listed(g, lists, max_nodes=2_000_000):
 @settings(max_examples=200, deadline=None)
 @given(st.booleans(), st.integers(0, 10**6))
 def test_search_matches_reference(fresh, seed):
-    # random conflict graphs colored from ``chi - 1`` or ``chi`` colors
-    # around 0, some lists one color short: the same answer with items in
-    # the same order and the same node count, also when both run out
+    # random conflict graphs colored from ``chi - 1`` or ``chi`` colors.
+    # With ``fresh`` every list is 0..width-1, where the reference's fresh
+    # rule and the search's twin pruning build the same tree; otherwise
+    # the colors sit around 0 and some lists are one color short.  The
+    # same answer with items in the same order and the same node count,
+    # also when both run out; lists that happen to be all the same are
+    # pruned, so there the answer is the same in no more nodes
     rng = random.Random(seed)
     n = rng.randint(0, 12)
     h = build_graph(random_graph(rng, n, rng.uniform(0.2, 0.9)),
                     vertices=range(n))
     chi = dp_chromatic(n, [sum(1 << w for w in h.adj[v]) for v in range(n)])
     width = max(1, chi - rng.randint(0, 1))
-    short = rng.randint(0, 1)  # drop one color from some lists, or none
-    lists = [tuple(sorted(rng.sample(range(-1, width - 1),
-                                   width - short * rng.randint(0, 1))))
-             for _ in range(n)]
+    if fresh:
+        lists = [tuple(range(width))] * n
+    else:
+        short = rng.randint(0, 1)  # drop one color from some lists, or none
+        lists = [tuple(sorted(rng.sample(range(-1, width - 1),
+                                       width - short * rng.randint(0, 1))))
+                 for _ in range(n)]
     cap = rng.choice((rng.randint(1, 20), 5000))
-    assert (_outcome(_search, h.adj, lists, fresh, cap)
-            == _outcome(reference_search, h, lists, fresh, cap))
+    got = _outcome(_search, h.adj, lists, max_nodes=cap)
+    ref = _outcome(reference_search, h, lists, fresh, max_nodes=cap)
+    if fresh or len(set(lists)) > 1:
+        assert got == ref
+    elif ref[0] != "budget":
+        assert got[0] == ref[0] and got[1] <= ref[1]
 
 
 _PALETTES = (
@@ -206,8 +214,8 @@ def _check_twins(g, palette, rng):
     reference, also under a random cap; returns the reference's answer."""
     lists = {e: frozenset(palette) for e in range(g.m)}
     rows = [tuple(sorted(set(palette)))] * g.m
-    answer, nodes = _outcome(reference_search, conflict_graph(g), rows,
-                             False, 20_000)
+    answer, nodes = _outcome(reference_search, reference_conflict_graph(g),
+                             rows, False, max_nodes=20_000)
     if answer == "budget":
         return
     same, own = _listed(g, lists)
@@ -236,7 +244,7 @@ def test_list_search_keeps_color_values():
     lists = {0: frozenset({huge}), 1: frozenset({-7, huge}),
              2: frozenset({-7, 0, 10**18}), 3: frozenset({0, 10**18, huge}),
              4: frozenset({-(10**18), 0, 10**18})}
-    h = conflict_graph(g)
+    h = reference_conflict_graph(g)
     budget = SearchBudget()
     got = list_strong_colorable(g, lists, budget)
     assert got is not None and not verify_strong(g, got)
@@ -258,21 +266,22 @@ def test_list_search_keeps_color_values():
 def test_budget_boundary_matches_reference(k_colors):
     # C5 needs 5 colors: 4 is a full refutation, 5 a found coloring.  With
     # exactly the nodes a search needs it answers; one fewer raises, having
-    # counted the node it was refused, in both searches
+    # counted the node it was refused, in the search, the reference with
+    # its fresh rule and the list search on the same uniform lists
     g = build_graph([(i, (i + 1) % 5) for i in range(5)])
-    h = conflict_graph(g)
-    lists = [tuple(range(k_colors))] * h.n
-    answer, k = _outcome(_search, h.adj, lists, False)
+    lists = [tuple(range(k_colors))] * g.m
+    answer, k = _outcome(_search, conflict_rows(g), lists)
     assert (answer is None) == (k_colors == 4)
-    for search, graph in ((_search, h.adj), (reference_search, h)):
-        assert _outcome(search, graph, lists, False, k) == (answer, k)
-        assert _outcome(search, graph, lists, False, k - 1) == ("budget", k)
-    # the list search prunes twin colors, so its boundary is its own count
+    for search, graph, *fresh in ((_search, conflict_rows(g)),
+                                  (reference_search,
+                                   reference_conflict_graph(g), True)):
+        assert _outcome(search, graph, lists, *fresh,
+                        max_nodes=k) == (answer, k)
+        assert _outcome(search, graph, lists, *fresh,
+                        max_nodes=k - 1) == ("budget", k)
     uniform = uniform_lists(g, k_colors)
-    same, own = _listed(g, uniform)
-    assert same == answer and own <= k
-    assert _listed(g, uniform, own) == (answer, own)
-    assert _listed(g, uniform, own - 1) == ("budget", own)
+    assert _listed(g, uniform, k) == (answer, k)
+    assert _listed(g, uniform, k - 1) == ("budget", k)
 
 
 def test_edge_cap_refusal_mentions_knob():
@@ -305,6 +314,15 @@ def test_list_solver_roundtrip():
     # two conflicting edges sharing a singleton list is unsolvable
     lists = {0: frozenset({7}), 1: frozenset({7}), 2: frozenset({1, 2})}
     assert list_strong_colorable(g, lists) is None
+
+
+def test_list_search_counts_a_repeated_color_once():
+    # a repeated color counts once: counted per occurrence it carries into
+    # the next rank's bit, so [5, 5] would read as {7} and refute this path,
+    # and (5, 5, 9) would name a rank past the palette
+    g = build_graph([(0, 1), (1, 2)])
+    assert list_strong_colorable(g, {0: [5, 5], 1: [7]}) == {0: 5, 1: 7}
+    assert list_strong_colorable(g, {0: (5, 5, 9), 1: (9,)}) == {0: 5, 1: 9}
 
 
 def test_list_solver_requires_full_lists():
