@@ -12,6 +12,7 @@ that the reduction engine deletes vertices from, in the graph's own ids.
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from typing import Iterable, Sequence
 
 INFINITY = float("inf")
@@ -49,7 +50,7 @@ class Graph:
         self.edge_at = tuple(edge_at)
         # edges come sorted, so each vertex's neighbors arrive ascending
         self.adj = tuple(map(tuple, edge_at))
-        self._label_index = {lab: i for i, lab in enumerate(labels)}
+        self._label_index = dict(zip(labels, range(n)))
 
     # -- basic queries -------------------------------------------------
 
@@ -121,7 +122,7 @@ def _min_first(order: tuple[int, ...]) -> tuple[int, ...]:
     """A cyclic order rotated to start at its smallest entry."""
     if not order:
         return ()
-    k = min(range(len(order)), key=order.__getitem__)
+    k = order.index(min(order))
     return order[k:] + order[:k]
 
 
@@ -135,19 +136,25 @@ def build_graph(edge_pairs: Iterable[tuple[int, int]],
     label order.  Duplicate edges are merged; a self-loop is rejected with
     an error naming the offending pair.
     """
-    label_set = set(vertices) if vertices is not None else set()
-    pair_set: set[tuple[int, int]] = set()
+    # a dict, not a set: it keeps the given order, which is often sorted
+    # already, and both the walk and the sort below are then much cheaper
+    pairs: dict[tuple[int, int], None] = {}
     for (a, b) in edge_pairs:
-        if a == b:
+        if a < b:
+            pairs[a, b] = None
+        elif a > b:
+            pairs[b, a] = None
+        else:
             raise GraphError(f"self-loop at vertex {a} (pair ({a}, {b}))")
-        label_set.add(a)
-        label_set.add(b)
-        pair_set.add((a, b) if a < b else (b, a))
+    label_set = set(vertices) if vertices is not None else set()
+    label_set.update(chain.from_iterable(pairs))
     labels = tuple(sorted(label_set))
-    index = {lab: i for i, lab in enumerate(labels)}
-    edges = sorted((min(index[a], index[b]), max(index[a], index[b]))
-                   for (a, b) in pair_set)
-    return Graph(len(labels), labels, tuple(edges))
+    n = len(labels)
+    if n and (labels[0] != 0 or labels[-1] != n - 1):
+        # ids follow label order, so a normalized pair stays normalized
+        index = dict(zip(labels, range(n)))
+        pairs = {(index[a], index[b]): None for (a, b) in pairs}
+    return Graph(n, labels, tuple(sorted(pairs)))
 
 
 class PeelState:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph, GraphError, _min_first, build_graph
+from .graph import Graph, _min_first, build_graph
 
 ColorLists = dict[int, frozenset[int]]
 
@@ -53,44 +53,57 @@ class InstanceFile:
     properties: dict[str, str] = field(default_factory=dict)
 
 
+def _not_ints(lineno: int, *groups: list[str]) -> ParseError:
+    """The error naming the first token group that ``int`` refuses."""
+    for parts in groups:
+        try:
+            list(map(int, parts))
+        except ValueError:
+            break
+    return ParseError(lineno, f"expected integers, got {parts!r}")
+
+
 def _ints(parts: list[str], lineno: int) -> list[int]:
     try:
-        return [int(p) for p in parts]
+        return list(map(int, parts))
     except ValueError:
-        raise ParseError(lineno, f"expected integers, got {parts!r}") from None
-
-
-def _tokens(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+        raise _not_ints(lineno, parts) from None
 
 
 def parse_instance(text: str) -> InstanceFile:
     declared_n: int | None = None
-    edges: list[tuple[int, int]] = []
     edge_lines: dict[tuple[int, int], int] = {}
     rotations: dict[int, tuple[int, ...]] = {}
     rotation_lines: dict[int, int] = {}
     list_records: list[tuple[int, int, int, frozenset[int]]] = []
     properties: dict[str, str] = {}
+    delta_line = 0
 
-    for lineno, parts in _tokens(text):
-        kind, rest = parts[0], parts[1:]
-        if kind == "v":
-            if declared_n is not None:
-                raise ParseError(lineno, "repeated v record")
-            if len(rest) != 1:
-                raise ParseError(lineno, "v takes one count")
-            (declared_n,) = _ints(rest, lineno)
-            if declared_n < 0:
-                raise ParseError(lineno, "negative vertex count")
+    lines = text.splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        parts = line.split()
+        if not parts:
+            continue
+        kind = parts[0]
+        if kind == "l":
+            if len(parts) < 4 or parts[3] != ":":
+                raise ParseError(lineno, "l syntax is: l U V : C1 C2 ...")
+            try:
+                u, v = int(parts[1]), int(parts[2])
+                colors = frozenset(map(int, parts[4:]))
+            except ValueError:
+                raise _not_ints(lineno, parts[1:3], parts[4:]) from None
+            list_records.append((lineno, u, v, colors))
         elif kind == "e":
-            if len(rest) != 2:
+            if len(parts) != 3:
                 raise ParseError(lineno, "e takes two endpoints")
-            u, v = _ints(rest, lineno)
-            key = (min(u, v), max(u, v))
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise _not_ints(lineno, parts[1:]) from None
+            key = (u, v) if u < v else (v, u)
             if key in edge_lines:
                 raise ParseError(
                     lineno, f"edge {u} {v} already given on line "
@@ -98,79 +111,84 @@ def parse_instance(text: str) -> InstanceFile:
             if u == v:
                 raise ParseError(lineno, f"self-loop at {u}")
             edge_lines[key] = lineno
-            edges.append((u, v))
         elif kind == "r":
-            if len(rest) < 2 or rest[1] != ":":
+            if len(parts) < 3 or parts[2] != ":":
                 raise ParseError(lineno, "r syntax is: r U : A B ...")
-            (u,) = _ints(rest[:1], lineno)
+            (u,) = _ints(parts[1:2], lineno)
             if u in rotations:
                 raise ParseError(lineno, f"repeated rotation for {u}")
-            rotations[u] = tuple(_ints(rest[2:], lineno))
+            rotations[u] = tuple(_ints(parts[3:], lineno))
             rotation_lines[u] = lineno
-        elif kind == "l":
-            if len(rest) < 3 or rest[2] != ":":
-                raise ParseError(lineno, "l syntax is: l U V : C1 C2 ...")
-            u, v = _ints(rest[:2], lineno)
-            colors = frozenset(_ints(rest[3:], lineno))
-            list_records.append((lineno, u, v, colors))
+        elif kind == "v":
+            if declared_n is not None:
+                raise ParseError(lineno, "repeated v record")
+            if len(parts) != 2:
+                raise ParseError(lineno, "v takes one count")
+            (declared_n,) = _ints(parts[1:], lineno)
+            if declared_n < 0:
+                raise ParseError(lineno, "negative vertex count")
         elif kind == "p":
-            if len(rest) != 2:
+            if len(parts) != 3:
                 raise ParseError(lineno, "p takes a key and a value")
-            if rest[0] in properties:
-                raise ParseError(lineno, f"repeated property {rest[0]}")
-            properties[rest[0]] = rest[1]
+            key, value = parts[1], parts[2]
+            if key in properties:
+                raise ParseError(lineno, f"repeated property {key}")
+            properties[key] = value
+            if key == "delta":
+                delta_line = lineno
         else:
             raise ParseError(lineno, f"unknown record type {kind!r}")
 
-    explicit = range(declared_n) if declared_n is not None else None
-    try:
-        g = build_graph(edges, vertices=explicit)
-    except GraphError as exc:
-        raise ParseError(0, str(exc)) from None
-    if declared_n is not None:
-        for u, v in edges:
-            if not (0 <= u < declared_n and 0 <= v < declared_n):
+    # self-loops were refused above, so build_graph cannot fail here
+    g = build_graph(edge_lines,
+                    vertices=None if declared_n is None else range(declared_n))
+    if declared_n is not None and g.n != declared_n:
+        for (a, b), lineno in edge_lines.items():
+            if not (0 <= a and b < declared_n):
+                # the message names the endpoints in their written order
+                u, v = map(int, lines[lineno - 1].split("#", 1)[0].split()[1:])
                 raise ParseError(
-                    edge_lines[min(u, v), max(u, v)],
+                    lineno,
                     f"edge {u} {v} outside declared range 0..{declared_n - 1}")
 
-    def vid(label: int, lineno: int) -> int:
-        try:
-            return g.vertex_of_label(label)
-        except GraphError:
-            raise ParseError(lineno, f"unknown vertex {label}") from None
-
+    index = g._label_index
     rotation = None
     if rotations:
-        known = set(g.labels)
-        for label in rotations:
-            if label not in known:
-                raise ParseError(rotation_lines[label],
+        for label, lineno in rotation_lines.items():
+            if label not in index:
+                raise ParseError(lineno,
                                  f"rotation for unknown vertex {label}")
         rows: list[tuple[int, ...]] = []
-        for w in range(g.n):
-            label = g.labels[w]
-            if label in rotations:
-                # rotations are written in label space; map and sanity-check
-                lineno = rotation_lines[label]
-                mapped = [vid(x, lineno) for x in rotations[label]]
-                if sorted(mapped) != sorted(g.adj[w]):
-                    raise ParseError(
-                        lineno, f"rotation at {label} does not list its "
-                        f"neighbors exactly once")
-                rows.append(tuple(mapped))
-            else:
+        for w, label in enumerate(g.labels):
+            row = rotations.get(label)
+            if row is None:
                 rows.append(g.adj[w])  # any cyclic order; unique for deg <= 2
+                continue
+            # rotations are written in label space; map and sanity-check
+            lineno = rotation_lines[label]
+            mapped = tuple(map(index.get, row))
+            if None in mapped:
+                raise ParseError(
+                    lineno, f"unknown vertex {row[mapped.index(None)]}")
+            if sorted(mapped) != list(g.adj[w]):
+                raise ParseError(
+                    lineno, f"rotation at {label} does not list its "
+                    f"neighbors exactly once")
+            rows.append(mapped)
         rotation = tuple(rows)
 
     lists: ColorLists | None = None
     if list_records:
         lists = {}
+        edge_at = g.edge_at
         for lineno, u, v, colors in list_records:
-            try:
-                e = g.edge_id(vid(u, lineno), vid(v, lineno))
-            except GraphError:
-                raise ParseError(lineno, f"no edge {u} {v}") from None
+            a, b = index.get(u), index.get(v)
+            if a is None or b is None:
+                raise ParseError(
+                    lineno, f"unknown vertex {u if a is None else v}")
+            e = edge_at[a].get(b)
+            if e is None:
+                raise ParseError(lineno, f"no edge {u} {v}")
             if e in lists:
                 raise ParseError(lineno, f"repeated list for edge {u} {v}")
             lists[e] = colors
@@ -179,55 +197,64 @@ def parse_instance(text: str) -> InstanceFile:
         try:
             cap = int(properties["delta"])
         except ValueError:
-            raise ParseError(0, "property delta must be an integer") from None
+            raise ParseError(delta_line,
+                             "property delta must be an integer") from None
         if g.max_degree() > cap:
             raise ParseError(
-                0, f"declared delta {cap} but the graph has a vertex of "
-                f"degree {g.max_degree()}")
+                delta_line, f"declared delta {cap} but the graph has a "
+                f"vertex of degree {g.max_degree()}")
 
     return InstanceFile(g, rotation, lists, properties)
 
 
 def serialize_instance(inst: InstanceFile) -> str:
     g = inst.graph
-    out = [f"v {g.n}"] if g.labels == tuple(range(g.n)) else []
+    labels, edges = g.labels, g.edges
+    out = [f"v {g.n}"] if labels == tuple(range(g.n)) else []
     if not out:
         # labels are not dense; fall back to listing nothing and letting
         # edges imply the vertex set (isolated labeled vertices would be
         # lost, so refuse those instead of silently dropping them)
-        degs = [v for v in range(g.n) if g.degree(v) == 0]
+        degs = [v for v in range(g.n) if not g.adj[v]]
         if degs:
             raise ValueError(
                 "cannot serialize isolated vertices with sparse labels: "
-                f"{[g.labels[v] for v in degs]}")
+                f"{[labels[v] for v in degs]}")
     for key in sorted(inst.properties):
         out.append(f"p {key} {inst.properties[key]}")
-    for e in range(g.m):
-        a, b = g.label_pair(e)
-        out.append(f"e {a} {b}")
+    out += [f"e {labels[u]} {labels[v]}" for u, v in edges]
     if inst.rotation is not None:
         for w in range(g.n):
-            order = _min_first(tuple(g.labels[x] for x in inst.rotation[w]))
-            out.append(f"r {g.labels[w]} : " + " ".join(map(str, order)))
+            order = _min_first(tuple(labels[x] for x in inst.rotation[w]))
+            out.append(f"r {labels[w]} : " + " ".join(map(str, order)))
     if inst.lists is not None:
         for e in sorted(inst.lists):
-            a, b = g.label_pair(e)
+            u, v = edges[e]
             colors = " ".join(map(str, sorted(inst.lists[e])))
-            out.append(f"l {a} {b} : {colors}")
+            out.append(f"l {labels[u]} {labels[v]} : {colors}")
     return "\n".join(out) + "\n"
 
 
 def parse_coloring(text: str, g: Graph) -> dict[int, int]:
     """Read ``c U V COLOR`` lines against a known graph."""
+    index, edge_at = g._label_index, g.edge_at
     coloring: dict[int, int] = {}
-    for lineno, parts in _tokens(text):
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        parts = line.split()
+        if not parts:
+            continue
         if parts[0] != "c" or len(parts) != 4:
             raise ParseError(lineno, "coloring lines are: c U V COLOR")
-        u, v, color = _ints(parts[1:], lineno)
         try:
-            e = g.edge_id(g.vertex_of_label(u), g.vertex_of_label(v))
-        except GraphError:
-            raise ParseError(lineno, f"no edge {u} {v}") from None
+            u, v, color = int(parts[1]), int(parts[2]), int(parts[3])
+        except ValueError:
+            raise _not_ints(lineno, parts[1:]) from None
+        a = index.get(u)
+        e = None if a is None else edge_at[a].get(index.get(v))
+        if e is None:
+            raise ParseError(lineno, f"no edge {u} {v}")
         if e in coloring:
             raise ParseError(lineno, f"edge {u} {v} colored twice")
         coloring[e] = color
@@ -235,8 +262,9 @@ def parse_coloring(text: str, g: Graph) -> dict[int, int]:
 
 
 def serialize_coloring(g: Graph, coloring: dict[int, int]) -> str:
+    labels, edges = g.labels, g.edges
     out = []
     for e in sorted(coloring):
-        a, b = g.label_pair(e)
-        out.append(f"c {a} {b} {coloring[e]}")
+        u, v = edges[e]
+        out.append(f"c {labels[u]} {labels[v]} {coloring[e]}")
     return "\n".join(out) + "\n"

@@ -14,8 +14,9 @@ conflict graph relabelled through ``build_graph`` instead of built
 directly, whole conflict sets instead of degree
 sums (G1) or stars counted in place (each extension step), and a pebble
 game that searches for every pair instead of refusing pairs inside the
-tight sets its failed searches proved.  Slow but obviously correct, and
-only run on small inputs.
+tight sets its failed searches proved, and file readers and a graph
+builder that copy and look up every record and edge instead of reading
+each once.  Slow but obviously correct, and only run on small inputs.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from strongedge import (ClaimTag, DensityWitness, ExtensionError,
-                        ExtensionRecord, GraphError, ReductionPlan,
-                        SearchBudget, SolveReport, TheoremViolationError,
-                        build_graph, density_exceeds,
+                        ExtensionRecord, Graph, GraphError, InstanceFile,
+                        ParseError, ReductionPlan, SearchBudget, SolveReport,
+                        TheoremViolationError, build_graph, density_exceeds,
                         edges_within_distance_two, greedy_color,
                         list_strong_colorable, trace_faces, verify_strong)
 from strongedge.reducer import ExtensionStep
@@ -597,3 +598,184 @@ def reference_planar_girth7(n, delta, rng):
         g, rotation = rebuild()
         emb = trace_faces(g, rotation)
     return g, rotation
+
+
+def reference_build_graph(edge_pairs, vertices=None):
+    """``build_graph`` before it kept pairs in a dict and skipped the remap
+    for dense labels, kept as the slow reference: a set of normalized
+    pairs, every edge sent through the label index."""
+    label_set = set(vertices) if vertices is not None else set()
+    pair_set: set[tuple[int, int]] = set()
+    for (a, b) in edge_pairs:
+        if a == b:
+            raise GraphError(f"self-loop at vertex {a} (pair ({a}, {b}))")
+        label_set.add(a)
+        label_set.add(b)
+        pair_set.add((a, b) if a < b else (b, a))
+    labels = tuple(sorted(label_set))
+    index = {lab: i for i, lab in enumerate(labels)}
+    edges = sorted((min(index[a], index[b]), max(index[a], index[b]))
+                   for (a, b) in pair_set)
+    return Graph(len(labels), labels, tuple(edges))
+
+
+def _ref_ints(parts: list[str], lineno: int) -> list[int]:
+    try:
+        return [int(p) for p in parts]
+    except ValueError:
+        raise ParseError(lineno, f"expected integers, got {parts!r}") from None
+
+
+def _ref_tokens(text: str):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line.split()
+
+
+def reference_parse_instance(text: str) -> InstanceFile:
+    """``parse_instance`` before its one-pass reading, kept as the slow
+    reference: a token generator, a copy of each record's fields, every
+    edge kept twice, and labels looked up through the graph's methods.
+    Its only change since is that both ``p delta`` errors name the ``p``
+    record's line (they named line 0)."""
+    declared_n: int | None = None
+    edges: list[tuple[int, int]] = []
+    edge_lines: dict[tuple[int, int], int] = {}
+    rotations: dict[int, tuple[int, ...]] = {}
+    rotation_lines: dict[int, int] = {}
+    list_records: list[tuple[int, int, int, frozenset[int]]] = []
+    properties: dict[str, str] = {}
+    property_lines: dict[str, int] = {}
+
+    for lineno, parts in _ref_tokens(text):
+        kind, rest = parts[0], parts[1:]
+        if kind == "v":
+            if declared_n is not None:
+                raise ParseError(lineno, "repeated v record")
+            if len(rest) != 1:
+                raise ParseError(lineno, "v takes one count")
+            (declared_n,) = _ref_ints(rest, lineno)
+            if declared_n < 0:
+                raise ParseError(lineno, "negative vertex count")
+        elif kind == "e":
+            if len(rest) != 2:
+                raise ParseError(lineno, "e takes two endpoints")
+            u, v = _ref_ints(rest, lineno)
+            key = (min(u, v), max(u, v))
+            if key in edge_lines:
+                raise ParseError(
+                    lineno, f"edge {u} {v} already given on line "
+                    f"{edge_lines[key]}")
+            if u == v:
+                raise ParseError(lineno, f"self-loop at {u}")
+            edge_lines[key] = lineno
+            edges.append((u, v))
+        elif kind == "r":
+            if len(rest) < 2 or rest[1] != ":":
+                raise ParseError(lineno, "r syntax is: r U : A B ...")
+            (u,) = _ref_ints(rest[:1], lineno)
+            if u in rotations:
+                raise ParseError(lineno, f"repeated rotation for {u}")
+            rotations[u] = tuple(_ref_ints(rest[2:], lineno))
+            rotation_lines[u] = lineno
+        elif kind == "l":
+            if len(rest) < 3 or rest[2] != ":":
+                raise ParseError(lineno, "l syntax is: l U V : C1 C2 ...")
+            u, v = _ref_ints(rest[:2], lineno)
+            colors = frozenset(_ref_ints(rest[3:], lineno))
+            list_records.append((lineno, u, v, colors))
+        elif kind == "p":
+            if len(rest) != 2:
+                raise ParseError(lineno, "p takes a key and a value")
+            if rest[0] in properties:
+                raise ParseError(lineno, f"repeated property {rest[0]}")
+            properties[rest[0]] = rest[1]
+            property_lines[rest[0]] = lineno
+        else:
+            raise ParseError(lineno, f"unknown record type {kind!r}")
+
+    explicit = range(declared_n) if declared_n is not None else None
+    try:
+        g = reference_build_graph(edges, vertices=explicit)
+    except GraphError as exc:
+        raise ParseError(0, str(exc)) from None
+    if declared_n is not None:
+        for u, v in edges:
+            if not (0 <= u < declared_n and 0 <= v < declared_n):
+                raise ParseError(
+                    edge_lines[min(u, v), max(u, v)],
+                    f"edge {u} {v} outside declared range 0..{declared_n - 1}")
+
+    def vid(label: int, lineno: int) -> int:
+        try:
+            return g.vertex_of_label(label)
+        except GraphError:
+            raise ParseError(lineno, f"unknown vertex {label}") from None
+
+    rotation = None
+    if rotations:
+        known = set(g.labels)
+        for label in rotations:
+            if label not in known:
+                raise ParseError(rotation_lines[label],
+                                 f"rotation for unknown vertex {label}")
+        rows: list[tuple[int, ...]] = []
+        for w in range(g.n):
+            label = g.labels[w]
+            if label in rotations:
+                # rotations are written in label space; map and sanity-check
+                lineno = rotation_lines[label]
+                mapped = [vid(x, lineno) for x in rotations[label]]
+                if sorted(mapped) != sorted(g.adj[w]):
+                    raise ParseError(
+                        lineno, f"rotation at {label} does not list its "
+                        f"neighbors exactly once")
+                rows.append(tuple(mapped))
+            else:
+                rows.append(g.adj[w])  # any cyclic order; unique for deg <= 2
+        rotation = tuple(rows)
+
+    lists = None
+    if list_records:
+        lists = {}
+        for lineno, u, v, colors in list_records:
+            try:
+                e = g.edge_id(vid(u, lineno), vid(v, lineno))
+            except GraphError:
+                raise ParseError(lineno, f"no edge {u} {v}") from None
+            if e in lists:
+                raise ParseError(lineno, f"repeated list for edge {u} {v}")
+            lists[e] = colors
+
+    if "delta" in properties:
+        try:
+            cap = int(properties["delta"])
+        except ValueError:
+            raise ParseError(property_lines["delta"],
+                             "property delta must be an integer") from None
+        if g.max_degree() > cap:
+            raise ParseError(
+                property_lines["delta"], f"declared delta {cap} but the "
+                f"graph has a vertex of degree {g.max_degree()}")
+
+    return InstanceFile(g, rotation, lists, properties)
+
+
+def reference_parse_coloring(text: str, g) -> dict[int, int]:
+    """``parse_coloring`` before it read the label index directly, kept
+    as the slow reference: labels and edges looked up through the graph's
+    methods, each miss caught as a ``GraphError``."""
+    coloring: dict[int, int] = {}
+    for lineno, parts in _ref_tokens(text):
+        if parts[0] != "c" or len(parts) != 4:
+            raise ParseError(lineno, "coloring lines are: c U V COLOR")
+        u, v, color = _ref_ints(parts[1:], lineno)
+        try:
+            e = g.edge_id(g.vertex_of_label(u), g.vertex_of_label(v))
+        except GraphError:
+            raise ParseError(lineno, f"no edge {u} {v}") from None
+        if e in coloring:
+            raise ParseError(lineno, f"edge {u} {v} colored twice")
+        coloring[e] = color
+    return coloring

@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strongedge import (InstanceFile, ParseError, build_graph,
-                        parse_coloring, parse_instance, serialize_coloring,
+from strongedge import (FAMILIES, GenSpec, GraphError, InstanceFile,
+                        ParseError, build_graph, generate, parse_coloring,
+                        parse_instance, serialize_coloring,
                         serialize_instance)
+from tests.helpers import (reference_build_graph, reference_parse_coloring,
+                           reference_parse_instance)
+from tests.test_cli import instance_and_coloring
 
 BASIC = """\
 # a five-cycle with one chord
@@ -101,8 +105,8 @@ def test_serialize_refuses_sparse_isolated():
     ("e 0 1\nl 0 1 : 4\nl 1 0 : 5\n", 3, "repeated list"),
     ("p only\n", 1, "key and a value"),
     ("p a 1\np a 2\n", 2, "repeated property a"),
-    ("e 0 1\np delta x\n", 0, "must be an integer"),
-    ("e 0 1\ne 0 2\ne 0 3\np delta 2\n", 0, "degree 3"),
+    ("e 0 1\np delta x\n", 2, "must be an integer"),
+    ("e 0 1\ne 0 2\ne 0 3\np delta 2\n", 4, "degree 3"),
     ("v 2\ne 0 5\n", 2, "outside declared range"),
 ])
 def test_parse_errors(text, line, fragment):
@@ -154,3 +158,111 @@ def test_random_roundtrips(seed):
     assert again.graph.edges == g.edges and again.graph.n == g.n
     assert again.lists == lists
     assert again.properties == {"seed": str(seed)}
+
+
+def _parsed(parse, *args):
+    """What a reader makes of a file: its result, or its error's text and
+    line."""
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+def _same_instance(got, want):
+    if isinstance(want, tuple):  # a ParseError's text and line
+        assert got == want
+        return
+    assert isinstance(got, InstanceFile)
+    assert got.graph.labels == want.graph.labels
+    assert got.graph.edges == want.graph.edges
+    assert got.rotation == want.rotation
+    assert got.lists == want.lists
+    assert got.properties == want.properties
+
+
+def _check_readers(instance_text, coloring_text):
+    want = _parsed(reference_parse_instance, instance_text)
+    got = _parsed(parse_instance, instance_text)
+    _same_instance(got, want)
+    if isinstance(want, InstanceFile):
+        assert (_parsed(parse_coloring, coloring_text, got.graph)
+                == _parsed(reference_parse_coloring, coloring_text,
+                           want.graph))
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance_and_coloring())
+def test_readers_match_their_slow_twins_on_random_files(files):
+    _check_readers(*files)
+
+
+def _mutations(text, rng, count):
+    """``count`` damaged copies of ``text``: a line dropped or repeated, a
+    token replaced, or a comment added."""
+    lines = text.splitlines()
+    for _ in range(count):
+        out = list(lines)
+        k = rng.randrange(len(out))
+        kind = rng.randrange(4)
+        if kind == 0:
+            del out[k]
+        elif kind == 1:
+            out.insert(rng.randrange(len(out) + 1), out[k])
+        elif kind == 2:
+            parts = out[k].split()
+            parts[rng.randrange(len(parts))] = rng.choice(
+                ["x", ":", "-1", "7", "1.5", str(rng.randrange(60))])
+            out[k] = " ".join(parts)
+        else:
+            out[k] += rng.choice([" # note", "#", " #e 0 0"])
+        yield "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_readers_match_their_slow_twins_on_generated_files(family):
+    # seeded files of every family, with lists on some edges and a
+    # coloring, read whole and after random damage
+    for seed in range(3):
+        inst = generate(GenSpec(family, 30, delta=4, seed=seed))
+        g = inst.graph
+        rng = random.Random(seed)
+        lists = {e: frozenset(rng.sample(range(-5, 30), rng.randint(0, 6)))
+                 for e in range(g.m) if rng.random() < 0.6}
+        text = serialize_instance(
+            InstanceFile(g, inst.rotation, lists or None, inst.properties))
+        coloring = serialize_coloring(
+            g, {e: rng.randrange(12) for e in range(g.m)})
+        _check_readers(text, coloring)
+        for bad_text, bad_coloring in zip(_mutations(text, rng, 40),
+                                          _mutations(coloring, rng, 40)):
+            _check_readers(bad_text, coloring)
+            _check_readers(text, bad_coloring)
+
+
+LABELS = st.integers(-6, 12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(LABELS, LABELS), max_size=25),
+       st.one_of(st.none(), st.lists(LABELS, max_size=8)),
+       st.booleans())
+def test_build_graph_matches_its_slow_twin(pairs, vertices, dense):
+    # negative labels, gaps, isolated vertices, reversed and repeated
+    # pairs; ``dense`` shifts every label so that they form 0..n-1
+    if dense:
+        used = sorted({x for p in pairs for x in p} | set(vertices or ()))
+        shift = dict(zip(used, range(len(used))))
+        pairs = [(shift[a], shift[b]) for a, b in pairs]
+        vertices = None if vertices is None else [shift[x] for x in vertices]
+    try:
+        want = reference_build_graph(pairs, vertices)
+    except GraphError as exc:
+        with pytest.raises(GraphError) as info:
+            build_graph(pairs, vertices)
+        assert str(info.value) == str(exc)
+        return
+    got = build_graph(pairs, vertices)
+    assert got.labels == want.labels
+    assert got.edges == want.edges
+    assert got.edge_at == want.edge_at
