@@ -12,10 +12,13 @@ Two certified pipelines plus a greedy baseline:
 The certified pipelines peel one vertex at a time off a mutable
 :class:`~strongedge.graph.PeelState` per component, following the plans
 that the reducer's engine yields, then walk them in reverse on the input
-graph and re-color each plan's erased edges.  A plan's bounds are its
-configuration's formulas; each re-colored edge's colored conflicts are
-counted once, when it is re-colored, and checked against the formula,
-and its list must be longer than that count so that a color is spare.
+graph and re-color each plan's erased edges.  The walk keeps each
+vertex's star of colored edges, each mapped to its color, so an edge's
+colored conflicts are the union of the stars around it.  A plan's bounds
+are its configuration's formulas; each re-colored edge's colored
+conflicts are counted once, when it is re-colored, and checked against
+the formula, and its list must be longer than that count so that a color
+is spare.
 A detector miss is a hard "theorem violation" error on the sparse
 pipeline; on the girth-7 one a component of at most 24 edges falls back
 to exact search, greedy beyond.
@@ -202,34 +205,36 @@ def greedy_color(g: Graph, lists: ColorLists) -> SolveReport:
 
 
 def extend(g: Graph, partial: PartialColoring, plan: ReductionPlan,
-           lists: ColorLists,
-           trace: list[ExtensionRecord]) -> PartialColoring:
+           lists: ColorLists, trace: list[ExtensionRecord],
+           stars: list[dict[int, int]]) -> PartialColoring:
     """Run a plan's extension steps on top of ``partial``, in place.
 
     ``g`` is a :class:`~strongedge.graph.Graph`, not a peel state: the
-    step reads whole stars.  ``partial`` must already be erased according
-    to the plan (its erased edges uncolored); it is extended and returned,
-    each step appended to ``trace``.  Each step counts the colored
-    conflicts of its edge ``uv`` (``actual``): the colored edges, other
-    than ``uv``, of the stars of the vertices of ``N(u) | N(v)``, gathered
-    in one set.  It checks the paper's claim ``actual <= step.bound``;
-    the list must be longer than ``actual``, which leaves a spare color,
-    and the smallest spare color is taken.  Violated promises raise
-    :class:`ExtensionError` — loudly, because they mean the machinery's
-    guarantee failed.
+    step reads whole stars.  ``stars[w]`` maps each colored edge at
+    vertex ``w`` to its color, so it holds exactly the edges of
+    ``partial`` at ``w``.  ``partial`` must already be erased according
+    to the plan (its erased edges uncolored in both it and ``stars``); it
+    is extended and returned, each colored edge added to both its end
+    stars and each step appended to ``trace``.  Each step counts the
+    colored conflicts of its edge ``uv`` (``actual``): the union of the
+    stars of the vertices of ``N(u) | N(v)``, less ``uv``, gathered in
+    one dict whose values are their colors.  It checks the paper's claim
+    ``actual <= step.bound``; the list must be longer than ``actual``,
+    which leaves a spare color, and the smallest spare color is taken.
+    Violated promises raise :class:`ExtensionError` — loudly, because
+    they mean the machinery's guarantee failed.
     """
-    adj, edge_at, edges = g.adj, g.edge_at, g.edges
+    adj, edges = g.adj, g.edges
     tag = plan.claim_tag
     for e, bound in plan.extension_order:
         u, v = edges[e]
-        near: set[int] = set()
+        near: dict[int, int] = {}
         for w in adj[u]:
-            near.update(edge_at[w].values())
+            near.update(stars[w])
         for w in adj[v]:
-            near.update(edge_at[w].values())
-        near.discard(e)
-        colored = [partial[f] for f in near if f in partial]
-        actual = len(colored)
+            near.update(stars[w])
+        near.pop(e, None)
+        actual = len(near)
         if actual > bound:
             raise ExtensionError(
                 f"extension of edge {g.label_pair(e)} under {tag.value}: "
@@ -244,8 +249,8 @@ def extend(g: Graph, partial: PartialColoring, plan: ReductionPlan,
                 f"against bound {actual}", claim_tag=tag, edge=e,
                 bound=actual, actual=actual)
         # more list colors than colored conflicts: a spare one exists
-        color = min(allowed.difference(colored))
-        partial[e] = color
+        color = min(allowed.difference(near.values()))
+        partial[e] = stars[u][e] = stars[v][e] = color
         trace.append(ExtensionRecord(tag, g.label_pair(e), actual, actual,
                                      color))
     return partial
@@ -297,6 +302,8 @@ def _solve_components(g: Graph, lists: dict[int, Iterable[int]],
             f"too short on edges {_name_edges(g, short)}")
     trace: list[ExtensionRecord] = []
     coloring: PartialColoring = {}
+    # the unwinds' colored edges at each vertex, edge -> color
+    stars: list[dict[int, int]] = [{} for _ in range(g.n)]
     notes: list[str] = []
     certified = True
     failed: int | None = None
@@ -343,13 +350,17 @@ def _solve_components(g: Graph, lists: dict[int, Iterable[int]],
             for i, c in sub_coloring.items():
                 coloring[ids[i]] = c
             continue
-        for plan in reversed(plans):
+        while plans:  # popped, so each plan is freed as the stars grow
+            plan = plans.pop()
             for e in plan.erase_edges:
-                coloring.pop(e, None)
+                if coloring.pop(e, None) is not None:
+                    u, v = g.edges[e]
+                    del stars[u][e], stars[v][e]
             # later plans colored only edges alive when this one was made,
             # so on g the step sees the colored conflicts the state had then
-            extend(g, coloring, plan, lists, trace)
+            extend(g, coloring, plan, lists, trace, stars)
 
+    del stars  # freed before the gate builds its own color stars
     if failed is None and (bad := verify_strong(g, coloring, lists)):
         raise TheoremViolationError(
             f"solver produced an invalid coloring: {bad[:3]}")

@@ -230,27 +230,40 @@ def girth(g: Graph, limit: int | float = INFINITY) -> int | float:
     """Length of a shortest cycle, or ``INFINITY`` for forests.
 
     Every cycle lies in the 2-core, so vertices of degree below 2 are
-    stripped first, repeatedly, in O(n + m).  Then a breadth-first search
-    runs from every core vertex through core vertices only; the shortest
-    cycle estimate over all start vertices and all non-tree edges is
-    exact.  With a finite ``limit`` each search stops where it could only
-    find cycles of length ``limit`` or more (depth 3 for ``limit=7``), so
-    the cost is O(n + core * maxdeg**((limit-1)//2)), O(n + core *
-    maxdeg**3) at ``limit=7`` and O(n) on a forest: the result is the
-    exact girth when that is below ``limit``, and ``INFINITY`` otherwise.
-    The searches share three flat arrays, allocated once: ``dist`` and
-    ``parent`` are valid at ``y`` only while ``seen[y]`` equals the
-    current start vertex, so no array is cleared between searches.
+    stripped first, repeatedly.  Then a breadth-first search runs from
+    each core vertex in id order, through core vertices only, and the
+    shortest cycle estimate over all searches and non-tree edges is
+    exact.  After its search a start vertex is dropped from the core, and
+    the vertices left with fewer than 2 core neighbors are stripped in
+    turn (the pruning of Itai and Rodeh).  No shortest cycle is lost: no
+    vertex of it is dropped before its smallest vertex ``s`` is searched,
+    and each keeps its two cycle neighbors, so none is stripped and the
+    search from ``s`` sees the whole cycle; every estimate is still a
+    closed walk of ``g``.  Stripping and dropping cost O(n + m) in all.
+    With a finite ``limit`` each search stops where it could only find
+    cycles of length ``limit`` or more (depth 3 for ``limit=7``), so the
+    cost is O(n + core * maxdeg**((limit-1)//2)): the result is the exact
+    girth when that is below ``limit``, and ``INFINITY`` otherwise.
+    Without a limit a forest costs O(n), and so does a cycle, whose first
+    search sees all of it before the drop strips the rest.  The searches
+    share three flat arrays, allocated once: ``dist`` and ``parent`` are
+    valid at ``y`` only while ``seen[y]`` equals the current start
+    vertex, so no array is cleared between searches.
     """
-    deg = [len(a) for a in g.adj]
-    strip = [v for v in range(g.n) if deg[v] < 2]
-    for v in strip:  # grows while read: each vertex joins once, at degree 1
-        for w in g.adj[v]:
-            deg[w] -= 1
-            if deg[w] == 1:
-                strip.append(w)
+    adj = g.adj
+    deg = [len(a) for a in adj]
+
+    def strip(stack: list[int]) -> None:
+        # grows while read: a vertex joins once, when its count falls to
+        # 1 or as a searched start, and its neighbors lose it
+        for v in stack:
+            for w in adj[v]:
+                deg[w] -= 1
+                if deg[w] == 1:
+                    stack.append(w)
+
+    strip([v for v in range(g.n) if deg[v] < 2])
     # now deg[v] >= 2 exactly on the core, where it counts core neighbors
-    core_adj = [[y for y in a if deg[y] >= 2] for a in g.adj]
     best: int | float = limit
     dist, parent, seen = [0] * g.n, [-1] * g.n, [-1] * g.n
     for s in range(g.n):
@@ -262,7 +275,9 @@ def girth(g: Graph, limit: int | float = INFINITY) -> int | float:
             dx = dist[x]
             if 2 * dx >= best - 1:
                 continue
-            for y in core_adj[x]:
+            for y in adj[x]:
+                if deg[y] < 2:
+                    continue
                 if seen[y] != s:
                     seen[y], dist[y], parent[y] = s, dx + 1, x
                     queue.append(y)
@@ -270,4 +285,6 @@ def girth(g: Graph, limit: int | float = INFINITY) -> int | float:
                     cycle = dx + dist[y] + 1
                     if cycle < best:
                         best = cycle
+        deg[s] = 0
+        strip([s])
     return best if best < limit else INFINITY

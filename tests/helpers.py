@@ -33,6 +33,7 @@ from strongedge import (ClaimTag, DensityWitness, ExtensionError,
                         TheoremViolationError, build_graph, density_exceeds,
                         edges_within_distance_two, greedy_color,
                         list_strong_colorable, trace_faces, verify_strong)
+from strongedge.colorer import extend
 from strongedge.reducer import ExtensionStep
 
 Edge = tuple[int, int]
@@ -234,6 +235,15 @@ def bfs_girth(edges: list[Edge], n: int) -> float:
     return best
 
 
+def relabel(edges, rng, vertices=()):
+    """The graph on ``edges`` under a random injective relabeling."""
+    names = sorted({x for e in edges for x in e} | set(vertices))
+    new = rng.sample(range(3 * len(names) + 3), len(names))
+    lab = dict(zip(names, new))
+    return build_graph([(lab[a], lab[b]) for a, b in edges],
+                       vertices=[lab[x] for x in names])
+
+
 def dp_chromatic(n: int, neighbors: list[int]) -> int:
     """Chromatic number via DP over vertex subsets (bitmask independent sets).
 
@@ -398,6 +408,19 @@ def plan_in_labels(g, plan):
             tuple(g.label_pair(e) for e in plan.erase_edges),
             tuple((g.label_pair(s.edge), s.bound)
                   for s in plan.extension_order))
+
+
+def stars_of(g, partial):
+    """Each vertex's colored edges, each mapped to its color, as the
+    unwind keeps them beside its partial coloring."""
+    return [{f: partial[f] for f in at.values() if f in partial}
+            for at in g.edge_at]
+
+
+def extend_partial(g, partial, plan, lists, trace):
+    """``colorer.extend`` on a partial coloring alone: the stars it reads
+    are built from ``partial`` first, so a test states only the coloring."""
+    return extend(g, partial, plan, lists, trace, stars_of(g, partial))
 
 
 def reference_extend(g, partial, plan, lists, trace):

@@ -325,6 +325,16 @@ def test_girth_of_a_large_tree_is_fast(tmp_path, capsys):
     assert "girth = infinite" in capsys.readouterr().err
 
 
+def test_girth_of_a_long_cycle_is_fast(tmp_path, capsys):
+    # a search from every vertex would take about 40 minutes on this input
+    inst = str(tmp_path / "cycle.txt")
+    assert run_command(["gen", "cycle", "100000", "-o", inst]) == 0
+    start = time.process_time()
+    assert run_command(["girth", inst]) == 0
+    assert time.process_time() - start < 5.0
+    assert "girth = 100000" in capsys.readouterr().err
+
+
 def test_audit_mad_output(tmp_path, capsys):
     inst = tmp_path / "sp.txt"
     assert run_command(["gen", "sparse-mad3", "16", "--seed", "1",

@@ -14,8 +14,9 @@ from strongedge import colorer
 from strongedge.colorer import TheoremViolationError, extend
 from strongedge.reducer import GIRTH7_MATCHERS, MAD_MATCHERS, ExtensionStep
 
-from tests.helpers import (naive_strong_ok, naive_verdict, random_graph,
-                           reference_extend, set_count_g1)
+from tests.helpers import (extend_partial, naive_strong_ok, naive_verdict,
+                           random_graph, reference_extend, set_count_g1,
+                           stars_of)
 
 
 def test_verify_catches_planted_conflict():
@@ -55,8 +56,8 @@ def test_verify_matches_the_definition(n, p, seed):
 
 
 def test_solve_gate_rejects_a_color_outside_its_list(monkeypatch):
-    def off_list(g, partial, plan, lists, trace=None):
-        extend(g, partial, plan, lists, trace)
+    def off_list(g, partial, plan, lists, trace, stars):
+        extend(g, partial, plan, lists, trace, stars)
         for step in plan.extension_order:
             partial[step.edge] = 100 + step.edge  # off-list, no clash
         return partial
@@ -87,7 +88,7 @@ def test_extend_raises_on_broken_promise():
                           (ExtensionStep(g.edge_id(1, 2), 0),))
     partial = {g.edge_id(0, 1): 3, g.edge_id(2, 3): 4}
     with pytest.raises(ExtensionError) as info:
-        extend(g, partial, lying, uniform_lists(g, 9), [])
+        extend_partial(g, partial, lying, uniform_lists(g, 9), [])
     assert info.value.actual == 2 and info.value.bound == 0
 
 
@@ -99,7 +100,7 @@ def test_extend_requires_list_margin():
     plan = ReductionPlan(ClaimTag.M1_PENDANT, 0, (), (ExtensionStep(e, 3),))
     partial = {f: 5 + f for f in range(g.m) if f != e}
     with pytest.raises(ExtensionError, match="spare") as info:
-        extend(g, partial, plan, {e: frozenset({1, 2, 3})}, [])
+        extend_partial(g, partial, plan, {e: frozenset({1, 2, 3})}, [])
     assert info.value.actual == 3 and info.value.bound == 3
 
 
@@ -134,13 +135,18 @@ def test_extend_matches_reference_on_every_family(monkeypatch):
     # every step of every plan of both pipelines, run by ``extend`` and by
     # its slow twin from the same partial coloring; then each step again
     # with its bound one below its count, and with its list cut to its
-    # count, so that both ExtensionError paths are compared as well
+    # count, so that both ExtensionError paths are compared as well.  The
+    # stars the solve keeps must be those of its coloring around the plan
     assert {case[0] for case in EXTEND_CASES} == set(FAMILIES)
     real = colorer.extend
     errors = {"bound": 0, "list": 0}
 
-    def twin(g, partial, plan, lists, trace):
-        got = _extended(real, g, partial, plan, lists)
+    def twin(g, partial, plan, lists, trace, stars):
+        near = {w for e, _ in plan.extension_order
+                for x in g.edges[e] for w in g.adj[x]}
+        want = stars_of(g, partial)
+        assert all(stars[w] == want[w] for w in near)
+        got = _extended(extend_partial, g, partial, plan, lists)
         assert got == _extended(reference_extend, g, partial, plan, lists)
         for k, (e, _) in enumerate(plan.extension_order):
             actual = got[1][k].actual
@@ -149,12 +155,13 @@ def test_extend_matches_reference_on_every_family(monkeypatch):
             if actual:
                 cases.append(("bound", _with_step(plan, k, actual - 1), lists))
             for kind, bad_plan, bad_lists in cases:
-                out = _extended(real, g, partial, bad_plan, bad_lists)
+                out = _extended(extend_partial, g, partial, bad_plan,
+                                bad_lists)
                 assert len(out) == 8 and len(out[1]) == k
                 assert out == _extended(reference_extend, g, partial,
                                         bad_plan, bad_lists)
                 errors[kind] += 1
-        return real(g, partial, plan, lists, trace)
+        return real(g, partial, plan, lists, trace, stars)
 
     monkeypatch.setattr(colorer, "extend", twin)
     rng = random.Random(17)

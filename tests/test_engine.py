@@ -35,7 +35,7 @@ from strongedge import colorer
 from strongedge.graph import PeelState
 from strongedge.reducer import GIRTH7_MATCHERS, MAD_MATCHERS
 from tests.helpers import (plan_in_labels, random_sparse_graph,
-                           reference_solve)
+                           reference_solve, relabel)
 
 POOL = list(range(40))
 
@@ -142,15 +142,6 @@ def test_answers_are_pinned():
                       "49aad35b1b22dedf7cab957f79529b2c")
 
 
-def _relabel(edges, rng, vertices=()):
-    """The graph on ``edges`` under a random injective relabeling."""
-    names = sorted({x for e in edges for x in e} | set(vertices))
-    new = rng.sample(range(3 * len(names) + 3), len(names))
-    lab = dict(zip(names, new))
-    return build_graph([(lab[a], lab[b]) for a, b in edges],
-                       vertices=[lab[x] for x in names])
-
-
 def _subdivided_circulant(n, keep_matching):
     """C_n(1, 2) with every edge subdivided, except, if asked, the
     matching (2i, 2i+1): a max-degree-4 graph with mad below 3 whose
@@ -178,19 +169,19 @@ def test_engine_matches_reference_on_every_tag():
     rng = random.Random(5)
     fired = set()
     for n, keep in ((8, False), (10, True), (12, True), (14, False)):
-        g = _relabel(_subdivided_circulant(n, keep), rng)
+        g = relabel(_subdivided_circulant(n, keep), rng)
         fired |= check_same(g, uniform_lists(g, 13), "mad3",
                             solve=lambda: solve_mad3(g, uniform_lists(g, 13)))
         fired |= check_same(g, uniform_lists(g, 12), "girth7", 4)
-    g = _relabel(G8_WITNESS, rng)
+    g = relabel(G8_WITNESS, rng)
     fired |= check_same(g, uniform_lists(g, 15), "girth7", 5)
     for _ in range(60):
         edges, vs = random_sparse_graph(rng, rng.randint(6, 30), 4)
-        g = _relabel(edges, rng, vs)
+        g = relabel(edges, rng, vs)
         fired |= check_same(g, uniform_lists(g, 13), "mad3")
         for cap in (5, 6):
             edges, vs = random_sparse_graph(rng, rng.randint(6, 30), cap)
-            g = _relabel(edges, rng, vs)
+            g = relabel(edges, rng, vs)
             lists = {e: rng.sample(POOL, 3 * cap) for e in range(g.m)}
             fired |= check_same(g, lists, "girth7", cap)
     assert fired == {tag.value for tag in ClaimTag}
@@ -237,7 +228,7 @@ def test_engine_matches_reference_across_components():
             edges += [(base + u, base + v) for u, v in h.edges]
             vertices += [base + v for v in range(h.n)]
             base += h.n
-        g = _relabel(edges, rng, vertices)  # components interleave by id
+        g = relabel(edges, rng, vertices)  # components interleave by id
         assert len(g.components()) >= 5
         lists = {e: rng.sample(POOL, 13) for e in range(g.m)}
         check_same(g, lists, "mad3", solve=lambda: solve_mad3(g, lists))
@@ -264,9 +255,9 @@ def test_engine_matches_reference_on_detector_misses():
     # cubic graphs fire no G tag; pendant paths peel first, so the miss
     # comes at 10 vertices (exact search) or 24 vertices (greedy)
     tails = [(0, 30), (30, 31), (31, 32), (7, 40), (3, 41)]
-    petersen = _relabel(PETERSEN + tails, rng)
-    mcgee = _relabel(_mcgee() + [(5, 50), (50, 51)], rng)
-    both = _relabel(PETERSEN + tails + [(100 + u, 100 + v)
+    petersen = relabel(PETERSEN + tails, rng)
+    mcgee = relabel(_mcgee() + [(5, 50), (50, 51)], rng)
+    both = relabel(PETERSEN + tails + [(100 + u, 100 + v)
                                        for u, v in _mcgee()]
                     + [(60, 61), (61, 62), (62, 60 + 3)], rng)
     for g in (petersen, mcgee, both):
@@ -279,7 +270,7 @@ def test_engine_matches_reference_on_detector_misses():
         "3*delta_cap", fall_back=True)
     assert "no reducible configuration at 10 vertices" in report.fallback
     # the sparse pipeline treats a miss as a broken guarantee
-    k4_tail = _relabel([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+    k4_tail = relabel([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
                         (3, 4), (4, 5)], rng)
     assert check_same(k4_tail, uniform_lists(k4_tail, 13), "mad3") == set()
     out, _ = run_engine(k4_tail, lambda: colorer._solve_components(

@@ -11,7 +11,7 @@ from strongedge import (GenSpec, Graph, GraphError, build_graph, count_twos,
                         generate, girth)
 from strongedge.graph import PeelState
 
-from tests.helpers import bfs_girth, delete_vertex, random_graph
+from tests.helpers import bfs_girth, delete_vertex, random_graph, relabel
 
 
 def edge_lists(max_n=10):
@@ -259,6 +259,42 @@ def test_unbounded_girth_of_a_large_tree_is_linear():
     tree = generate(GenSpec("tree", 20_000)).graph
     start = time.process_time()
     assert girth(tree) == float("inf")
+    assert time.process_time() - start < 2.0
+
+
+def test_girth_does_not_depend_on_vertex_order_on_the_solve_inputs():
+    # each search drops its start vertex, so the smallest vertex of a
+    # shortest cycle is the one whose search must see it whole
+    rnd = random.Random(25)
+    for g in _solve_inputs():
+        for _ in range(2):
+            h = relabel(g.edges, rnd, range(g.n))
+            exact = bfs_girth(list(h.edges), h.n)
+            for limit in GIRTH_LIMITS:
+                assert girth(h, limit=limit) == (exact if exact < limit
+                                                 else float("inf"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cycles_with_tails(), st.randoms(use_true_random=False))
+def test_girth_does_not_depend_on_vertex_order_on_the_core(case, rnd):
+    n, edges = case
+    h = relabel(edges, rnd, range(n))
+    exact = bfs_girth(list(h.edges), h.n)
+    for limit in GIRTH_LIMITS:
+        assert girth(h, limit=limit) == (exact if exact < limit
+                                         else float("inf"))
+
+
+def test_unbounded_girth_of_a_cycle_and_a_planar_graph_is_linear():
+    # the first search of the cycle sees all of it and the drop strips the
+    # rest; a search from every vertex took about 40 minutes on it.  CPU
+    # time, so a busy host does not count
+    cycle = build_graph([(i, (i + 1) % 10 ** 5) for i in range(10 ** 5)])
+    planar = generate(GenSpec("planar-girth7", 20_000, seed=1)).graph
+    start = time.process_time()
+    assert girth(cycle) == 10 ** 5
+    assert girth(planar) == 7
     assert time.process_time() - start < 2.0
 
 

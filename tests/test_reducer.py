@@ -17,10 +17,9 @@ import pytest
 from strongedge import (ClaimTag, GenSpec, build_graph,
                         edges_within_distance_two, find_reducible_girth7,
                         find_reducible_mad, generate, uniform_lists)
-from strongedge.colorer import extend
 from strongedge.graph import INFINITY, PeelState
 from strongedge.reducer import GIRTH7_MATCHERS, MAD_MATCHERS, _g1
-from tests.helpers import (delete_vertex, random_graph,
+from tests.helpers import (delete_vertex, extend_partial, random_graph,
                            random_sparse_graph, scan_first_plan,
                            set_count_g1)
 
@@ -50,7 +49,7 @@ def check_plan_shape(g, plan):
     ext = {s.edge for s in plan.extension_order}
     partial = {e: e for e in range(g.m) if e not in ext}  # all distinct
     trace = []
-    extend(g, partial, plan, uniform_lists(g, g.m + 1), trace)
+    extend_partial(g, partial, plan, uniform_lists(g, g.m + 1), trace)
     assert len(trace) == len(plan.extension_order)
     seen = set()
     for s, record in zip(plan.extension_order, trace):
