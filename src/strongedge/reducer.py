@@ -27,9 +27,9 @@ A matcher that reads degrees up to distance ``r`` from ``v`` has radius
 vertex's neighbors.  Each matcher's docstring names that farthest read.
 And each matcher has a degree window: its first test is on the degree
 of ``v`` itself, so it can fire only while that degree lies in the
-window.  The engine uses the radii to re-check only the vertices near
-each deletion, and the windows to skip those whose own degree rules the
-tag out:
+window.  The engine uses the radii to re-check a vertex a matcher
+refused only once a degree that matcher read there has fallen, and the
+windows to skip vertices whose own degree rules the tag out:
 
     tag  radius  window       tag  radius  window
     M1   1       at most 1    G1   3       at most 1
@@ -379,34 +379,37 @@ def _peel(state: PeelState, matchers: tuple[Matcher, ...],
     returns when ``state`` is empty or when no matcher fires at any vertex
     left, which it leaves in ``state``: a miss is a nonempty ``state.adj``.
     Each matcher has a min-heap of vertex ids that holds every vertex it
-    currently fires at (plus stale ones, dropped when they reach the top
-    and no longer fire).  The first tag with a firing vertex wins, at its
-    smallest id.  A tag's heap is built the first time the loop reaches
-    the tag, from every alive vertex; tags are reached in priority order,
-    so the built heaps are a prefix of ``matchers``.  After a deletion
-    only the vertices within a built matcher's radius of the deleted
-    vertex go back on its heap, and the ball around the deleted vertex
-    reaches only the largest built radius.
-    A vertex goes on a heap, at the build or after a deletion, only while
-    its degree lies in the matcher's window.  That keeps every firing
-    vertex queued: degrees only fall, and a vertex's degree falls only
-    when a neighbor is deleted, which puts it in ring 1 of the deletion,
-    re-queued on every built heap with its new degree.
+    currently fires at (and stale ones, dropped at the top).  The first
+    tag with a firing vertex wins, at its smallest id.  A tag's heap is
+    built the first time the loop reaches the tag, from the alive vertices
+    whose degree lies in its window; tags are reached in priority order,
+    so the built heaps are a prefix of ``matchers``.  A vertex ``v`` that
+    a tag refuses is watched from each vertex within ``radius - 1`` of it
+    once its round has a plan (a miss takes no ball).  After ``x`` is
+    deleted, each former neighbor ``y`` goes back on the built heaps whose
+    window holds its new degree, and so does each watcher at ``y`` alive
+    and in its window.  Every firing vertex stays queued, so the plans are
+    a full scan's: deleting ``x`` can change the answer at ``v`` only if
+    ``v`` is within ``radius - 1`` of some ``y``, in the ball taken when
+    ``v`` was refused as distances only grow; and a vertex enters a window
+    only as a ``y``, its degree falling.
     """
     adj = state.adj
     heaps: list[list[int]] = []
     queued: list[set[int]] = []
-    reach = 0
+    tags_at: list[list[int]] = [[] for _ in range(state.max_degree() + 1)]
+    watch: dict[int, list[tuple[int, int]]] = {}
     while adj:
         d = delta_cap if delta_cap is not None else state.max_degree()
-        plan = None
+        plan, refused = None, []
         for k, matcher in enumerate(matchers):
             if k == len(heaps):
                 # deletions only pop keys, so ``adj`` stays ascending: a heap
                 lo, hi = matcher.window
                 heaps.append([v for v, a in adj.items() if lo <= len(a) <= hi])
                 queued.append(set(heaps[k]))
-                reach = max(reach, matcher.radius)
+                for g in range(lo, min(hi, len(tags_at) - 1) + 1):
+                    tags_at[g].append(k)
             heap, inq = heaps[k], queued[k]
             while heap:
                 v = heap[0]
@@ -414,6 +417,7 @@ def _peel(state: PeelState, matchers: tuple[Matcher, ...],
                     plan = matcher.match(state, v, d)
                     if plan is not None:
                         break
+                    refused.append((k, v))
                 heapq.heappop(heap)
                 inq.discard(v)
             if plan is not None:
@@ -421,17 +425,23 @@ def _peel(state: PeelState, matchers: tuple[Matcher, ...],
         else:
             return
         yield plan
-        x = plan.delete_vertex
-        rings = state.ball(x, reach)
-        state.delete(x)
-        # zip stops at the first unbuilt heap
-        for matcher, heap, inq in zip(matchers, heaps, queued):
-            lo, hi = matcher.window
-            for ring in rings[1:matcher.radius + 1]:
+        for k, v in refused:
+            for ring in state.ball(v, matchers[k].radius - 1):
                 for w in ring:
-                    if w not in inq and lo <= len(adj[w]) <= hi:
-                        inq.add(w)
-                        heapq.heappush(heap, w)
+                    watch.setdefault(w, []).append((k, v))
+        nbrs = adj[plan.delete_vertex]
+        state.delete(plan.delete_vertex)
+        watch.pop(plan.delete_vertex, None)
+        for y in nbrs:
+            for k in tags_at[len(adj[y])]:
+                if y not in queued[k]:
+                    queued[k].add(y)
+                    heapq.heappush(heaps[k], y)
+            for k, v in watch.pop(y, ()):
+                lo, hi = matchers[k].window
+                if v in adj and v not in queued[k] and lo <= len(adj[v]) <= hi:
+                    queued[k].add(v)
+                    heapq.heappush(heaps[k], v)
 
 
 def find_reducible_mad(g: Graph) -> ReductionPlan | None:

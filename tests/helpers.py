@@ -477,7 +477,8 @@ def _ref_reduce_and_unwind(g, lists, detect, trace, plans):
             for (a, b), c in by_labels.items()}
 
 
-def reference_solve(g, lists, matchers, delta_cap, fallback_threshold):
+def reference_solve(g, lists, matchers, delta_cap, fallback_threshold,
+                    plans):
     """The peeling engine before the mutable peel state, kept as the slow
     reference: per component it runs :func:`scan_first_plan` on a freshly
     built graph at every level, at ``delta_cap`` or else at the level's
@@ -486,13 +487,14 @@ def reference_solve(g, lists, matchers, delta_cap, fallback_threshold):
     the way back up.
 
     ``lists`` must already map every edge id to a frozenset.  Returns the
-    report and, per component peeled to the end, its plans in peel order
-    (see :func:`plan_in_labels`).
+    report.  Appends to ``plans``, per component of two or more edges, its
+    plans in peel order (see :func:`plan_in_labels`), up to the level the
+    matchers missed if they did, so they are there when the miss raises.
     """
     def detect(h):
         d = delta_cap if delta_cap is not None else h.max_degree()
         return scan_first_plan(h, matchers, d)
-    trace, coloring, notes, plans = [], {}, [], []
+    trace, coloring, notes = [], {}, []
     certified, failed = True, None
     for comp in g.components():
         sub = g.induced(comp)
@@ -507,7 +509,6 @@ def reference_solve(g, lists, matchers, delta_cap, fallback_threshold):
                 sub_coloring = _ref_reduce_and_unwind(sub, sub_lists, detect,
                                                       trace, plans[-1])
             except _RefMiss as miss:
-                plans.pop()
                 if fallback_threshold is None:
                     raise TheoremViolationError(
                         f"no reducible configuration found on a "
@@ -552,7 +553,7 @@ def reference_solve(g, lists, matchers, delta_cap, fallback_threshold):
     report = SolveReport(coloring, certified=certified and failed is None,
                          fallback="; ".join(notes) if notes else None,
                          failed_edge=failed, trace=tuple(trace))
-    return report, plans
+    return report
 
 
 def reference_planar_girth7(n, delta, rng):

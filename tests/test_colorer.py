@@ -17,6 +17,8 @@ from strongedge.reducer import GIRTH7_MATCHERS, MAD_MATCHERS, ExtensionStep
 from tests.helpers import (extend_partial, naive_strong_ok, naive_verdict,
                            random_graph, reference_extend, set_count_g1,
                            stars_of)
+from tests.test_engine import (BOUNDARY_CASES, G8_WITNESS,
+                               _subdivided_circulant)
 
 
 def test_verify_catches_planted_conflict():
@@ -140,8 +142,11 @@ def test_extend_matches_reference_on_every_family(monkeypatch):
     assert {case[0] for case in EXTEND_CASES} == set(FAMILIES)
     real = colorer.extend
     errors = {"bound": 0, "list": 0}
+    erasing = set()
 
     def twin(g, partial, plan, lists, trace, stars):
+        if plan.erase_edges:
+            erasing.add(plan.claim_tag.value)
         near = {w for e, _ in plan.extension_order
                 for x in g.edges[e] for w in g.adj[x]}
         want = stars_of(g, partial)
@@ -165,8 +170,14 @@ def test_extend_matches_reference_on_every_family(monkeypatch):
 
     monkeypatch.setattr(colorer, "extend", twin)
     rng = random.Random(17)
-    for family, n, cap, seed in EXTEND_CASES:
-        g = generate(GenSpec(family, n, delta=cap, seed=seed)).graph
+    graphs = [(generate(GenSpec(family, n, delta=cap, seed=seed)).graph, cap)
+              for family, n, cap, seed in EXTEND_CASES]
+    # the seeded families make no plan that erases: M5 fires on the
+    # subdivided circulant, G8 on the witness, and G6 once it is padded
+    graphs += [(build_graph(_subdivided_circulant(10, True)), 4),
+               (build_graph(G8_WITNESS), 5),
+               (build_graph(BOUNDARY_CASES["G8"][3]), 5)]
+    for g, cap in graphs:
         lists = {e: frozenset(rng.sample(range(40), 3 * max(cap, 4) + 1))
                  for e in range(g.m)}
         pipelines = [(GIRTH7_MATCHERS, max(cap, 4))]
@@ -177,6 +188,7 @@ def test_extend_matches_reference_on_every_family(monkeypatch):
                 g, lists, matchers, delta_cap, 0, "0", fall_back=True)
             assert report.complete
     assert min(errors.values()) > 1000
+    assert erasing == {"M5", "G6", "G8"}
 
 
 def test_extension_types_are_named_tuples():

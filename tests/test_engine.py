@@ -5,7 +5,8 @@ peel state: a full scan for the first plan (``helpers.scan_first_plan``,
 the twin of ``reducer._peel``'s choice) on a graph rebuilt at every
 level, lists and colors carried over by labels.  On every input here the
 engine must make the same plans (tag, deleted label, erased pairs,
-extension pairs and bounds, in peel order) and return an equal report
+extension pairs and bounds, in peel order, up to the miss on a component
+the matchers miss) and return an equal report
 (coloring, trace, certification, fallback notes, failed edge), or raise
 the same error.  The reference shares the matchers with the engine, so a
 change to them moves both; a sha256 of the answers on seeded inputs
@@ -33,7 +34,7 @@ from strongedge import (ClaimTag, GenSpec, HypothesisError,
                         verify_strong)
 from strongedge import colorer
 from strongedge.graph import PeelState
-from strongedge.reducer import GIRTH7_MATCHERS, MAD_MATCHERS
+from strongedge.reducer import GIRTH7_MATCHERS, MAD_MATCHERS, _peel
 from tests.helpers import (plan_in_labels, random_sparse_graph,
                            reference_solve, relabel)
 
@@ -48,26 +49,26 @@ def _outcome(solve):
 
 
 def run_engine(g, solve):
-    """``solve()``'s outcome and the plans of every component peeled to
-    empty; a component the matchers missed records none, as in the
-    reference."""
-    plans = []
+    """``solve()``'s outcome and, per component peeled, whether it was
+    peeled to empty and its plans, up to the miss if the matchers missed."""
+    peels = []
     real = colorer._peel
 
     def peel(state, matchers, delta_cap):
         peeled = list(real(state, matchers, delta_cap))
-        if not state.adj:
-            plans.append([plan_in_labels(g, plan) for plan in peeled])
+        peels.append((not state.adj,
+                      [plan_in_labels(g, plan) for plan in peeled]))
         return iter(peeled)
     colorer._peel = peel
     try:
-        return _outcome(solve), plans
+        return _outcome(solve), peels
     finally:
         colorer._peel = real
 
 
 def check_same(g, lists, pipeline, cap=None, threshold=24, solve=None):
-    """Run both engines on ``g``; returns the tags the engine fired."""
+    """Run both engines on ``g``; returns the tags the engine fired on the
+    components it peeled to empty."""
     lists = {e: frozenset(lists[e]) for e in range(g.m)}
     if pipeline == "mad3":
         matchers, cap, threshold = MAD_MATCHERS, None, None
@@ -78,16 +79,12 @@ def check_same(g, lists, pipeline, cap=None, threshold=24, solve=None):
         solve = lambda: colorer._solve_components(  # noqa: E731
             g, lists, matchers, cap, 0, "0",
             fall_back=threshold is not None)
-    new, new_plans = run_engine(g, solve)
+    new, peels = run_engine(g, solve)
     ref_plans = []
-
-    def ref():
-        report, plans = reference_solve(g, lists, matchers, cap, threshold)
-        ref_plans.extend(plans)
-        return report
-    assert new == _outcome(ref)
-    assert new_plans == ref_plans
-    return {step[0] for plans in new_plans for step in plans}
+    assert new == _outcome(lambda: reference_solve(
+        g, lists, matchers, cap, threshold, ref_plans))
+    assert [plans for _, plans in peels] == ref_plans
+    return {step[0] for emptied, plans in peels if emptied for step in plans}
 
 
 def test_engine_matches_reference_on_the_acceptance_corpus():
@@ -185,6 +182,139 @@ def test_engine_matches_reference_on_every_tag():
             lists = {e: rng.sample(POOL, 3 * cap) for e in range(g.m)}
             fired |= check_same(g, lists, "girth7", cap)
     assert fired == {tag.value for tag in ClaimTag}
+
+
+# Each case below blocks one tag at a center vertex by a degree the tag
+# reads one ring inside its radius, and hangs on that ring a gadget on
+# vertices 100 and up.  Before the gadget's first plan, no tag fires
+# anywhere else, so the engine has asked the blocked tag at the center
+# and been refused.  The gadget's plan then sets off deletions that end
+# at distance exactly the radius from the center, and the center fires.
+# An engine that watched a refused vertex one ring short would miss it.
+
+def _sparse_delay(y):
+    """While ``y`` has degree 4, M5 fires at 100 (also at 101, a larger
+    id) and nothing else fires before it.  Its plan deletes 102, which
+    leaves ``y`` with degree 3, so M3 deletes 103, the 2-vertex between
+    ``y`` and 101 (a vertex with three degree-2 neighbors): ``y`` loses
+    both its gadget neighbors."""
+    return [(100, 102), (102, y), (100, 104), (104, 101), (100, 105),
+            (105, 101), (100, 101), (101, 103), (103, y)]
+
+
+def _girth7_delay(x):
+    """Under a cap of 5, G8 fires at 100 and nothing else fires before
+    it: 100 has strong neighbors 101 and 102 and 2-vertices 104, 105 and
+    106, whose far ends ``x`` and 107 are 3-vertices with two degree-2
+    neighbors.  Its plan deletes 104, which leaves ``x`` a 2-vertex
+    between 108 and ``y``, its neighbor outside the gadget: G2 deletes
+    ``x`` when ``y`` has degree 3, G4 when ``y`` is a 4-vertex with
+    another degree-2 neighbor."""
+    return [(100, 101), (100, 102), (100, 104), (100, 105), (100, 106),
+            (104, x), (x, 108), (108, 101), (105, 107), (106, 107),
+            (107, 103), (101, 102), (101, 103), (102, 103)]
+
+
+def _pad(needs, ring=True):
+    """Edges that only raise degrees: each vertex of ``needs`` joined to
+    that many of 10..13 in turn, and the cycle on 10..13 if ``ring``."""
+    out = [(10, 11), (11, 12), (12, 13), (10, 13)] if ring else []
+    stubs = [v for v, k in needs.items() for _ in range(k)]
+    return out + [(v, 10 + i % 4) for i, v in enumerate(stubs)]
+
+
+BOUNDARY_CASES = {
+    # tag: (pipeline, cap, center, edges)
+    # the 2-vertex 5 between 6 (degree 4) and 7 (degree 3) fires once 6
+    # has degree 3: the gadget leaves 1 a 2-vertex between 6 and 2, and
+    # M3 deletes 1, at distance 2
+    "M2": ("mad3", None, 5, [(5, 6), (5, 7), (6, 1), (6, 8), (6, 9), (1, 2)]
+           + _sparse_delay(1) + _pad({7: 2, 8: 2, 9: 2, 2: 2})),
+    # the 2-vertex 0 between 1 (degree 4) and 2 (degree 3) fires once 1
+    # has two degree-2 neighbors: 3 gets there at the gadget's deletions,
+    # at distance 3
+    "M3": ("mad3", None, 0, [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5), (3, 6)]
+           + _sparse_delay(3) + _pad({2: 2, 4: 2, 5: 2, 6: 2})),
+    # 0 has 2-vertices 1, 2 and 3 and fires once its fourth neighbor 4
+    # has degree 2, at the gadget's deletions at distance 2; M5 at 0 stays
+    # blocked, as 5, 6 and 7 are 4-vertices with one degree-2 neighbor
+    "M4": ("mad3", None, 0, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6),
+                             (3, 7), (4, 8)]
+           + _sparse_delay(4) + _pad({5: 3, 6: 3, 7: 3, 8: 3}, ring=False)),
+    # 0 has 2-vertices 1, 2 and 3 whose far ends 5, 6 and 7 are
+    # 4-vertices with one degree-2 neighbor, until 5's neighbor 8 has
+    # degree 2, at the gadget's deletions at distance 4
+    "M5": ("mad3", None, 0, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6),
+                             (3, 7), (5, 8), (8, 9)]
+           + _sparse_delay(8)
+           + _pad({4: 3, 5: 2, 6: 3, 7: 3, 9: 3}, ring=False)),
+    # the pendant edge 01 has 15 edges near it (degrees 3, 4, 4 and 4 at
+    # 2, 3, 4 and 5) until 2 loses 20, at distance 3
+    "G1": ("girth7", 5, 0, [(0, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 20)]
+           + _girth7_delay(20) + _pad({2: 1, 3: 3, 4: 3, 5: 3})),
+    # the 2-vertex 0 between 1 (degree 4) and 2 (degree 3) fires once 1
+    # loses 20, at distance 2
+    "G2": ("girth7", 5, 0, [(0, 1), (0, 2), (1, 20)]
+           + _girth7_delay(20) + _pad({1: 2, 2: 2})),
+    # 0's neighbors 2, 3 and 4 are 2-vertices, and 1 has degree 3 until it
+    # loses 20, at distance 2
+    "G3": ("girth7", 5, 0, [(0, 1), (0, 2), (0, 3), (0, 4), (2, 5), (3, 6),
+                            (4, 7), (1, 20)]
+           + _girth7_delay(20) + _pad({1: 1, 5: 3, 6: 3, 7: 3})),
+    # the 2-vertex 0 between the 4-vertex 1 and the 2-vertex 2 fires once
+    # 1 has a second degree-2 neighbor: 4, when it loses 20 at distance 3
+    "G4": ("girth7", 5, 0, [(0, 1), (0, 2), (2, 3), (1, 4), (1, 5), (1, 6),
+                            (4, 20)]
+           + _girth7_delay(20) + _pad({3: 4, 4: 1, 5: 2, 6: 2})),
+    # the 2-vertex 0 between the 4-vertex 1 and the 3-vertex 2 fires once
+    # 1 has three degree-2 neighbors: 0, 3 and 4, when 4 loses 20 at
+    # distance 3
+    "G5": ("girth7", 5, 0, [(0, 1), (0, 2), (1, 3), (3, 7), (1, 4), (1, 5),
+                            (4, 20)]
+           + _girth7_delay(20) + _pad({2: 2, 7: 2, 4: 1, 5: 2})),
+    # the 2-vertex 0 between the 3-vertex 1 and the 4-vertex 2 (degree-2
+    # neighbors 0 and 5) fires once 1 has a second degree-2 neighbor: 3,
+    # when it loses 20 at distance 3
+    "G6": ("girth7", 5, 0, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (5, 6),
+                            (2, 7), (2, 8), (3, 9), (3, 20)]
+           + _girth7_delay(20)
+           + _pad({4: 2, 6: 2, 7: 2, 8: 2, 9: 3})),
+    # 0 has degree 5, one strong neighbor 5 and 2-vertices 1..4 whose far
+    # ends 6..9 have degree 4, until 6 loses 20 at distance 3
+    "G7": ("girth7", 5, 0, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 6),
+                            (2, 7), (3, 8), (4, 9), (5, 6), (5, 7), (6, 20)]
+           + _girth7_delay(20) + _pad({6: 1, 7: 2, 8: 3, 9: 3})),
+    # the witness above, where far end 7 has one degree-2 neighbor until
+    # 10 loses 20, at distance 4
+    "G8": ("girth7", 5, 0, G8_WITNESS + [(10, 20)] + _girth7_delay(20)),
+}
+
+
+@pytest.mark.parametrize("tag", BOUNDARY_CASES)
+def test_a_refused_vertex_is_rechecked_from_its_radius(tag):
+    pipeline, cap, center, edges = BOUNDARY_CASES[tag]
+    g = build_graph(edges)
+    check_same(g, uniform_lists(g, 13 if cap is None else 3 * cap),
+               pipeline, cap)
+    # the case is what it claims: the tag is refused at the center before
+    # the gadget's first plan, and fires there after it
+    calls = []
+
+    def recording(matcher):
+        def match(state, v, d):
+            plan = matcher.match(state, v, d)
+            calls.append((matcher.tag.value, g.labels[v], plan is not None))
+            return plan
+        return matcher._replace(match=match)
+    matchers = MAD_MATCHERS if cap is None else GIRTH7_MATCHERS
+    list(_peel(PeelState(g, range(g.n)), tuple(map(recording, matchers)),
+               cap))
+    first = next(i for i, (_, _, fired) in enumerate(calls) if fired)
+    assert calls[first][1] == 100
+    asked = [(i, fired) for i, (t, v, fired) in enumerate(calls)
+             if (t, v) == (tag, center)]
+    assert any(i < first and not fired for i, fired in asked)
+    assert any(i > first and fired for i, fired in asked)
 
 
 @st.composite
@@ -295,19 +425,22 @@ def test_exact_fallback_stops_at_24_edges():
 
 
 def _peel_work(monkeypatch, solve):
-    """The ball radii and the tags whose matchers ``solve()`` asked for,
-    with how often each was asked."""
-    radii, tags = Counter(), Counter()
+    """What the peel of ``solve()`` asked, in order: ``(tag, v, fired)``
+    for each matcher call and ``("ball", v, radius)`` for each ball; and
+    how often each tag's matcher was asked."""
+    log, tags = [], Counter()
     real_ball = PeelState.ball
 
     def ball(self, v, radius):
-        radii[radius] += 1
+        log.append(("ball", v, radius))
         return real_ball(self, v, radius)
 
     def recording(matcher):
         def match(g, v, d):
             tags[matcher.tag.value] += 1
-            return matcher.match(g, v, d)
+            plan = matcher.match(g, v, d)
+            log.append((matcher.tag.value, v, plan is not None))
+            return plan
         return matcher._replace(match=match)
 
     with monkeypatch.context() as patch:
@@ -316,16 +449,17 @@ def _peel_work(monkeypatch, solve):
             patch.setattr(colorer, name,
                           tuple(map(recording, getattr(colorer, name))))
         assert solve().certified
-    return radii, tags
+    return log, tags
 
 
 PEEL_CASES = {
-    # a tag's worklist is built when the loop first gets to it, and a
-    # deletion re-queues as far as the built tags' radii reach: M1 alone
-    # reads only the deleted vertex's neighbors, G1 reads to distance 3
-    "tree-mad3": (GenSpec("tree", 2000), "mad3", {1}, {"M1"}),
-    "tree-girth7": (GenSpec("tree", 2000), "girth7", {3}, {"G1"}),
-    "planar-mad3": (GenSpec("planar-girth7", 400, delta=4), "mad3", {1, 2},
+    # a tag's worklist is built when the loop first gets to it, and only a
+    # refused vertex is watched, one ring short of the tag's radius: M1
+    # never refuses a vertex in its window, G1 reads to distance 3 and M2
+    # to distance 1
+    "tree-mad3": (GenSpec("tree", 2000), "mad3", set(), {"M1"}),
+    "tree-girth7": (GenSpec("tree", 2000), "girth7", {2}, {"G1"}),
+    "planar-mad3": (GenSpec("planar-girth7", 400, delta=4), "mad3", {1},
                     {"M1", "M2"}),
 }
 
@@ -341,8 +475,15 @@ def test_peel_reaches_only_the_tags_in_use(monkeypatch, case):
         def solve():
             return solve_girth7(g, uniform_lists(g, 12), delta_cap=4)
     work = _peel_work(monkeypatch, solve)
-    assert (set(work[0]), set(work[1])) == (radii, tags)
-    assert sum(work[0].values()) == g.n  # one ball per deletion
+    log, asked = work
+    assert set(asked) == tags
+    # one ball per refused call, in order, at its vertex and one ring short
+    # of its tag's radius, and none for a firing call
+    radius = {m.tag.value: m.radius for m in MAD_MATCHERS + GIRTH7_MATCHERS}
+    refusals = [("ball", v, radius[tag] - 1)
+                for tag, v, fired in log if tag != "ball" and not fired]
+    assert [e for e in log if e[0] == "ball"] == refusals
+    assert {r for _, _, r in refusals} == radii
     assert _peel_work(monkeypatch, solve) == work
 
 
