@@ -26,19 +26,25 @@ def edges_within_distance_two(g: Graph, e: int) -> frozenset[int]:
 
 
 def conflict_rows(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """For each edge id, the ascending ids of the edges conflicting with it:
-    one set per edge from the stars of ``N(u) | N(v)``, less the edge.
+    """For each edge id, the ascending ids of the edges conflicting with it.
+
+    Each vertex ``x`` gets one reach set, the ids of the edges at the
+    neighbors of ``x``, so each star is merged once per vertex; the row of
+    ``e = uv`` is then a new set ``reach[u] | reach[v]`` less ``e``.
 
     These are the neighbor tuples of the conflict graph on the edge ids: a
     strong edge coloring of ``g`` is exactly a proper coloring of it.
     """
     adj, edge_at = g.adj, g.edge_at
+    reach = []
+    for a in adj:
+        r: set[int] = set()
+        for w in a:
+            r.update(edge_at[w].values())
+        reach.append(r)
     rows = []
     for e, (u, v) in enumerate(g.edges):
-        out: set[int] = set()
-        for w in {*adj[u], *adj[v]}:
-            out.update(edge_at[w].values())
+        out = reach[u] | reach[v]
         out.discard(e)
         rows.append(tuple(sorted(out)))
     return tuple(rows)
-

@@ -86,7 +86,9 @@ def _search(adj: tuple[tuple[int, ...], ...], lists: list[tuple[int, ...]],
     Colors are searched as their ranks in the sorted union of the lists
     (the same order, so the same tree node for node) and mapped back on
     return, so any integers work; a vertex's admissible colors are one
-    ``int`` bitmask, computed once per distinct list.  Depth-first with an
+    ``int`` bitmask.  When every list is one tuple, that tuple is the
+    palette and every mask starts all ones; otherwise each distinct list's
+    mask is computed once from the ranks.  Depth-first with an
     explicit stack of one frame per branching vertex: the vertex, its
     untried colors, every vertex's mask before it was colored, the
     vertices left after it, its color and ``seen``, the colors its
@@ -94,13 +96,18 @@ def _search(adj: tuple[tuple[int, ...], ...], lists: list[tuple[int, ...]],
     masks, so backtracking restores nothing.
     """
     distinct = set(lists)
-    palette = sorted(set().union(*distinct))
-    rank = {c: r for r, c in enumerate(palette)}
-    masks = {cs: sum(1 << rank[c] for c in cs) for cs in distinct}
-    avail = list(map(masks.__getitem__, lists))
+    if len(distinct) == 1:
+        palette, = distinct
+        avail = [(1 << len(palette)) - 1] * len(lists)
+        seen = 0
+    else:
+        palette = sorted(set().union(*distinct))
+        rank = {c: r for r, c in enumerate(palette)}
+        masks = {cs: sum(1 << rank[c] for c in cs) for cs in distinct}
+        avail = list(map(masks.__getitem__, lists))
+        seen = -1
     stack: list[list] = []
     rest = tuple(range(len(adj)))
-    seen = 0 if len(distinct) == 1 else -1
     while True:
         budget.tick()
         if not rest:

@@ -401,7 +401,7 @@ def _peel(state: PeelState, matchers: tuple[Matcher, ...],
     watch: dict[int, list[tuple[int, int]]] = {}
     while adj:
         d = delta_cap if delta_cap is not None else state.max_degree()
-        plan, refused = None, []
+        plan, refused = None, []  # refused (tag, vertex) pairs, flat
         for k, matcher in enumerate(matchers):
             if k == len(heaps):
                 # deletions only pop keys, so ``adj`` stays ascending: a heap
@@ -417,7 +417,7 @@ def _peel(state: PeelState, matchers: tuple[Matcher, ...],
                     plan = matcher.match(state, v, d)
                     if plan is not None:
                         break
-                    refused.append((k, v))
+                    refused += k, v
                 heapq.heappop(heap)
                 inq.discard(v)
             if plan is not None:
@@ -425,10 +425,12 @@ def _peel(state: PeelState, matchers: tuple[Matcher, ...],
         else:
             return
         yield plan
-        for k, v in refused:
-            for ring in state.ball(v, matchers[k].radius - 1):
-                for w in ring:
-                    watch.setdefault(w, []).append((k, v))
+        if refused:  # most rounds refuse nothing; they build no iterators
+            pairs = iter(refused)
+            for k, v in zip(pairs, pairs):
+                for ring in state.ball(v, matchers[k].radius - 1):
+                    for w in ring:
+                        watch.setdefault(w, []).append((k, v))
         nbrs = adj[plan.delete_vertex]
         state.delete(plan.delete_vertex)
         watch.pop(plan.delete_vertex, None)

@@ -102,6 +102,7 @@ def _check_rows(g):
     assert rows == reference_conflict_graph(g).adj
     assert rows == tuple(tuple(sorted(edges_within_distance_two(g, e)))
                          for e in range(g.m))
+    assert conflict_rows(g) == rows
 
 
 @settings(max_examples=300, deadline=None)
@@ -120,9 +121,19 @@ ROW_CASES = [(family, n, delta, seed)
              for delta in deltas for seed in range(3)]
 
 
+# a bowtie (0..4) and a C4 with a pendant edge (5..9), where the reach sets
+# of an edge's two ends overlap most, an isolated vertex (10), and the path
+# 13-11-12-14-15, where a row built in place in ``reach[11]`` would leak
+# edge 14-15 into the row of 11-13
+OVERLAPS = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4),
+            (5, 6), (6, 7), (7, 8), (5, 8), (8, 9),
+            (11, 12), (11, 13), (12, 14), (14, 15)]
+
+
 def test_conflict_rows_match_reference_on_fixed_graphs():
     assert {case[0] for case in ROW_CASES} == set(FAMILIES)
-    fixed = [build_graph([]), build_graph([], vertices=range(3))]
+    fixed = [build_graph([]), build_graph([], vertices=range(3)),
+             build_graph(OVERLAPS, vertices=range(16))]
     fixed += [generate(GenSpec(family, n, delta=delta, seed=seed)).graph
               for family, n, delta, seed in ROW_CASES]
     for g in fixed:
