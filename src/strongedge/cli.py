@@ -140,10 +140,9 @@ def _cmd_exact(args) -> int:
 def _cmd_mad(args) -> int:
     inst = _load(args.instance)
     g = inst.graph
-    if args.threshold:
-        num, _, den = args.threshold.partition("/")
+    if args.threshold is not None:
         try:
-            thr = Fraction(int(num), int(den) if den else 1)
+            thr = Fraction(args.threshold)
         except ZeroDivisionError:
             raise ValueError(
                 f"threshold {args.threshold} has a zero denominator") from None
@@ -260,8 +259,8 @@ def _parser() -> argparse.ArgumentParser:
     m = sub.add_parser("mad", help="exact maximum average degree")
     m.add_argument("instance")
     m.add_argument("--threshold", default=None,
-                   help="rational P/Q: report whether some subgraph "
-                   "is denser")
+                   help="rational P/Q or decimal: report whether some "
+                   "subgraph is denser")
     m.set_defaults(func=_cmd_mad)
 
     gi = sub.add_parser("girth", help="shortest cycle length")

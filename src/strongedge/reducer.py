@@ -392,11 +392,15 @@ def _peel(state: PeelState, matchers: tuple[Matcher, ...],
     a full scan's: deleting ``x`` can change the answer at ``v`` only if
     ``v`` is within ``radius - 1`` of some ``y``, in the ball taken when
     ``v`` was refused as distances only grow; and a vertex enters a window
-    only as a ``y``, its degree falling.
+    only as a ``y``, its degree falling.  Pushes do not check for a
+    queued copy, yet the plans stay the same: a heap's minimum is the same
+    with copies, and the asked vertex's copies pop together, so no tag is
+    asked twice at one vertex in a round.  A heap holds its window's
+    members when built, plus one entry per degree drop at a ``y`` and one
+    per watch entry: O(n + m) per tag, plus the watches.
     """
     adj = state.adj
     heaps: list[list[int]] = []
-    queued: list[set[int]] = []
     tags_at: list[list[int]] = [[] for _ in range(state.max_degree() + 1)]
     watch: dict[int, list[tuple[int, int]]] = {}
     while adj:
@@ -407,10 +411,9 @@ def _peel(state: PeelState, matchers: tuple[Matcher, ...],
                 # deletions only pop keys, so ``adj`` stays ascending: a heap
                 lo, hi = matcher.window
                 heaps.append([v for v, a in adj.items() if lo <= len(a) <= hi])
-                queued.append(set(heaps[k]))
                 for g in range(lo, min(hi, len(tags_at) - 1) + 1):
                     tags_at[g].append(k)
-            heap, inq = heaps[k], queued[k]
+            heap = heaps[k]
             while heap:
                 v = heap[0]
                 if v in adj:
@@ -418,8 +421,8 @@ def _peel(state: PeelState, matchers: tuple[Matcher, ...],
                     if plan is not None:
                         break
                     refused += k, v
-                heapq.heappop(heap)
-                inq.discard(v)
+                while heap and heap[0] == v:
+                    heapq.heappop(heap)
             if plan is not None:
                 break
         else:
@@ -436,13 +439,9 @@ def _peel(state: PeelState, matchers: tuple[Matcher, ...],
         watch.pop(plan.delete_vertex, None)
         for y in nbrs:
             for k in tags_at[len(adj[y])]:
-                if y not in queued[k]:
-                    queued[k].add(y)
-                    heapq.heappush(heaps[k], y)
+                heapq.heappush(heaps[k], y)
             for k, v in watch.pop(y, ()):
-                lo, hi = matchers[k].window
-                if v in adj and v not in queued[k] and lo <= len(adj[v]) <= hi:
-                    queued[k].add(v)
+                if v in adj and k in tags_at[len(adj[v])]:
                     heapq.heappush(heaps[k], v)
 
 

@@ -289,13 +289,17 @@ def test_mad_and_threshold(tmp_path, capsys):
     assert "does not exceed 5/2" in capsys.readouterr().err
     assert run_command(["mad", inst, "--threshold", "1"]) == 0
     assert "> 1 on vertices" in capsys.readouterr().err
+    assert run_command(["mad", inst, "--threshold", "2.5"]) == 0
+    assert "does not exceed 5/2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("threshold", ["1/0", "x", "-1"])
+@pytest.mark.parametrize("threshold", ["1/0", "x", "-1", ""])
 def test_mad_rejects_bad_threshold(tmp_path, capsys, threshold):
     inst = write(tmp_path, "c5.txt", C5)
     assert run_command(["mad", inst, "--threshold", threshold]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert ("zero denominator" in err) == (threshold == "1/0")
 
 
 def test_mad_on_a_long_path(tmp_path, capsys):

@@ -500,6 +500,31 @@ def test_g1_is_asked_only_where_its_window_lets_it_fire(monkeypatch):
     assert 0 <= stale <= g.n // 20
 
 
+@pytest.mark.parametrize("family, cap", [("planar-girth7", 6),
+                                         ("sparse-mad3", 4)])
+def test_no_tag_is_asked_twice_at_a_vertex_in_a_round(monkeypatch, family,
+                                                      cap):
+    # a push does not look for a queued copy, so a heap holds some vertices
+    # twice on these inputs, and some of them are refused; the copies of
+    # the vertex asked at the top pop together, so between two plans each
+    # (tag, vertex) is asked once
+    g = generate(GenSpec(family, 400, delta=cap, seed=1)).graph
+    if family == "sparse-mad3":
+        def solve():
+            return solve_mad3(g, uniform_lists(g, 13))
+    else:
+        def solve():
+            return solve_girth7(g, uniform_lists(g, 3 * cap), delta_cap=cap)
+    log, _ = _peel_work(monkeypatch, solve)
+    asked = set()
+    for tag, v, fired in log:
+        if tag != "ball":
+            assert (tag, v) not in asked
+            asked.add((tag, v))
+            if fired:
+                asked.clear()
+
+
 def test_large_inputs_peel_in_linear_time():
     # about 2 s each here; the engine that rebuilt a graph per level took
     # 15 s already on a 2000-vertex tree.  CPU time, so a busy host does
