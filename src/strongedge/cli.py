@@ -58,23 +58,14 @@ def _cmd_color(args) -> int:
         return 2
     inst = _load(args.instance)
     g = inst.graph
-    delta = g.max_degree()
-    if args.pipeline == "mad3":
-        budget = 3 * delta + 1
-    else:
-        cap = args.delta_cap if args.delta_cap is not None else max(4, delta)
-        budget = 3 * cap
-    if args.colors is not None:
-        lists = uniform_lists(g, args.colors)
-    elif inst.lists is not None:
-        lists = dict(inst.lists)
-    else:
-        lists = uniform_lists(g, budget)
+    # no lists: the solve uses its theorem's budget
+    lists = (uniform_lists(g, args.colors) if args.colors is not None
+             else inst.lists)
     try:
         if args.pipeline == "mad3":
             report = solve_mad3(g, lists)
         else:
-            report = solve_girth7(g, lists, delta_cap=cap)
+            report = solve_girth7(g, lists, delta_cap=args.delta_cap)
     except HypothesisError as exc:
         _say(f"rejected: {exc}")
         return 1

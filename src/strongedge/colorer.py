@@ -33,15 +33,13 @@ from typing import Iterable, NamedTuple
 from .conflicts import edges_within_distance_two
 from .density import mad, mad_below_3
 from .graph import Graph, PeelState, girth as graph_girth
+from .instances import ColorLists
 from .oracle import list_strong_colorable
 from .reducer import (GIRTH7_MATCHERS, MAD_MATCHERS, ClaimTag, Matcher,
-                      ReductionPlan, _peel)
+                      ReductionPlan, _girth7_cap, _peel)
 
 # exact search copies every edge's color mask per level: memory ~ m*depth
 EXACT_FALLBACK_EDGES = 24
-
-ColorLists = dict[int, frozenset[int]]
-"""Per-edge allowed colors: edge id -> set of color ids."""
 
 PartialColoring = dict[int, int]
 """Partial assignment: edge id -> color id."""
@@ -277,7 +275,7 @@ def _normalize_lists(g: Graph, lists: dict[int, Iterable[int]]) -> ColorLists:
     return {e: frozenset(lists[e]) for e in range(g.m)}
 
 
-def _solve_components(g: Graph, lists: dict[int, Iterable[int]],
+def _solve_components(g: Graph, lists: dict[int, Iterable[int]] | None,
                       matchers: tuple[Matcher, ...], delta_cap: int | None,
                       budget: int, formula: str, *,
                       fall_back: bool) -> SolveReport:
@@ -286,11 +284,13 @@ def _solve_components(g: Graph, lists: dict[int, Iterable[int]],
 
     Every edge needs a nonempty list, and unless ``g`` has a single edge
     every list needs at least ``budget`` colors (``formula`` names the
-    budget in the error).  A detector miss raises unless ``fall_back``;
-    then the component goes to the exact oracle if it has at most
-    ``EXACT_FALLBACK_EDGES`` edges, to greedy otherwise.
+    budget in the error), which ``lists=None`` gives every edge.  A
+    detector miss raises unless ``fall_back``; then the component goes to
+    the exact oracle if it has at most ``EXACT_FALLBACK_EDGES`` edges, to
+    greedy otherwise.
     """
-    lists = _normalize_lists(g, lists)
+    lists = _normalize_lists(g, lists if lists is not None
+                             else uniform_lists(g, budget))
     if any(not lst for lst in lists.values()):
         raise HypothesisError("every edge needs a nonempty color list")
     if g.m == 1:
@@ -373,11 +373,13 @@ def _solve_components(g: Graph, lists: dict[int, Iterable[int]],
 # public pipelines
 # ---------------------------------------------------------------------
 
-def solve_mad3(g: Graph, lists: dict[int, Iterable[int]]) -> SolveReport:
+def solve_mad3(g: Graph, lists: dict[int, Iterable[int]] | None = None
+               ) -> SolveReport:
     """Certified coloring for sparse graphs: max degree <= 4, mad < 3.
 
-    Every list must have at least ``3*max_degree(g) + 1`` colors (the
-    guaranteed-sufficient budget).  Hypotheses are checked up front — the
+    Every list must have at least ``3*max_degree(g) + 1`` colors, the
+    budget ``lists=None`` gives every edge: ``solve_mad3(g)`` is the
+    first theorem as stated.  Hypotheses are checked up front — the
     density exactly, by a pebble game, with a max-flow witness only on
     rejection — and a detector miss after they passed is a hard error,
     because the theory says it cannot happen.
@@ -397,19 +399,20 @@ def solve_mad3(g: Graph, lists: dict[int, Iterable[int]]) -> SolveReport:
                              3 * delta + 1, "3*max_degree+1", fall_back=False)
 
 
-def solve_girth7(g: Graph, lists: dict[int, Iterable[int]],
-                 delta_cap: int) -> SolveReport:
+def solve_girth7(g: Graph, lists: dict[int, Iterable[int]] | None = None,
+                 delta_cap: int | None = None) -> SolveReport:
     """Coloring for planar graphs of girth >= 7 under a degree cap.
 
     Planarity is trusted, not machine-checked; girth and the degree cap
-    are verified.  Every list needs at least ``3*delta_cap`` colors.  On
+    (default ``max(4, max_degree(g))``) are verified.  Every list needs
+    at least ``3*delta_cap`` colors, the budget ``lists=None`` gives
+    every edge: ``solve_girth7(g)`` is the second theorem as stated.  On
     genuinely planar inputs the detectors never miss; if one does (the
     input lied about planarity), a component of at most 24 edges falls
     back to the exact oracle and a larger one to greedy, with
     ``certified=False`` and a note.
     """
-    if delta_cap < 4:
-        raise ValueError(f"delta_cap must be >= 4, got {delta_cap}")
+    delta_cap = _girth7_cap(g, delta_cap)
     delta = g.max_degree()
     if delta > delta_cap:
         raise HypothesisError(

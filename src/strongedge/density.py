@@ -6,7 +6,7 @@ and densities are :class:`fractions.Fraction` values, and the subgraph
 decision problem is solved by an integer-capacity maximum flow after
 clearing denominators, never by floating point.  :func:`mad` finds the
 exact maximum by Dinkelbach's iteration over that flow (Goldberg, "Finding
-a maximum density subgraph", 1984), typically in two to four flow runs.
+a maximum density subgraph", 1984), typically in one to four flow runs.
 
 The yes/no question ``mad(g) < 3`` that the sparse pipeline and its
 generator ask has a cheaper, incremental answer: :class:`MadBelowThree`
@@ -166,25 +166,23 @@ def mad(g: Graph) -> DensityWitness:
     """Maximum average degree of ``g`` with a witness subgraph.
 
     Exact, by Dinkelbach's iteration (Newton's method on the parametric
-    flow of :func:`density_exceeds`): start at the density of the whole
-    graph and move to the density of each witness found above the current
-    value until none exists.  Every round strictly raises the value within
-    the finite set of densities ``2e/k``, so the loop ends at the maximum.
-    Two densities with denominators at most ``n`` differ by at least
-    ``1/n**2``, so a final flow run ``1/(2n**2)`` below the maximum
-    extracts a canonical witness of exactly that density.
+    flow of :func:`density_exceeds`): from the density of the whole
+    graph, each flow runs ``eps = 1/(2n**2)`` below the value and moves
+    it to the witness's density, until that is the value.  Densities with
+    denominators at most ``n`` differ by at least ``2/n**2``, so no
+    witness is below the value; and a denser set ``H`` gains ``|H|(d -
+    value + eps)/2 >= 1/n``, more than the ``n*eps/2`` of any set at the
+    value, so the loop ends at the maximum, on the canonical witness of
+    the flow at ``mad(g) - eps``.
     """
     if g.n == 0:
         raise GraphError("mad is undefined on the empty graph")
     if g.m == 0:
         return DensityWitness(frozenset({0}), Fraction(0))
-    n = g.n
-    value = Fraction(2 * g.m, n)
-    while (better := density_exceeds(g, value)) is not None:
-        value = better.density
-    witness = density_exceeds(g, value - Fraction(1, 2 * n * n))
-    if witness is None or witness.density != value:  # pragma: no cover
-        raise AssertionError("witness extraction disagrees with the search")
+    eps = Fraction(1, 2 * g.n * g.n)
+    value = Fraction(2 * g.m, g.n)
+    while (witness := density_exceeds(g, value - eps)).density != value:
+        value = witness.density
     return witness
 
 

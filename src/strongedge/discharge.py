@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .density import mad_deficit_sum
 from .graph import Graph, _min_first, count_twos, girth as graph_girth
-from .reducer import (ReductionPlan, find_reducible_girth7,
+from .reducer import (ReductionPlan, _girth7_cap, find_reducible_girth7,
                       find_reducible_mad)
 
 Element = tuple[str, int]
@@ -313,9 +313,7 @@ def audit_girth7(emb: Embedding, delta_cap: int | None = None) -> AuditReport:
     """
     g = emb.graph
     delta = g.max_degree()
-    cap = delta_cap if delta_cap is not None else max(4, delta)
-    if cap < 4:
-        raise ValueError(f"delta_cap must be >= 4, got {cap}")
+    cap = _girth7_cap(g, delta_cap)
     ledger = apply_rules_girth7(emb)
     identity = euler_charge_identity(emb)
     notes: list[str] = []

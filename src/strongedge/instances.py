@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from .graph import Graph, _min_first, build_graph
 
 ColorLists = dict[int, frozenset[int]]
+"""Per-edge allowed colors: edge id -> set of color ids."""
 
 
 class ParseError(ValueError):

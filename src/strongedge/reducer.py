@@ -456,6 +456,14 @@ def find_reducible_mad(g: Graph) -> ReductionPlan | None:
     return next(_peel(PeelState(g, range(g.n)), MAD_MATCHERS, None), None)
 
 
+def _girth7_cap(g: Graph, delta_cap: int | None) -> int:
+    """``delta_cap`` (default ``max(4, max degree)``), checked to be >= 4."""
+    cap = delta_cap if delta_cap is not None else max(4, g.max_degree())
+    if cap < 4:
+        raise ValueError(f"delta_cap must be >= 4, got {cap}")
+    return cap
+
+
 def find_reducible_girth7(g: Graph, delta_cap: int) -> ReductionPlan | None:
     """First reducible configuration for the girth-7 pipeline, or None.
 
@@ -465,8 +473,7 @@ def find_reducible_girth7(g: Graph, delta_cap: int) -> ReductionPlan | None:
     vertex id first within a tag: the engine's first plan on every vertex
     of ``g``.
     """
-    if delta_cap < 4:
-        raise ValueError(f"delta_cap must be >= 4, got {delta_cap}")
+    _girth7_cap(g, delta_cap)
     if g.max_degree() > delta_cap:
         raise ValueError(
             f"maximum degree {g.max_degree()} exceeds delta_cap {delta_cap}")

@@ -226,6 +226,20 @@ def test_color_exit_3_on_a_violated_guarantee(tmp_path, capsys,
                             "configuration found\n")
 
 
+def test_color_exit_3_from_the_mad3_solve(tmp_path, capsys, monkeypatch):
+    # the CLI looks each solve up when it runs, so a swapped one is called
+    def broken(g, lists):
+        raise TheoremViolationError("no reducible configuration found")
+
+    monkeypatch.setattr(strongedge.cli, "solve_mad3", broken)
+    inst = write(tmp_path, "c7.txt", C7)
+    assert run_command(["color", inst, "--pipeline", "mad3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal guarantee violated: no reducible "
+                            "configuration found\n")
+
+
 def test_color_exit_2_without_a_complete_coloring(tmp_path, capsys,
                                                   monkeypatch):
     def incomplete(g, lists, delta_cap):

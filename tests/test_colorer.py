@@ -257,7 +257,7 @@ def test_hypothesis_rejections():
     with pytest.raises(HypothesisError, match="exceeds the cap"):
         # a star has infinite girth, so only the cap check can fire
         solve_girth7(star, uniform_lists(star, 12), delta_cap=4)
-    with pytest.raises(ValueError, match="delta_cap must be >= 4, got 3"):
+    with pytest.raises(ValueError, match="^delta_cap must be >= 4, got 3$"):
         solve_girth7(c5, uniform_lists(c5, 9), delta_cap=3)
 
 

@@ -212,5 +212,5 @@ def test_audit_of_the_empty_graph_claims_no_density():
 def test_audit_argument_validation():
     g = build_graph([(0, 1)])
     emb = trace_faces(g, tuple(g.adj))
-    with pytest.raises(ValueError, match="delta_cap"):
+    with pytest.raises(ValueError, match="^delta_cap must be >= 4, got 3$"):
         audit_girth7(emb, delta_cap=3)

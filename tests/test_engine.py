@@ -139,6 +139,32 @@ def test_answers_are_pinned():
                       "49aad35b1b22dedf7cab957f79529b2c")
 
 
+def test_default_lists_and_cap_are_the_theorem_budgets():
+    # solve_mad3(g) and solve_girth7(g) are the theorems as stated: each
+    # answers as with uniform lists of its budget, 3*max_degree+1 colors
+    # and 3*cap colors under the cap max(4, max_degree) or the one given
+    solved = 0
+    for seed in range(3):
+        for family, cap in (("sparse-mad3", 4), ("tree", 4),
+                            ("planar-girth7", 4), ("planar-girth7", 5),
+                            ("planar-girth7", 6)):
+            g = generate(GenSpec(family, 60, delta=cap, seed=seed)).graph
+            delta = g.max_degree()
+            for default, explicit in (
+                    (lambda: solve_mad3(g),
+                     lambda: solve_mad3(g, uniform_lists(g, 3 * delta + 1))),
+                    (lambda: solve_girth7(g),
+                     lambda: solve_girth7(g, uniform_lists(
+                         g, 3 * max(4, delta)), max(4, delta))),
+                    (lambda: solve_girth7(g, None, cap),
+                     lambda: solve_girth7(g, uniform_lists(g, 3 * cap),
+                                          cap))):
+                answer = _answer(default)
+                assert answer == _answer(explicit)
+                solved += answer[0] != "HypothesisError"
+    assert solved >= 20  # most inputs meet the hypotheses of both solves
+
+
 def _subdivided_circulant(n, keep_matching):
     """C_n(1, 2) with every edge subdivided, except, if asked, the
     matching (2i, 2i+1): a max-degree-4 graph with mad below 3 whose

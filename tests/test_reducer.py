@@ -18,7 +18,8 @@ from strongedge import (ClaimTag, GenSpec, build_graph,
                         edges_within_distance_two, find_reducible_girth7,
                         find_reducible_mad, generate, uniform_lists)
 from strongedge.graph import INFINITY, PeelState
-from strongedge.reducer import GIRTH7_MATCHERS, MAD_MATCHERS, _g1
+from strongedge.reducer import (GIRTH7_MATCHERS, MAD_MATCHERS, _g1,
+                                _girth7_cap)
 from tests.helpers import (delete_vertex, extend_partial, random_graph,
                            random_sparse_graph, scan_first_plan,
                            set_count_g1)
@@ -276,12 +277,14 @@ def test_g8_two_strong_neighbors():
 
 
 def test_girth7_detector_validates_arguments():
+    # the cap rule of the solve, the detector and the audit
     g = build_graph([(0, 1)])
-    with pytest.raises(ValueError, match="delta_cap"):
+    with pytest.raises(ValueError, match="^delta_cap must be >= 4, got 3$"):
         find_reducible_girth7(g, 3)
     k6 = build_graph([(i, j) for i in range(6) for j in range(i + 1, 6)])
     with pytest.raises(ValueError, match="exceeds"):
         find_reducible_girth7(k6, 4)
+    assert _girth7_cap(g, None) == 4 and _girth7_cap(k6, None) == 5
 
 
 def test_girth7_detector_none_on_cubic_girth7():
