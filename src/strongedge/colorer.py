@@ -36,7 +36,7 @@ from .graph import Graph, PeelState, girth as graph_girth
 from .instances import ColorLists
 from .oracle import list_strong_colorable
 from .reducer import (GIRTH7_MATCHERS, MAD_MATCHERS, ClaimTag, Matcher,
-                      ReductionPlan, _girth7_cap, _peel)
+                      ReductionPlan, _girth7_cap, _new, _peel)
 
 # exact search copies every edge's color mask per level: memory ~ m*depth
 EXACT_FALLBACK_EDGES = 24
@@ -216,22 +216,27 @@ def extend(g: Graph, partial: PartialColoring, plan: ReductionPlan,
     stars and each step appended to ``trace``.  Each step counts the
     colored conflicts of its edge ``uv`` (``actual``): the union of the
     stars of the vertices of ``N(u) | N(v)``, less ``uv``, gathered in
-    one dict whose values are their colors.  It checks the paper's claim
+    one dict whose values are their colors.  The stars of ``u`` and ``v``
+    themselves are not merged: a colored edge ``ux`` other than ``uv``
+    is in the star of ``x``, a neighbor of ``u``, and so is ``vx`` in
+    that of a neighbor of ``v``, so the union is the same and ``uv`` is
+    never in it.  It checks the paper's claim
     ``actual <= step.bound``; the list must be longer than ``actual``,
     which leaves a spare color, and the smallest spare color is taken.
     Violated promises raise :class:`ExtensionError` — loudly, because
     they mean the machinery's guarantee failed.
     """
-    adj, edges = g.adj, g.edges
+    adj, edges, labels = g.adj, g.edges, g.labels
     tag = plan.claim_tag
     for e, bound in plan.extension_order:
         u, v = edges[e]
         near: dict[int, int] = {}
         for w in adj[u]:
-            near.update(stars[w])
+            if w != v:
+                near.update(stars[w])
         for w in adj[v]:
-            near.update(stars[w])
-        near.pop(e, None)
+            if w != u:
+                near.update(stars[w])
         actual = len(near)
         if actual > bound:
             raise ExtensionError(
@@ -249,8 +254,8 @@ def extend(g: Graph, partial: PartialColoring, plan: ReductionPlan,
         # more list colors than colored conflicts: a spare one exists
         color = min(allowed.difference(near.values()))
         partial[e] = stars[u][e] = stars[v][e] = color
-        trace.append(ExtensionRecord(tag, g.label_pair(e), actual, actual,
-                                     color))
+        trace.append(_new(ExtensionRecord, (
+            tag, (labels[u], labels[v]), actual, actual, color)))
     return partial
 
 
@@ -309,7 +314,7 @@ def _solve_components(g: Graph, lists: dict[int, Iterable[int]] | None,
     failed: int | None = None
 
     for comp in g.components():
-        m = sum(g.degree(v) for v in comp) // 2
+        m = sum(map(len, map(g.adj.__getitem__, comp))) // 2
         if m == 0:
             continue
         if m == 1:

@@ -11,7 +11,6 @@ that the reduction engine deletes vertices from, in the graph's own ids.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -92,14 +91,11 @@ class Graph:
                 continue
             comp = [s]
             seen[s] = True
-            queue = deque([s])
-            while queue:
-                x = queue.popleft()
+            for x in comp:  # grows while read: breadth-first order
                 for y in self.adj[x]:
                     if not seen[y]:
                         seen[y] = True
                         comp.append(y)
-                        queue.append(y)
             out.append(tuple(sorted(comp)))
         return out
 

@@ -100,6 +100,11 @@ class ReductionPlan(NamedTuple):
     extension_order: tuple[ExtensionStep, ...]
 
 
+# the hot paths build plans, steps and records with the C-level
+# tuple.__new__: a named tuple's generated __new__ costs a Python frame
+_new = tuple.__new__
+
+
 def _plan(g: Graph, tag: ClaimTag, delete_vertex: int,
           erase_pairs: list[tuple[int, int]],
           extension: list[tuple[tuple[int, int], int]]) -> ReductionPlan:
@@ -112,10 +117,10 @@ def _plan(g: Graph, tag: ClaimTag, delete_vertex: int,
     anyway when the step runs.
     """
     edge_at = g.edge_at
-    return ReductionPlan(
+    return _new(ReductionPlan, (
         tag, delete_vertex, tuple([edge_at[u][v] for u, v in erase_pairs]),
-        tuple([ExtensionStep(edge_at[u][v], formula)
-               for (u, v), formula in extension]))
+        tuple([_new(ExtensionStep, (edge_at[u][v], formula))
+               for (u, v), formula in extension])))
 
 
 def _other_neighbor(g: Graph, v: int, not_this: int) -> int:
@@ -131,9 +136,10 @@ def _other_neighbor(g: Graph, v: int, not_this: int) -> int:
 
 def _m1(g: Graph, v: int, d: int) -> ReductionPlan | None:
     """An isolated or pendant vertex (reads the degree of ``v``)."""
-    if g.degree(v) <= 1:
-        ext = [((v, u), 3 * d) for u in g.adj[v]]
-        return _plan(g, ClaimTag.M1_PENDANT, v, [], ext)
+    a = g.adj[v]
+    if len(a) <= 1:
+        return _new(ReductionPlan, (ClaimTag.M1_PENDANT, v, (), (
+            _new(ExtensionStep, (g.edge_at[v][a[0]], 3 * d)),) if a else ()))
     return None
 
 
@@ -206,14 +212,14 @@ def _g1(g: Graph, v: int, d: int) -> ReductionPlan | None:
     """
     adj = g.adj
     if not adj[v]:
-        return ReductionPlan(ClaimTag.G1_PENDANT, v, (), ())
+        return _new(ReductionPlan, (ClaimTag.G1_PENDANT, v, (), ()))
     if len(adj[v]) == 1:
         u = adj[v][0]
         e = g.edge_at[u][v]
-        if (sum(len(adj[w]) for w in adj[u]) - 1 < 3 * d
+        if (sum(map(len, map(adj.__getitem__, adj[u]))) - 1 < 3 * d
                 or len(edges_within_distance_two(g, e)) < 3 * d):
-            return ReductionPlan(ClaimTag.G1_PENDANT, v, (),
-                                 (ExtensionStep(e, 3 * d),))
+            return _new(ReductionPlan, (ClaimTag.G1_PENDANT, v, (), (
+                _new(ExtensionStep, (e, 3 * d)),)))
     return None
 
 
@@ -400,13 +406,15 @@ def _peel(state: PeelState, matchers: tuple[Matcher, ...],
     per watch entry: O(n + m) per tag, plus the watches.
     """
     adj = state.adj
+    heappush, heappop, delete = heapq.heappush, heapq.heappop, state.delete
+    indexed = tuple(enumerate(matchers))
     heaps: list[list[int]] = []
     tags_at: list[list[int]] = [[] for _ in range(state.max_degree() + 1)]
     watch: dict[int, list[tuple[int, int]]] = {}
     while adj:
         d = delta_cap if delta_cap is not None else state.max_degree()
         plan, refused = None, []  # refused (tag, vertex) pairs, flat
-        for k, matcher in enumerate(matchers):
+        for k, matcher in indexed:
             if k == len(heaps):
                 # deletions only pop keys, so ``adj`` stays ascending: a heap
                 lo, hi = matcher.window
@@ -422,7 +430,7 @@ def _peel(state: PeelState, matchers: tuple[Matcher, ...],
                         break
                     refused += k, v
                 while heap and heap[0] == v:
-                    heapq.heappop(heap)
+                    heappop(heap)
             if plan is not None:
                 break
         else:
@@ -435,14 +443,14 @@ def _peel(state: PeelState, matchers: tuple[Matcher, ...],
                     for w in ring:
                         watch.setdefault(w, []).append((k, v))
         nbrs = adj[plan.delete_vertex]
-        state.delete(plan.delete_vertex)
+        delete(plan.delete_vertex)
         watch.pop(plan.delete_vertex, None)
         for y in nbrs:
             for k in tags_at[len(adj[y])]:
-                heapq.heappush(heaps[k], y)
+                heappush(heaps[k], y)
             for k, v in watch.pop(y, ()):
                 if v in adj and k in tags_at[len(adj[v])]:
-                    heapq.heappush(heaps[k], v)
+                    heappush(heaps[k], v)
 
 
 def find_reducible_mad(g: Graph) -> ReductionPlan | None:

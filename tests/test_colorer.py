@@ -12,7 +12,9 @@ from strongedge import (FAMILIES, ClaimTag, ExtensionError, ExtensionRecord,
                         uniform_lists, verify_strong)
 from strongedge import colorer
 from strongedge.colorer import TheoremViolationError, extend
-from strongedge.reducer import GIRTH7_MATCHERS, MAD_MATCHERS, ExtensionStep
+from strongedge.graph import PeelState
+from strongedge.reducer import (GIRTH7_MATCHERS, MAD_MATCHERS, ExtensionStep,
+                                _peel)
 
 from tests.helpers import (extend_partial, naive_strong_ok, naive_verdict,
                            random_graph, reference_extend, set_count_g1,
@@ -211,6 +213,31 @@ def test_extension_types_are_named_tuples():
     g = build_graph([(0, 1), (1, 2)])
     assert set_count_g1(g, 0, 4) == ReductionPlan(
         ClaimTag.G1_PENDANT, 0, (), (ExtensionStep(g.edge_id(0, 1), 12),))
+    # the engine and the unwind build these tuples with tuple.__new__,
+    # which takes any class, and tuple equality ignores the class: so the
+    # exact class of every plan, step and record is checked
+    tags, records = set(), 0
+    for family in FAMILIES:
+        for seed in range(3):
+            g = generate(GenSpec(family, 40, seed=seed)).graph
+            for matchers, cap in ((MAD_MATCHERS, None),
+                                  (GIRTH7_MATCHERS, max(4, g.max_degree()))):
+                for plan in _peel(PeelState(g, range(g.n)), matchers, cap):
+                    assert type(plan) is ReductionPlan
+                    assert all(type(step) is ExtensionStep
+                               for step in plan.extension_order)
+                    tags.add(plan.claim_tag)
+            for solve in (solve_mad3, solve_girth7):
+                try:
+                    trace = solve(g).trace
+                except HypothesisError:
+                    continue
+                assert all(type(record) is ExtensionRecord
+                           for record in trace)
+                records += len(trace)
+    # pendants, which M1 and G1 build directly, and tags built by _plan
+    assert {ClaimTag.M1_PENDANT, ClaimTag.M2_TWO_WEAK, ClaimTag.G1_PENDANT,
+            ClaimTag.G2_TWO_WEAK} <= tags and records > 500
 
 
 def test_solves_never_build_a_conflict_set(monkeypatch):

@@ -139,6 +139,30 @@ def test_answers_are_pinned():
                       "49aad35b1b22dedf7cab957f79529b2c")
 
 
+def test_plans_are_pinned():
+    # an answer cannot show the cap the bound formulas were evaluated at:
+    # the trace records bound = actual and a larger cap leaves the smallest
+    # spare color alone.  So the plans themselves, with their formulas, are
+    # pinned over the inputs of test_answers_are_pinned, under the default
+    # lists and cap and under each cap 4-6
+    plans = []
+    for seed in range(20):
+        for family, cap in (("sparse-mad3", 4), ("tree", 4),
+                            ("planar-girth7", 4), ("planar-girth7", 5),
+                            ("planar-girth7", 6)):
+            g = generate(GenSpec(family, 60, delta=cap, seed=seed)).graph
+            for solve in (lambda: solve_mad3(g), lambda: solve_girth7(g),
+                          *(lambda c=c: solve_girth7(g, None, c)
+                            for c in (4, 5, 6))):
+                try:
+                    plans.append(run_engine(g, solve)[1])
+                except HypothesisError as exc:
+                    plans.append(str(exc))
+    digest = hashlib.sha256(repr(plans).encode()).hexdigest()
+    assert digest == ("3cfb8dde399c194578aa51e368662d13"
+                      "22b79da5a495892bad331d28f8cbdd67")
+
+
 def test_default_lists_and_cap_are_the_theorem_budgets():
     # solve_mad3(g) and solve_girth7(g) are the theorems as stated: each
     # answers as with uniform lists of its budget, 3*max_degree+1 colors
