@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Exit codes for ``color``: 0 the coloring is certified, 2 a coloring was
-produced by fallback search without certification, 1 the instance fails
-the pipeline's hypotheses (or cannot be read), 3 an internal guarantee
-was violated (a bug, never the input's fault).  ``verify`` exits 0/1 for
-valid/invalid.  Any command exits 2 on a usage error (bad arguments).
+Exit codes for ``color``: 0 the coloring is certified, 1 the instance
+fails the pipeline's hypotheses (or cannot be read), 3 an internal
+guarantee was violated (a bug, or a non-planar girth-7 input below
+density 14/5).  ``verify`` exits 0/1 for valid/invalid.  Any command
+exits 2 on a usage error (bad arguments).
 
 Colorings go to stdout as ``c U V COLOR`` lines; everything human-facing
 goes to stderr, so ``color`` output pipes straight into ``verify``.
@@ -74,15 +74,9 @@ def _cmd_color(args) -> int:
         return 3
     _say(f"pipeline {args.pipeline}: {g.n} vertices, {g.m} edges, "
          f"{report.colors_used} colors used")
-    if report.certified:
-        _say("certified: every extension step stayed within its bound")
-    else:
-        _say(f"NOT certified: {report.fallback}")
-    if not report.complete:
-        _say("no complete coloring was produced")
-        return 2
+    _say("certified: every extension step stayed within its bound")
     _emit(serialize_coloring(g, report.coloring), args.output)
-    return 0 if report.certified else 2
+    return 0
 
 
 def _cmd_verify(args) -> int:

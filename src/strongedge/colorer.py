@@ -19,27 +19,24 @@ are its configuration's formulas; each re-colored edge's colored
 conflicts are counted once, when it is re-colored, and checked against
 the formula, and its list must be longer than that count so that a color
 is spare.
-A detector miss is a hard "theorem violation" error on the sparse
-pipeline; on the girth-7 one a component of at most 24 edges falls back
-to exact search, greedy beyond.
+A detector miss is a density rejection with a witness when ``mad`` of
+the input reaches the pipeline's threshold (3, or 14/5 for girth 7), and
+a "theorem violation" error below it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .conflicts import edges_within_distance_two
-from .density import mad, mad_below_3
+from .density import DensityWitness, mad, mad_below_3
 from .graph import Graph, PeelState, girth as graph_girth
 from .instances import ColorLists
-from .oracle import list_strong_colorable
 from .reducer import (GIRTH7_MATCHERS, MAD_MATCHERS, ClaimTag, Matcher,
                       ReductionPlan, _girth7_cap, _new, _peel)
-
-# exact search copies every edge's color mask per level: memory ~ m*depth
-EXACT_FALLBACK_EDGES = 24
 
 PartialColoring = dict[int, int]
 """Partial assignment: edge id -> color id."""
@@ -58,9 +55,9 @@ class HypothesisError(ValueError):
 class TheoremViolationError(RuntimeError):
     """A guarantee the pipelines rest on failed at runtime.
 
-    Either the detector found no configuration although the hypotheses
-    were verified, or an extension step found its promise broken.  Both
-    mean a bug — here or in the guarantee — and are never swallowed.
+    Either the detector found no configuration below the pipeline's
+    density threshold, or an extension step found its promise broken.
+    Both mean a bug — here or in the guarantee — and are never swallowed.
     """
 
 
@@ -105,10 +102,10 @@ class ExtensionRecord(NamedTuple):
 class SolveReport:
     """Outcome of a solve: the coloring plus how it was obtained.
 
-    ``certified`` is True only when every edge was colored through the
-    reduction machinery with every per-step conflict bound verified;
-    ``fallback`` carries a note whenever a component had to fall back to
-    the exact oracle or to greedy.  ``trace`` records every extension
+    ``certified`` is True when every edge was colored through the
+    reduction machinery with every per-step conflict bound verified, as
+    both pipelines always do; :func:`greedy_color` reports False and sets
+    ``failed_edge`` where it ran out.  ``trace`` records every extension
     step that ran, one :class:`ExtensionRecord` named tuple each: the
     tag, the edge as a label pair, the bound (equal to the actual count),
     the actual count of colored conflicts and the color taken.
@@ -117,7 +114,6 @@ class SolveReport:
 
     coloring: PartialColoring
     certified: bool
-    fallback: str | None = None
     failed_edge: int | None = None
     trace: tuple[ExtensionRecord, ...] = ()
 
@@ -280,19 +276,27 @@ def _normalize_lists(g: Graph, lists: dict[int, Iterable[int]]) -> ColorLists:
     return {e: frozenset(lists[e]) for e in range(g.m)}
 
 
+def _too_dense(g: Graph, witness: DensityWitness,
+               threshold: Fraction | int) -> HypothesisError:
+    """The rejection of ``witness``, at or above ``threshold``, by labels."""
+    return HypothesisError(
+        f"maximum average degree is {witness.density} >= {threshold} on "
+        f"vertices {sorted(g.labels[v] for v in witness.vertices)}",
+        witness=witness)
+
+
 def _solve_components(g: Graph, lists: dict[int, Iterable[int]] | None,
                       matchers: tuple[Matcher, ...], delta_cap: int | None,
-                      budget: int, formula: str, *,
-                      fall_back: bool) -> SolveReport:
+                      budget: int, formula: str,
+                      threshold: Fraction | int) -> SolveReport:
     """Check the lists, then solve per connected component, all into one
     coloring.
 
     Every edge needs a nonempty list, and unless ``g`` has a single edge
     every list needs at least ``budget`` colors (``formula`` names the
     budget in the error), which ``lists=None`` gives every edge.  A
-    detector miss raises unless ``fall_back``; then the component goes to
-    the exact oracle if it has at most ``EXACT_FALLBACK_EDGES`` edges, to
-    greedy otherwise.
+    detector miss rejects ``g`` if ``mad(g) >= threshold``, and raises
+    :class:`TheoremViolationError` otherwise.
     """
     lists = _normalize_lists(g, lists if lists is not None
                              else uniform_lists(g, budget))
@@ -309,9 +313,6 @@ def _solve_components(g: Graph, lists: dict[int, Iterable[int]] | None,
     coloring: PartialColoring = {}
     # the unwinds' colored edges at each vertex, edge -> color
     stars: list[dict[int, int]] = [{} for _ in range(g.n)]
-    notes: list[str] = []
-    certified = True
-    failed: int | None = None
 
     for comp in g.components():
         m = sum(map(len, map(g.adj.__getitem__, comp))) // 2
@@ -324,37 +325,12 @@ def _solve_components(g: Graph, lists: dict[int, Iterable[int]] | None,
         state = PeelState(g, comp)
         plans = list(_peel(state, matchers, delta_cap))
         if state.adj:  # no matcher fired on what is left
-            if not fall_back:
-                raise TheoremViolationError(
-                    f"no reducible configuration found on a "
-                    f"hypothesis-satisfying graph with {len(state.adj)} "
-                    f"vertices — the guarantee this pipeline rests on failed")
-            certified = False
-            # the component's dense id i is comp[i]: both follow label order
-            sub = g.induced(comp)
-            ids = [g.edge_id(comp[a], comp[b]) for a, b in sub.edges]
-            sub_lists = {i: lists[e] for i, e in enumerate(ids)}
-            where = f"component {[g.labels[v] for v in comp]}:"
-            why = (f"{where} no reducible configuration at {len(state.adj)} "
-                   f"vertices;")
-            if m <= EXACT_FALLBACK_EDGES:
-                notes.append(f"{why} exact search fallback")
-                found = list_strong_colorable(sub, sub_lists)
-                if found is None:
-                    notes.append(f"{where} lists admit no strong coloring")
-                    failed = ids[0]
-                    continue
-                sub_coloring = found
-            else:
-                notes.append(f"{why} greedy fallback (component too large "
-                             f"for exact search)")
-                rep = greedy_color(sub, sub_lists)
-                sub_coloring = rep.coloring
-                if rep.failed_edge is not None:
-                    failed = ids[rep.failed_edge]
-            for i, c in sub_coloring.items():
-                coloring[ids[i]] = c
-            continue
+            if (witness := mad(g)).density >= threshold:
+                raise _too_dense(g, witness, threshold)
+            raise TheoremViolationError(
+                f"no reducible configuration found on a "
+                f"hypothesis-satisfying graph with {len(state.adj)} "
+                f"vertices — the guarantee this pipeline rests on failed")
         while plans:  # popped, so each plan is freed as the stars grow
             plan = plans.pop()
             for e in plan.erase_edges:
@@ -366,12 +342,10 @@ def _solve_components(g: Graph, lists: dict[int, Iterable[int]] | None,
             extend(g, coloring, plan, lists, trace, stars)
 
     del stars  # freed before the gate builds its own color stars
-    if failed is None and (bad := verify_strong(g, coloring, lists)):
+    if bad := verify_strong(g, coloring, lists):
         raise TheoremViolationError(
             f"solver produced an invalid coloring: {bad[:3]}")
-    return SolveReport(coloring, certified=certified and failed is None,
-                       fallback="; ".join(notes) if notes else None,
-                       failed_edge=failed, trace=tuple(trace))
+    return SolveReport(coloring, certified=True, trace=tuple(trace))
 
 
 # ---------------------------------------------------------------------
@@ -386,7 +360,7 @@ def solve_mad3(g: Graph, lists: dict[int, Iterable[int]] | None = None
     budget ``lists=None`` gives every edge: ``solve_mad3(g)`` is the
     first theorem as stated.  Hypotheses are checked up front — the
     density exactly, by a pebble game, with a max-flow witness only on
-    rejection — and a detector miss after they passed is a hard error,
+    rejection — so a detector miss after they passed is a hard error,
     because the theory says it cannot happen.
     """
     delta = g.max_degree()
@@ -395,13 +369,9 @@ def solve_mad3(g: Graph, lists: dict[int, Iterable[int]] | None = None
             f"maximum degree {delta} exceeds 4; the sparse pipeline does "
             f"not apply")
     if not mad_below_3(g):
-        witness = mad(g)
-        raise HypothesisError(
-            f"maximum average degree is {witness.density} >= 3 on "
-            f"vertices {sorted(g.labels[v] for v in witness.vertices)}",
-            witness=witness)
+        raise _too_dense(g, mad(g), 3)
     return _solve_components(g, lists, MAD_MATCHERS, None,
-                             3 * delta + 1, "3*max_degree+1", fall_back=False)
+                             3 * delta + 1, "3*max_degree+1", 3)
 
 
 def solve_girth7(g: Graph, lists: dict[int, Iterable[int]] | None = None,
@@ -412,10 +382,10 @@ def solve_girth7(g: Graph, lists: dict[int, Iterable[int]] | None = None,
     (default ``max(4, max_degree(g))``) are verified.  Every list needs
     at least ``3*delta_cap`` colors, the budget ``lists=None`` gives
     every edge: ``solve_girth7(g)`` is the second theorem as stated.  On
-    genuinely planar inputs the detectors never miss; if one does (the
-    input lied about planarity), a component of at most 24 edges falls
-    back to the exact oracle and a larger one to greedy, with
-    ``certified=False`` and a note.
+    genuinely planar inputs the detectors never miss.  A miss is a
+    :class:`HypothesisError` with a witness when ``mad(g) >= 14/5``,
+    which Euler's formula rules out for planar graphs of girth >= 7, and
+    a :class:`TheoremViolationError` below it.
     """
     delta_cap = _girth7_cap(g, delta_cap)
     delta = g.max_degree()
@@ -428,4 +398,4 @@ def solve_girth7(g: Graph, lists: dict[int, Iterable[int]] | None = None,
             f"girth {got_girth} is below 7; the girth-7 pipeline does "
             f"not apply")
     return _solve_components(g, lists, GIRTH7_MATCHERS, delta_cap,
-                             3 * delta_cap, "3*delta_cap", fall_back=True)
+                             3 * delta_cap, "3*delta_cap", Fraction(14, 5))

@@ -28,11 +28,11 @@ from fractions import Fraction
 from itertools import combinations
 
 from strongedge import (ClaimTag, DensityWitness, ExtensionError,
-                        ExtensionRecord, Graph, GraphError, InstanceFile,
-                        ParseError, ReductionPlan, SearchBudget, SolveReport,
+                        ExtensionRecord, Graph, GraphError, HypothesisError,
+                        InstanceFile, ParseError, ReductionPlan, SolveReport,
                         TheoremViolationError, build_graph, density_exceeds,
-                        edges_within_distance_two, greedy_color,
-                        list_strong_colorable, trace_faces, verify_strong)
+                        edges_within_distance_two, girth, mad, trace_faces,
+                        verify_strong)
 from strongedge.colorer import extend
 from strongedge.reducer import ExtensionStep
 
@@ -313,6 +313,58 @@ def random_sparse_graph(rng: random.Random, n: int, cap: int):
     return out, range(nxt)
 
 
+def nonplanar_girth7(rng: random.Random, n: int, cap: int):
+    """A graph of girth >= 7, maximum degree <= ``cap`` and mad < 14/5
+    that is not planar.
+
+    A random simple graph ``H`` on ``n >= 6`` vertices with degrees
+    3..``cap`` is drawn by the configuration model around a K_{3,3} on
+    vertices 0..5, and every edge is subdivided twice (girth >= 9).  Then,
+    in random order, each subdivision vertex is spliced out while girth
+    >= 7 and mad < 14/5 still hold, and 0..6 pendants go on vertices
+    below the cap.  Each result is homeomorphic to ``H`` plus pendants,
+    so the K_{3,3} keeps it non-planar.
+    """
+    k33 = {(a, b) for a in range(3) for b in range(3, 6)}
+    while True:
+        want = [rng.randint(3, cap) for _ in range(n)]
+        stubs = [v for v in range(n) for _ in range(want[v] - 3 * (v < 6))]
+        if len(stubs) % 2:
+            continue
+        rng.shuffle(stubs)
+        extra = {(min(p), max(p)) for p in zip(stubs[::2], stubs[1::2])}
+        if (len(extra) == len(stubs) // 2 and not extra & k33
+                and all(u != v for u, v in extra)):
+            break
+    adj: dict[int, set[int]] = {v: set() for v in range(n)}
+    for u, v in sorted(k33 | extra):
+        x, y = len(adj), len(adj) + 1
+        adj[x], adj[y] = {u, y}, {x, v}
+        adj[u].add(x)
+        adj[v].add(y)
+
+    def graph():
+        return build_graph([(a, b) for a in adj for b in adj[a] if a < b],
+                           vertices=sorted(adj))
+    order = list(range(n, len(adj)))
+    rng.shuffle(order)
+    for v in order:
+        a, b = adj.pop(v)
+        adj[a] ^= {v, b}  # a loses v and gains b, which girth 7 kept apart
+        adj[b] ^= {v, a}
+        g = graph()
+        if girth(g, limit=7) < 7 or mad(g).density >= Fraction(14, 5):
+            adj[v] = {a, b}  # undone: v goes back between a and b
+            adj[a] ^= {v, b}
+            adj[b] ^= {v, a}
+    for _ in range(rng.randint(0, 6)):
+        u = rng.choice([v for v in adj if len(adj[v]) < cap])
+        w = max(adj) + 1
+        adj[u].add(w)
+        adj[w] = {u}
+    return graph()
+
+
 def delete_vertex(g, v):
     """New graph with vertex ``v`` (and its edges) removed.
 
@@ -477,14 +529,15 @@ def _ref_reduce_and_unwind(g, lists, detect, trace, plans):
             for (a, b), c in by_labels.items()}
 
 
-def reference_solve(g, lists, matchers, delta_cap, fallback_threshold,
-                    plans):
+def reference_solve(g, lists, matchers, delta_cap, threshold, plans):
     """The peeling engine before the mutable peel state, kept as the slow
     reference: per component it runs :func:`scan_first_plan` on a freshly
     built graph at every level, at ``delta_cap`` or else at the level's
     maximum degree, builds the next level with :func:`delete_vertex`,
     carries the lists over by labels and remaps colors by label pairs on
-    the way back up.
+    the way back up.  A miss is explained by :func:`bisect_mad` on ``g``:
+    a density rejection with that witness at or above ``threshold``, a
+    broken guarantee below it.
 
     ``lists`` must already map every edge id to a frozenset.  Returns the
     report.  Appends to ``plans``, per component of two or more edges, its
@@ -494,8 +547,7 @@ def reference_solve(g, lists, matchers, delta_cap, fallback_threshold,
     def detect(h):
         d = delta_cap if delta_cap is not None else h.max_degree()
         return scan_first_plan(h, matchers, d)
-    trace, coloring, notes = [], {}, []
-    certified, failed = True, None
+    trace, coloring = [], {}
     for comp in g.components():
         sub = g.induced(comp)
         if sub.m == 0:
@@ -509,51 +561,25 @@ def reference_solve(g, lists, matchers, delta_cap, fallback_threshold,
                 sub_coloring = _ref_reduce_and_unwind(sub, sub_lists, detect,
                                                       trace, plans[-1])
             except _RefMiss as miss:
-                if fallback_threshold is None:
-                    raise TheoremViolationError(
-                        f"no reducible configuration found on a "
-                        f"hypothesis-satisfying graph with "
-                        f"{miss.graph.n} vertices — the guarantee this "
-                        f"pipeline rests on failed") from None
-                certified = False
-                labels = [g.labels[v] for v in comp]
-                if sub.m <= fallback_threshold:
-                    notes.append(
-                        f"component {labels}: no reducible "
-                        f"configuration at {miss.graph.n} vertices; exact "
-                        f"search fallback")
-                    found = list_strong_colorable(
-                        sub, sub_lists, SearchBudget(edge_cap=max(sub.m, 28)))
-                    if found is None:
-                        notes.append(
-                            f"component {labels}: lists admit no "
-                            f"strong coloring")
-                        failed = g.edge_id(*[g.vertex_of_label(x)
-                                             for x in sub.label_pair(0)])
-                        continue
-                    sub_coloring = found
-                else:
-                    notes.append(
-                        f"component {labels}: no reducible "
-                        f"configuration at {miss.graph.n} vertices; greedy "
-                        f"fallback (component too large for exact search)")
-                    rep = greedy_color(sub, sub_lists)
-                    sub_coloring = rep.coloring
-                    if rep.failed_edge is not None:
-                        failed = g.edge_id(*[
-                            g.vertex_of_label(x)
-                            for x in sub.label_pair(rep.failed_edge)])
+                witness = bisect_mad(g)
+                if witness.density >= threshold:
+                    labels = sorted(g.labels[v] for v in witness.vertices)
+                    raise HypothesisError(
+                        f"maximum average degree is {witness.density} >= "
+                        f"{threshold} on vertices {labels}",
+                        witness=witness) from None
+                raise TheoremViolationError(
+                    f"no reducible configuration found on a "
+                    f"hypothesis-satisfying graph with "
+                    f"{miss.graph.n} vertices — the guarantee this "
+                    f"pipeline rests on failed") from None
         for e, c in sub_coloring.items():
             a, b = sub.label_pair(e)
             coloring[g.edge_id(g.vertex_of_label(a),
                                g.vertex_of_label(b))] = c
-    if failed is None:
-        assert not verify_strong(g, coloring)
-        assert all(c in lists[e] for e, c in coloring.items())
-    report = SolveReport(coloring, certified=certified and failed is None,
-                         fallback="; ".join(notes) if notes else None,
-                         failed_edge=failed, trace=tuple(trace))
-    return report
+    assert not verify_strong(g, coloring)
+    assert all(c in lists[e] for e, c in coloring.items())
+    return SolveReport(coloring, certified=True, trace=tuple(trace))
 
 
 def reference_planar_girth7(n, delta, rng):

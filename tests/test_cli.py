@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strongedge
-from strongedge import (InstanceFile, SolveReport, TheoremViolationError,
-                        build_graph, parse_coloring, parse_instance,
-                        run_command, serialize_instance)
+from strongedge import (InstanceFile, TheoremViolationError, build_graph,
+                        parse_coloring, parse_instance, run_command,
+                        serialize_instance)
 
 C5 = "e 0 1\ne 1 2\ne 2 3\ne 3 4\ne 0 4\n"
 
@@ -105,7 +105,9 @@ def test_too_few_colors_rejected(tmp_path, capsys):
     assert "rejected" in capsys.readouterr().err
 
 
-def test_fallback_exit_code_on_nonplanar_girth7(tmp_path, capsys):
+def test_rejection_exit_code_on_nonplanar_girth7(tmp_path, capsys):
+    # the McGee graph: cubic, girth 7, so mad 3 >= 14/5 proves it is not
+    # planar once the detector misses
     lcf = [12, 7, -7]
     edges = [(i, (i + 1) % 24) for i in range(24)]
     edges += [(i, (i + lcf[i % 3]) % 24) for i in range(24)
@@ -113,14 +115,15 @@ def test_fallback_exit_code_on_nonplanar_girth7(tmp_path, capsys):
     text = "".join(f"e {u} {v}\n" for u, v in sorted(set(edges)))
     inst = write(tmp_path, "mcgee.txt", text)
     code = run_command(["color", inst, "--pipeline", "girth7"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "NOT certified" in err
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (f"rejected: maximum average degree is 3 >= 14/5 "
+                            f"on vertices {list(range(24))}\n")
 
 
 def test_messages_name_labels_not_ids(tmp_path, capsys):
     # a K4 on labels 10..40 with a pendant: the density rejection names
-    # the labels, as "mad" does; so does a girth-7 fallback note
+    # the labels, as "mad" does; so does a girth-7 miss on the McGee graph
     k4 = [(a, b) for a in (10, 20, 30, 40) for b in (10, 20, 30, 40) if a < b]
     text = "".join(f"e {u} {v}\n" for u, v in k4 + [(40, 50)])
     inst = write(tmp_path, "k4.txt", text)
@@ -134,9 +137,9 @@ def test_messages_name_labels_not_ids(tmp_path, capsys):
               if i < (i + lcf[i % 3]) % 24]
     text = "".join(f"e {100 + 3 * u} {100 + 3 * v}\n" for u, v in edges)
     inst = write(tmp_path, "mcgee.txt", text)
-    assert run_command(["color", inst, "--pipeline", "girth7"]) == 2
+    assert run_command(["color", inst, "--pipeline", "girth7"]) == 1
     labels = [100 + 3 * i for i in range(24)]
-    assert f"component {labels}: no reducible" in capsys.readouterr().err
+    assert f"3 >= 14/5 on vertices {labels}" in capsys.readouterr().err
 
 
 def test_color_has_no_fallback_option(tmp_path):
@@ -240,21 +243,17 @@ def test_color_exit_3_from_the_mad3_solve(tmp_path, capsys, monkeypatch):
                             "configuration found\n")
 
 
-def test_color_exit_2_without_a_complete_coloring(tmp_path, capsys,
-                                                  monkeypatch):
-    def incomplete(g, lists, delta_cap):
-        return SolveReport({0: 0}, certified=False,
-                           fallback="greedy fallback", failed_edge=1)
-
-    monkeypatch.setattr(strongedge.cli, "solve_girth7", incomplete)
+def test_color_exit_3_on_a_miss_below_the_density_threshold(
+        tmp_path, capsys, monkeypatch):
+    # with the G table cut to G1, C_7 misses at density 2 < 14/5
+    monkeypatch.setattr(strongedge.colorer, "GIRTH7_MATCHERS",
+                        strongedge.colorer.GIRTH7_MATCHERS[:1])
     inst = write(tmp_path, "c7.txt", C7)
-    out = tmp_path / "col.txt"
-    assert run_command(["color", inst, "--pipeline", "girth7",
-                        "-o", str(out)]) == 2
+    assert run_command(["color", inst, "--pipeline", "girth7"]) == 3
     captured = capsys.readouterr()
-    assert captured.err.endswith("NOT certified: greedy fallback\n"
-                                 "no complete coloring was produced\n")
-    assert not out.exists()
+    assert captured.out == ""
+    assert captured.err.startswith("internal guarantee violated: no "
+                                   "reducible configuration found")
 
 
 def test_exact_on_cycle(tmp_path, capsys):
@@ -530,7 +529,8 @@ def instance_and_coloring(draw):
 @given(instance_and_coloring())
 def test_random_files_map_to_exit_codes(files):
     # random and broken files through every reading command: an exit code
-    # from 0..3 and never a traceback; a certified coloring verifies
+    # from 0..3 (never 2 from color, as no argument is bad) and never a
+    # traceback; a certified coloring verifies
     with tempfile.TemporaryDirectory() as tmp:
         inst = os.path.join(tmp, "inst.txt")
         col = os.path.join(tmp, "col.txt")
@@ -545,7 +545,8 @@ def test_random_files_map_to_exit_codes(files):
             with contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(io.StringIO()):
                 code = run_command(argv)
-            assert code in (0, 1, 2, 3), argv
+            assert code in ((0, 1, 3) if argv[0] == "color"
+                            else (0, 1, 2, 3)), argv
             if argv[0] == "color" and code == 0:
                 colored = os.path.join(tmp, "colored.txt")
                 Path(colored).write_text(out.getvalue())

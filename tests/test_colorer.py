@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,17 +9,17 @@ from hypothesis import strategies as st
 
 from strongedge import (FAMILIES, ClaimTag, ExtensionError, ExtensionRecord,
                         GenSpec, HypothesisError, ReductionPlan, build_graph,
-                        generate, greedy_color, solve_girth7, solve_mad3,
+                        generate, greedy_color, mad, solve_girth7, solve_mad3,
                         uniform_lists, verify_strong)
 from strongedge import colorer
 from strongedge.colorer import TheoremViolationError, extend
-from strongedge.graph import PeelState
+from strongedge.graph import PeelState, girth as graph_girth
 from strongedge.reducer import (GIRTH7_MATCHERS, MAD_MATCHERS, ExtensionStep,
                                 _peel)
 
 from tests.helpers import (extend_partial, naive_strong_ok, naive_verdict,
-                           random_graph, reference_extend, set_count_g1,
-                           stars_of)
+                           nonplanar_girth7, random_graph, reference_extend,
+                           set_count_g1, stars_of)
 from tests.test_engine import (BOUNDARY_CASES, G8_WITNESS,
                                _subdivided_circulant)
 
@@ -179,16 +180,26 @@ def test_extend_matches_reference_on_every_family(monkeypatch):
     graphs += [(build_graph(_subdivided_circulant(10, True)), 4),
                (build_graph(G8_WITNESS), 5),
                (build_graph(BOUNDARY_CASES["G8"][3]), 5)]
+    missed = 0
     for g, cap in graphs:
         lists = {e: frozenset(rng.sample(range(40), 3 * max(cap, 4) + 1))
                  for e in range(g.m)}
-        pipelines = [(GIRTH7_MATCHERS, max(cap, 4))]
+        pipelines = [(GIRTH7_MATCHERS, max(cap, 4), Fraction(14, 5))]
         if g.max_degree() <= 4:
-            pipelines.append((MAD_MATCHERS, None))
-        for matchers, delta_cap in pipelines:
-            report = colorer._solve_components(
-                g, lists, matchers, delta_cap, 0, "0", fall_back=True)
-            assert report.complete
+            pipelines.append((MAD_MATCHERS, None, 3))
+        for matchers, delta_cap, threshold in pipelines:
+            try:
+                report = colorer._solve_components(
+                    g, lists, matchers, delta_cap, 0, "0", threshold)
+            except HypothesisError as exc:
+                # the c5 blowups (mad 4) miss under both tables, and the
+                # subdivided circulant (mad 14/5) under the G tags
+                assert exc.witness.density >= threshold
+                assert exc.witness.check(g)
+                missed += 1
+            else:
+                assert report.complete
+    assert missed == 7
     assert min(errors.values()) > 1000
     assert erasing == {"M5", "G6", "G8"}
 
@@ -371,21 +382,61 @@ def test_girth7_certifies_planar_instances():
         assert rep.certified and not verify_strong(g, rep.coloring)
 
 
-def test_girth7_fallback_on_nonplanar_cubic():
-    # cubic girth-7 graph (necessarily non-planar): the detector misses,
-    # the solver must degrade gracefully instead of erroring
-    edges = [(i, (i + 1) % 24) for i in range(24)]
-    shift = {0: 12, 1: 7, 2: -7}
-    for i in range(24):
-        j = (i + shift[i % 3]) % 24
-        if i < j:
-            edges.append((i, j))
-    g = build_graph(edges)
-    rep = solve_girth7(g, uniform_lists(g, 12), delta_cap=4)
-    assert not rep.certified
-    assert rep.fallback and "no reducible" in rep.fallback
-    if rep.complete:
-        assert not verify_strong(g, rep.coloring)
+def _lcf(n, shifts):
+    """The cubic graph of the LCF notation ``shifts``, repeated around a
+    Hamiltonian cycle on ``n`` vertices."""
+    edges = {(i, (i + 1) % n) for i in range(n)}
+    edges |= {(i, (i + shifts[i % len(shifts)]) % n) for i in range(n)}
+    return build_graph(sorted({(min(e), max(e)) for e in edges}))
+
+
+MCGEE = _lcf(24, [12, 7, -7])
+TUTTE_8_CAGE = _lcf(30, [-13, -9, 7, -7, 9, 13])
+
+
+def test_girth7_rejects_nonplanar_cubic_with_witness():
+    # a cubic graph of girth at least 7 fires no G tag, and its density 3
+    # reaches 14/5, which no planar graph of girth 7 does: the miss is a
+    # rejection whose witness checks against the input
+    for g, girth in ((MCGEE, 7), (TUTTE_8_CAGE, 8)):
+        assert g.m == 3 * g.n // 2 and graph_girth(g) == girth
+        with pytest.raises(HypothesisError) as info:
+            solve_girth7(g, uniform_lists(g, 12), delta_cap=4)
+        witness = info.value.witness
+        assert witness.check(g) and witness.density >= Fraction(14, 5)
+        assert str(info.value) == (
+            f"maximum average degree is 3 >= 14/5 on vertices "
+            f"{list(range(g.n))}")
+
+
+def test_girth7_miss_below_the_density_threshold_is_a_violation(
+        monkeypatch):
+    # with the table cut to G1, C_7 (density 2 < 14/5) misses: the input
+    # cannot be blamed, so the guarantee failed
+    monkeypatch.setattr(colorer, "GIRTH7_MATCHERS", GIRTH7_MATCHERS[:1])
+    c7 = build_graph([(i, (i + 1) % 7) for i in range(7)])
+    with pytest.raises(TheoremViolationError,
+                       match="no reducible configuration found") as info:
+        solve_girth7(c7)
+    assert not isinstance(info.value, ExtensionError)
+
+
+def test_girth7_certifies_nonplanar_inputs_below_the_density_threshold():
+    # girth >= 7 and mad < 14/5 do not make a graph planar, yet the G
+    # configurations are expected to stay unavoidable on such inputs, so
+    # the violation branch is unreached: each of these K_{3,3}
+    # subdivisions, spliced down to the threshold, must certify
+    rng = random.Random(3)
+    tags = set()
+    for cap in (4, 5, 6):
+        for _ in range(12):
+            g = nonplanar_girth7(rng, rng.randint(6, 12), cap)
+            assert g.max_degree() <= cap and graph_girth(g, limit=7) >= 7
+            assert mad(g).density < Fraction(14, 5)
+            report = solve_girth7(g, delta_cap=cap)
+            assert report.certified and not verify_strong(g, report.coloring)
+            tags.update(record.claim_tag.value for record in report.trace)
+    assert {"G2", "G3"} <= tags  # more than pendants fire
 
 
 def test_list_renaming_is_respected():

@@ -7,8 +7,9 @@ level, lists and colors carried over by labels.  On every input here the
 engine must make the same plans (tag, deleted label, erased pairs,
 extension pairs and bounds, in peel order, up to the miss on a component
 the matchers miss) and return an equal report
-(coloring, trace, certification, fallback notes, failed edge), or raise
-the same error.  The reference shares the matchers with the engine, so a
+(coloring, trace, certification), or raise the same error: on a miss,
+the same density rejection with the same witness, or the same broken
+guarantee.  The reference shares the matchers with the engine, so a
 change to them moves both; a sha256 of the answers on seeded inputs
 catches that.  It unwinds with ``helpers.reference_extend``, which counts
 each step's colored conflicts from the whole conflict set, where the
@@ -23,6 +24,7 @@ import hashlib
 import random
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -42,8 +44,15 @@ POOL = list(range(40))
 
 
 def _outcome(solve):
+    """``solve()``'s report, or what a detector miss raised, in plain
+    values: a density rejection's message and witness, or a broken
+    guarantee's message.  Rejections without a witness propagate."""
     try:
         return solve()
+    except HypothesisError as exc:
+        if exc.witness is None:
+            raise
+        return type(exc).__name__, str(exc), exc.witness
     except TheoremViolationError as exc:
         return type(exc).__name__, str(exc)
 
@@ -66,19 +75,18 @@ def run_engine(g, solve):
         colorer._peel = real
 
 
-def check_same(g, lists, pipeline, cap=None, threshold=24, solve=None):
+def check_same(g, lists, pipeline, cap=None, solve=None):
     """Run both engines on ``g``; returns the tags the engine fired on the
     components it peeled to empty."""
     lists = {e: frozenset(lists[e]) for e in range(g.m)}
     if pipeline == "mad3":
-        matchers, cap, threshold = MAD_MATCHERS, None, None
+        matchers, cap, threshold = MAD_MATCHERS, None, 3
     else:
-        matchers = GIRTH7_MATCHERS
+        matchers, threshold = GIRTH7_MATCHERS, Fraction(14, 5)
     if solve is None:
         # a list budget of 0 lets lists below either pipeline's budget through
         solve = lambda: colorer._solve_components(  # noqa: E731
-            g, lists, matchers, cap, 0, "0",
-            fall_back=threshold is not None)
+            g, lists, matchers, cap, 0, "0", threshold)
     new, peels = run_engine(g, solve)
     ref_plans = []
     assert new == _outcome(lambda: reference_solve(
@@ -107,8 +115,9 @@ def test_engine_matches_reference_on_the_acceptance_corpus():
 
 
 def _answer(solve):
-    """A solve's coloring, trace, certification and fallback note, or the
-    rejection it raised, in plain values."""
+    """A solve's coloring, trace and certification, or the rejection it
+    raised, in plain values.  The last slot is always None: the pinned
+    digest was taken with it."""
     try:
         rep = solve()
     except HypothesisError as exc:
@@ -116,7 +125,7 @@ def _answer(solve):
     return (sorted(rep.coloring.items()),
             [(r.claim_tag.value, r.edge, r.bound, r.actual, r.color)
              for r in rep.trace],
-            rep.certified, rep.fallback)
+            rep.certified, None)
 
 
 def test_answers_are_pinned():
@@ -433,7 +442,8 @@ def _mcgee():
 def test_engine_matches_reference_on_detector_misses():
     rng = random.Random(11)
     # cubic graphs fire no G tag; pendant paths peel first, so the miss
-    # comes at 10 vertices (exact search) or 24 vertices (greedy)
+    # comes on a Petersen core (10 vertices) or a McGee core (24), whose
+    # density 3 reaches 14/5: each miss is a rejection with a witness
     tails = [(0, 30), (30, 31), (31, 32), (7, 40), (3, 41)]
     petersen = relabel(PETERSEN + tails, rng)
     mcgee = relabel(_mcgee() + [(5, 50), (50, 51)], rng)
@@ -445,33 +455,40 @@ def test_engine_matches_reference_on_detector_misses():
         for pool, size in ((12, 12), (6, 5), (4, 3)):
             lists = {e: rng.sample(POOL[:pool], size) for e in range(g.m)}
             check_same(g, lists, "girth7", 4)
-    report = colorer._solve_components(
+    # the Petersen core with a pendant path of 9 or 10 edges: 24 or 25
+    # edges in all, on either side of the old exact-search limit
+    for length in (9, 10):
+        tail = [(0, 30)] + [(30 + i, 31 + i) for i in range(length - 1)]
+        g = build_graph(PETERSEN + tail)
+        assert g.m == 15 + length
+        check_same(g, uniform_lists(g, 12), "girth7", 4)
+    out, _ = run_engine(petersen, lambda: colorer._solve_components(
         petersen, uniform_lists(petersen, 12), GIRTH7_MATCHERS, 4, 12,
-        "3*delta_cap", fall_back=True)
-    assert "no reducible configuration at 10 vertices" in report.fallback
-    # the sparse pipeline treats a miss as a broken guarantee
+        "3*delta_cap", Fraction(14, 5)))
+    core = sorted(petersen.labels[v] for v in out[2].vertices)
+    assert out[0] == "HypothesisError" and len(core) == 10
+    assert out[1] == (f"maximum average degree is 3 >= 14/5 on vertices "
+                      f"{core}")
+    assert out[2].check(petersen)
+    # the sparse pipeline's rule is the same at threshold 3
     k4_tail = relabel([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
                         (3, 4), (4, 5)], rng)
     assert check_same(k4_tail, uniform_lists(k4_tail, 13), "mad3") == set()
     out, _ = run_engine(k4_tail, lambda: colorer._solve_components(
         k4_tail, uniform_lists(k4_tail, 13), MAD_MATCHERS, None, 13,
-        "3*max_degree+1", fall_back=False))
-    assert out[0] == "TheoremViolationError" and "4 vertices" in out[1]
-
-
-def test_exact_fallback_stops_at_24_edges():
-    # the Petersen core's 15 edges plus a pendant path of 9 or 10: the
-    # tail peels off, the miss comes at 10 vertices, and the component's
-    # edge count picks the fallback
-    for length, how in ((9, "exact search"), (10, "greedy")):
-        tail = [(0, 30)] + [(30 + i, 31 + i) for i in range(length - 1)]
-        g = build_graph(PETERSEN + tail)
-        assert g.m == 15 + length
-        report = colorer._solve_components(
-            g, uniform_lists(g, 12), GIRTH7_MATCHERS, 4, 12, "3*delta_cap",
-            fall_back=True)
-        assert how in report.fallback and not report.certified
-        check_same(g, uniform_lists(g, 12), "girth7", 4, threshold=24)
+        "3*max_degree+1", 3))
+    assert out[0] == "HypothesisError" and "is 3 >= 3 on" in out[1]
+    assert len(out[2].vertices) == 4 and out[2].check(k4_tail)
+    # below the threshold a miss is a broken guarantee: a table cut to G1
+    # misses on C_7, of density 2
+    c7 = relabel([(i, (i + 1) % 7) for i in range(7)], rng)
+    lists = uniform_lists(c7, 12)
+    cut = GIRTH7_MATCHERS[:1]
+    out, _ = run_engine(c7, lambda: colorer._solve_components(
+        c7, lists, cut, 4, 12, "3*delta_cap", Fraction(14, 5)))
+    assert out == _outcome(lambda: reference_solve(
+        c7, lists, cut, 4, Fraction(14, 5), []))
+    assert out[0] == "TheoremViolationError" and "7 vertices" in out[1]
 
 
 def _peel_work(monkeypatch, solve):
