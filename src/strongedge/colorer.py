@@ -20,8 +20,8 @@ conflicts are counted once, when it is re-colored, and checked against
 the formula, and its list must be longer than that count so that a color
 is spare.
 A detector miss is a density rejection with a witness when ``mad`` of
-the input reaches the pipeline's threshold (3, or 14/5 for girth 7), and
-a "theorem violation" error below it.
+the component it happened on reaches the pipeline's threshold (3, or
+14/5 for girth 7), and a "theorem violation" error below it.
 """
 
 from __future__ import annotations
@@ -295,8 +295,9 @@ def _solve_components(g: Graph, lists: dict[int, Iterable[int]] | None,
     Every edge needs a nonempty list, and unless ``g`` has a single edge
     every list needs at least ``budget`` colors (``formula`` names the
     budget in the error), which ``lists=None`` gives every edge.  A
-    detector miss rejects ``g`` if ``mad(g) >= threshold``, and raises
-    :class:`TheoremViolationError` otherwise.
+    detector miss rejects ``g`` if ``mad`` of the component it happened
+    on reaches ``threshold``, with that component's densest set as the
+    witness, and raises :class:`TheoremViolationError` otherwise.
     """
     lists = _normalize_lists(g, lists if lists is not None
                              else uniform_lists(g, budget))
@@ -325,8 +326,11 @@ def _solve_components(g: Graph, lists: dict[int, Iterable[int]] | None,
         state = PeelState(g, comp)
         plans = list(_peel(state, matchers, delta_cap))
         if state.adj:  # no matcher fired on what is left
-            if (witness := mad(g)).density >= threshold:
-                raise _too_dense(g, witness, threshold)
+            witness = mad(g.induced(comp))  # its id i is comp[i]
+            if witness.density >= threshold:
+                raise _too_dense(g, DensityWitness(
+                    frozenset(comp[v] for v in witness.vertices),
+                    witness.density), threshold)
             raise TheoremViolationError(
                 f"no reducible configuration found on a "
                 f"hypothesis-satisfying graph with {len(state.adj)} "
@@ -383,9 +387,10 @@ def solve_girth7(g: Graph, lists: dict[int, Iterable[int]] | None = None,
     at least ``3*delta_cap`` colors, the budget ``lists=None`` gives
     every edge: ``solve_girth7(g)`` is the second theorem as stated.  On
     genuinely planar inputs the detectors never miss.  A miss is a
-    :class:`HypothesisError` with a witness when ``mad(g) >= 14/5``,
-    which Euler's formula rules out for planar graphs of girth >= 7, and
-    a :class:`TheoremViolationError` below it.
+    :class:`HypothesisError` with a witness when ``mad`` of the missed
+    component is at least 14/5, which Euler's formula rules out for
+    planar graphs of girth >= 7, and a :class:`TheoremViolationError`
+    below it.
     """
     delta_cap = _girth7_cap(g, delta_cap)
     delta = g.max_degree()

@@ -17,9 +17,12 @@ Five families:
   ears of six edges attached inside a face (both operations keep the
   rotation planar and every new cycle has length at least 7).  The faces
   are kept up to date as vertices are inserted, with a dart -> face map
-  and two Fenwick trees over the faces (corner counts, and whether a face
-  can take an ear) to find the k-th corner or face that ``rng`` picks, so
-  10^5 vertices take seconds.
+  and two Fenwick trees over the vertices, each face counted at its first
+  dart's smaller end (its corners, and whether it can take an ear), to
+  find the k-th corner or face that ``rng`` picks.  A step sets its
+  faces' counts in place, and only a vertex it saturates has the faces
+  round it re-scanned, so 10^5 vertices take under two seconds, in
+  memory linear in the graph however large ``delta`` is.
 
 Everything is deterministic in ``seed``.
 """
@@ -27,7 +30,7 @@ Everything is deterministic in ``seed``.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .density import MadBelowThree
@@ -114,45 +117,61 @@ def _sparse_mad3(n: int, delta: int, rng: random.Random) -> Graph:
 
 
 class _Fenwick:
-    """Counts at integer keys ``0 .. size-1``, each set and the k-th unit
-    found in O(log size) (Fenwick, "A new data structure for cumulative
-    frequency tables", 1994).  Only the tree nodes ever touched are
-    stored, so the key space may be far larger than the keys in use.  As a
+    """Counts at integer keys, each set and the k-th unit found in
+    O(log buckets) plus a walk of one bucket (Fenwick, "A new data
+    structure for cumulative frequency tables", 1994).  Key ``key`` lies
+    in bucket ``key // span`` of ``0 .. buckets-1``: the tree is a flat
+    list over the buckets' totals, and each bucket keeps the keys ever set
+    in a small dict, walked in key order at a lookup.  So memory is
+    O(buckets + keys set), however large ``span`` is.  As a
     sequence it lists each key once per unit of its count, in key order;
     item ``k`` is ``(key, rank of k among that key's units)``.  So
     ``rng.choice`` draws from it exactly as from the expanded list.
     """
 
-    def __init__(self, size: int):
-        self.size = size
-        self.count: dict[int, int] = {}
-        self.tree: dict[int, int] = {}
+    def __init__(self, buckets: int, span: int):
+        self.span = span
+        self.tree = [0] * (buckets + 1)
+        self.keys: dict[int, dict[int, int]] = {}  # bucket -> key -> count
         self.total = 0
 
     def set(self, key: int, count: int) -> None:
-        amount = count - self.count.get(key, 0)
+        b = key // self.span
+        keys = self.keys.get(b)
+        if keys is None:
+            keys = self.keys[b] = {}
+        amount = count - keys.get(key, 0)
         if not amount:
             return
-        self.count[key] = count
+        keys[key] = count
         self.total += amount
-        tree, i = self.tree, key + 1
-        while i <= self.size:
-            tree[i] = tree.get(i, 0) + amount
+        tree, i = self.tree, b + 1
+        size = len(tree)
+        while i < size:
+            tree[i] += amount
             i += i & -i
 
     def __len__(self) -> int:
         return self.total
 
     def __getitem__(self, k: int) -> tuple[int, int]:
+        if not 0 <= k < self.total:
+            raise IndexError(k)
         tree, pos = self.tree, 0
-        step = 1 << (self.size.bit_length() - 1)
+        size = len(tree) - 1
+        step = 1 << (size.bit_length() - 1)
         while step:
             nxt = pos + step
-            if nxt <= self.size and tree.get(nxt, 0) <= k:
+            if nxt <= size and tree[nxt] <= k:
                 pos = nxt
-                k -= tree.get(nxt, 0)
+                k -= tree[nxt]
             step >>= 1
-        return pos, k
+        keys = self.keys[pos]  # the bucket holding unit k
+        for key in sorted(keys):
+            if k < keys[key]:
+                break
+            k -= keys[key]
+        return key, k
 
 
 def _planar_girth7(n: int, delta: int, rng: random.Random
@@ -173,9 +192,10 @@ def _planar_girth7(n: int, delta: int, rng: random.Random
     head: dict[int, int] = {}
     face: dict[int, int] = {}  # dart -> the first dart of its face
     walks: dict[int, list[int]] = {}  # first dart -> the face's darts
-    # per face, keyed by its first dart: its corners (darts whose head has
-    # degree below delta) and whether their heads hold two distinct vertices
-    corners, usable = _Fenwick(2 * n * delta), _Fenwick(2 * n * delta)
+    # per face, keyed by its first dart and bucketed by that dart's smaller
+    # end: its corners (darts whose head has degree below delta) and whether
+    # their heads hold two distinct vertices
+    corners, usable = _Fenwick(n, 2 * delta), _Fenwick(n, 2 * delta)
 
     def join(a: int, b: int) -> int:
         """Add the darts of edge ``a < b``; returns the one ``a -> b``."""
@@ -206,7 +226,7 @@ def _planar_girth7(n: int, delta: int, rng: random.Random
     count = 7
     while count < n:
         want_ear = n - count >= 5 and rng.random() < 0.5
-        faces: set[int] = set()  # faces to refresh after this step
+        grown: tuple[int, ...] = ()  # the old vertices that got an edge
         if want_ear and len(usable):
             s, _ = rng.choice(usable)
             walk = walks[s]
@@ -245,15 +265,22 @@ def _planar_girth7(n: int, delta: int, rng: random.Random
                 walk[lo + 1:hi + 1] = inner
                 for d in inner:
                     face[d] = s
-                faces = {s, place(_min_first(outer + cut))}
+                t = place(_min_first(outer + cut))
+                # each half keeps its old corners, those in the cut or the
+                # rest, and gets six: the path's five and x or y; the faces
+                # round a vertex the ear saturates are re-scanned below
+                in_cut = bisect_right(ks, hi) - bisect_right(ks, lo)
+                for f, c in ((s, len(ks) - in_cut + 6), (t, in_cut + 6)):
+                    corners.set(f, c)
+                    usable.set(f, 1)
                 grown = (x, y)
-        if not faces:
+        if not grown:
             if not len(corners):
                 break  # every vertex saturated; give up at current size
             s, r = rng.choice(corners)
             walk = walks[s]
-            k = [k for k, d in enumerate(walk)
-                 if len(adj[head[d]]) < delta][r]
+            ks = [k for k, d in enumerate(walk) if len(adj[head[d]]) < delta]
+            k = ks[r]
             x, w = head[walk[k]], head[walk[k] ^ 1]
             u = count
             count += 1
@@ -262,13 +289,14 @@ def _planar_girth7(n: int, delta: int, rng: random.Random
             d = join(x, u)
             walk[k + 1:k + 1] = d, d + 1
             face[d] = face[d + 1] = s
-            faces = {s}
+            corners.set(s, len(ks) + 2)  # the old corners, and at u and x
+            usable.set(s, 1)
             grown = (x,)
         for v in grown:
             if len(adj[v]) == delta:  # its darts stop being corners
-                faces.update(face[d] for d in into[v])
-        for s in faces:
-            refresh(s)
+                for s in {face[d] for d in into[v]}:
+                    refresh(s)
+    del head, face, walks, into, corners, usable  # freed before the Graph
     edges = [(u, v) for u in range(count) for v in adj[u] if u < v]
     return (build_graph(edges, vertices=range(count)),
             tuple(tuple(a) for a in adj))

@@ -8,10 +8,11 @@ backtracking color search, the textbook definition of a strong edge
 coloring instead of precomputed conflict sets, a graph rebuilt at every
 peel level instead of one mutable peel state, a full scan for each plan
 instead of per-tag heaps, faces re-traced after every insertion instead
-of kept incrementally, color sets rebuilt at every search node instead
-of bitmasks over color ranks and with no pruning of twin colors, a
-conflict graph relabelled through ``build_graph`` instead of built
-directly, whole conflict sets instead of degree
+of kept incrementally, an expanded list of counted keys instead of a
+Fenwick tree over buckets of them, color sets rebuilt at every search
+node instead of bitmasks over color ranks and with no pruning of twin
+colors, a conflict graph relabelled through ``build_graph`` instead of
+built directly, whole conflict sets instead of degree
 sums (G1) or stars counted in place (each extension step), and a pebble
 game that searches for every pair instead of refusing pairs inside the
 tight sets its failed searches proved, and file readers and a graph
@@ -535,9 +536,9 @@ def reference_solve(g, lists, matchers, delta_cap, threshold, plans):
     built graph at every level, at ``delta_cap`` or else at the level's
     maximum degree, builds the next level with :func:`delete_vertex`,
     carries the lists over by labels and remaps colors by label pairs on
-    the way back up.  A miss is explained by :func:`bisect_mad` on ``g``:
-    a density rejection with that witness at or above ``threshold``, a
-    broken guarantee below it.
+    the way back up.  A miss is explained by :func:`bisect_mad` on the
+    component that missed: a density rejection with that witness, in
+    ``g``'s ids, at or above ``threshold``, a broken guarantee below it.
 
     ``lists`` must already map every edge id to a frozenset.  Returns the
     report.  Appends to ``plans``, per component of two or more edges, its
@@ -561,13 +562,15 @@ def reference_solve(g, lists, matchers, delta_cap, threshold, plans):
                 sub_coloring = _ref_reduce_and_unwind(sub, sub_lists, detect,
                                                       trace, plans[-1])
             except _RefMiss as miss:
-                witness = bisect_mad(g)
+                witness = bisect_mad(sub)
                 if witness.density >= threshold:
-                    labels = sorted(g.labels[v] for v in witness.vertices)
+                    labels = sorted(sub.labels[v] for v in witness.vertices)
                     raise HypothesisError(
                         f"maximum average degree is {witness.density} >= "
                         f"{threshold} on vertices {labels}",
-                        witness=witness) from None
+                        witness=DensityWitness(
+                            frozenset(comp[v] for v in witness.vertices),
+                            witness.density)) from None
                 raise TheoremViolationError(
                     f"no reducible configuration found on a "
                     f"hypothesis-satisfying graph with "
@@ -648,6 +651,29 @@ def reference_planar_girth7(n, delta, rng):
         g, rotation = rebuild()
         emb = trace_faces(g, rotation)
     return g, rotation
+
+
+class ExpandedCounts:
+    """Counts at integer keys kept as the expanded list itself, the slow
+    twin of ``generate._Fenwick``: each key once per unit of its count, in
+    key order, item ``k`` being ``(key, rank of k among that key's
+    units)``, and the list rebuilt at every read."""
+
+    def __init__(self):
+        self.count: dict[int, int] = {}
+
+    def set(self, key: int, count: int) -> None:
+        self.count[key] = count
+
+    def items(self) -> list[tuple[int, int]]:
+        return [(key, r) for key in sorted(self.count)
+                for r in range(self.count[key])]
+
+    def __len__(self) -> int:
+        return len(self.items())
+
+    def __getitem__(self, k: int) -> tuple[int, int]:
+        return self.items()[k]
 
 
 def reference_build_graph(edge_pairs, vertices=None):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -419,6 +420,33 @@ def test_girth7_miss_below_the_density_threshold_is_a_violation(
                        match="no reducible configuration found") as info:
         solve_girth7(c7)
     assert not isinstance(info.value, ExtensionError)
+
+
+def test_a_miss_is_explained_by_its_own_component(monkeypatch):
+    # with the table cut to G1, C_7 on labels 0..6 misses first; the McGee
+    # graph beside it reaches 14/5, but it is not the component that missed
+    monkeypatch.setattr(colorer, "GIRTH7_MATCHERS", GIRTH7_MATCHERS[:1])
+    g = build_graph([(i, (i + 1) % 7) for i in range(7)]
+                    + [(7 + u, 7 + v) for u, v in MCGEE.edges])
+    with pytest.raises(TheoremViolationError,
+                       match="graph with 7 vertices"):
+        solve_girth7(g)
+
+
+def test_a_dense_component_is_rejected_by_its_own_flow():
+    # a 20000-vertex planar component peels to empty, then the McGee graph
+    # beside it misses: the flow runs on its 24 vertices alone (0.2 s in
+    # all), not on the 20000 planar ones (over 4 s)
+    planar = generate(GenSpec("planar-girth7", 20000, seed=1)).graph
+    g = build_graph([planar.label_pair(e) for e in range(planar.m)]
+                    + [(20000 + u, 20000 + v) for u, v in MCGEE.edges])
+    start = time.process_time()
+    with pytest.raises(HypothesisError) as info:
+        solve_girth7(g)
+    assert time.process_time() - start < 2
+    witness = info.value.witness
+    assert witness.vertices == frozenset(range(20000, 20024))
+    assert witness.check(g) and witness.density == 3
 
 
 def test_girth7_certifies_nonplanar_inputs_below_the_density_threshold():

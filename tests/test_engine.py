@@ -470,6 +470,14 @@ def test_engine_matches_reference_on_detector_misses():
     assert out[1] == (f"maximum average degree is 3 >= 14/5 on vertices "
                       f"{core}")
     assert out[2].check(petersen)
+    # on both cores the McGee one misses first, and its witness holds it
+    # alone, though the Petersen core is as dense
+    out, _ = run_engine(both, lambda: colorer._solve_components(
+        both, uniform_lists(both, 12), GIRTH7_MATCHERS, 4, 12,
+        "3*delta_cap", Fraction(14, 5)))
+    assert out[0] == "HypothesisError" and out[2].check(both)
+    assert out[2].vertices == frozenset(both.components()[0])
+    assert len(out[2].vertices) == 24
     # the sparse pipeline's rule is the same at threshold 3
     k4_tail = relabel([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
                         (3, 4), (4, 5)], rng)

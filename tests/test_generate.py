@@ -10,8 +10,9 @@ import pytest
 from strongedge import (GenSpec, generate, girth, mad, serialize_instance,
                         trace_faces)
 from strongedge.density import mad_below_3
-from strongedge.generate import _planar_girth7
-from tests.helpers import bfs_girth, reference_planar_girth7, subset_mad
+from strongedge.generate import _Fenwick, _planar_girth7
+from tests.helpers import (ExpandedCounts, bfs_girth, reference_planar_girth7,
+                           subset_mad)
 
 
 def edges_of(inst):
@@ -162,7 +163,8 @@ def test_planar_family_matches_the_reference():
     # delta 2 the 7-cycle is saturated at once, so the generator gives up
     cases = [(n, delta, seed) for n in range(7, 61) for delta in range(2, 9)
              for seed in range(3)]
-    cases += [(400, 3, 0), (400, 4, 1), (400, 6, 2), (400, 8, 3)]
+    cases += [(400, 3, 0), (400, 4, 1), (400, 6, 2), (400, 8, 3),
+              (400, 5, 4), (400, 7, 5), (200, 10 ** 6, 6)]
     for n, delta, seed in cases:
         g, rotation = _planar_girth7(n, delta, random.Random(seed))
         ref_g, ref_rotation = reference_planar_girth7(n, delta,
@@ -171,6 +173,39 @@ def test_planar_family_matches_the_reference():
         assert rotation == ref_rotation, (n, delta, seed)
         if delta == 2:
             assert g.n == g.m == 7
+
+
+def test_planar_family_bytes_do_not_depend_on_a_huge_delta():
+    # no vertex reaches a cap of 10^6, so the dart numbers spread over
+    # 4*10^10 keys; the hash was taken on a tree keyed by dart number
+    inst = generate(GenSpec("planar-girth7", 20000, delta=10 ** 6, seed=1))
+    assert hashlib.sha256(serialize_instance(inst).encode()).hexdigest() == (
+        "7dd6c66c94b3290e6efe322ee9dd974cfb2c85aa575047660a87910877400bbf")
+
+
+@pytest.mark.parametrize("delta", [*range(2, 9), 10 ** 6])
+def test_fenwick_matches_the_expanded_list(delta):
+    # several keys per bucket, so a lookup walks one bucket in key order,
+    # and counts set back to 0 as well as up
+    rng = random.Random(delta)
+    span = 2 * delta
+    for buckets in (1, 37, 64):
+        fast, slow = _Fenwick(buckets, span), ExpandedCounts()
+        keys = [b * span + rng.randrange(span)
+                for b in {0, buckets - 1, *rng.sample(range(buckets), 1)}
+                for _ in range(4)]
+        for _ in range(200):
+            key, count = rng.choice(keys), rng.randrange(4)
+            fast.set(key, count)
+            slow.set(key, count)
+        assert len(fast) == len(slow)
+        assert [fast[k] for k in range(len(fast))] == slow.items()
+        with pytest.raises(IndexError):
+            fast[len(fast)]
+        seed = rng.random()
+        draw_fast, draw_slow = random.Random(seed), random.Random(seed)
+        assert ([draw_fast.choice(fast) for _ in range(50)]
+                == [draw_slow.choice(slow) for _ in range(50)])
 
 
 def test_planar_family_grows_in_close_to_linear_time():
