@@ -105,9 +105,7 @@ def _cmd_verify(args) -> int:
 def _cmd_exact(args) -> int:
     inst = _load(args.instance)
     g = inst.graph
-    budget = SearchBudget(max_nodes=args.max_nodes,
-                          edge_cap=max(args.edge_cap, g.m)
-                          if args.force else args.edge_cap)
+    budget = SearchBudget(max_nodes=args.max_nodes, edge_cap=args.edge_cap)
     try:
         result = strong_chromatic_index_exact(g, budget)
     except BudgetExceededError as exc:
@@ -236,8 +234,6 @@ def _parser() -> argparse.ArgumentParser:
     e.add_argument("instance")
     e.add_argument("--max-nodes", type=_at_least(1), default=2_000_000)
     e.add_argument("--edge-cap", type=_at_least(0), default=28)
-    e.add_argument("--force", action="store_true",
-                   help="lift the edge cap to the instance size")
     e.add_argument("-o", "--output", default=None)
     e.set_defaults(func=_cmd_exact)
 

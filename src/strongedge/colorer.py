@@ -392,11 +392,9 @@ def solve_girth7(g: Graph, lists: dict[int, Iterable[int]] | None = None,
     planar graphs of girth >= 7, and a :class:`TheoremViolationError`
     below it.
     """
-    delta_cap = _girth7_cap(g, delta_cap)
-    delta = g.max_degree()
-    if delta > delta_cap:
-        raise HypothesisError(
-            f"maximum degree {delta} exceeds the cap {delta_cap}")
+    delta_cap, over = _girth7_cap(g, delta_cap)
+    if over:
+        raise HypothesisError(over)
     got_girth = graph_girth(g, limit=7)
     if got_girth < 7:
         raise HypothesisError(

@@ -312,19 +312,16 @@ def audit_girth7(emb: Embedding, delta_cap: int | None = None) -> AuditReport:
     note; a cap below 4 or a disconnected embedding raises ValueError.
     """
     g = emb.graph
-    delta = g.max_degree()
-    cap = _girth7_cap(g, delta_cap)
+    cap, over = _girth7_cap(g, delta_cap)
     ledger = apply_rules_girth7(emb)
     identity = euler_charge_identity(emb)
     notes: list[str] = []
     got_girth = graph_girth(g, limit=7)
     if got_girth < 7:
         notes.append(f"girth {got_girth} is below 7")
-    if delta > cap:
-        notes.append(f"maximum degree {delta} exceeds the cap {cap}")
-        plan = None
-    else:
-        plan = find_reducible_girth7(g, cap)
+    if over:
+        notes.append(over)
+    plan = None if over else find_reducible_girth7(g, cap)
     return _report(g, emb.faces, ledger, identity, plan, notes)
 
 

@@ -464,26 +464,29 @@ def find_reducible_mad(g: Graph) -> ReductionPlan | None:
     return next(_peel(PeelState(g, range(g.n)), MAD_MATCHERS, None), None)
 
 
-def _girth7_cap(g: Graph, delta_cap: int | None) -> int:
-    """``delta_cap`` (default ``max(4, max degree)``), checked to be >= 4."""
-    cap = delta_cap if delta_cap is not None else max(4, g.max_degree())
+def _girth7_cap(g: Graph, delta_cap: int | None) -> tuple[int, str | None]:
+    """``delta_cap`` (default ``max(4, max degree)``), checked to be >= 4,
+    and why the maximum degree does not fit under it (None when it does).
+    """
+    delta = g.max_degree()
+    cap = delta_cap if delta_cap is not None else max(4, delta)
     if cap < 4:
         raise ValueError(f"delta_cap must be >= 4, got {cap}")
-    return cap
+    return cap, (f"maximum degree {delta} exceeds the cap {cap}"
+                 if delta > cap else None)
 
 
-def find_reducible_girth7(g: Graph, delta_cap: int) -> ReductionPlan | None:
+def find_reducible_girth7(g: Graph, delta_cap: int | None = None
+                          ) -> ReductionPlan | None:
     """First reducible configuration for the girth-7 pipeline, or None.
 
-    ``delta_cap`` is the degree cap the governing color budget
-    ``3 * delta_cap`` is computed from; it must be at least 4 and at least
-    the maximum degree of ``g``.  Tag priority G1 > ... > G8, smallest
-    vertex id first within a tag: the engine's first plan on every vertex
-    of ``g``.
+    ``delta_cap`` (default ``max(4, max degree)``) is the degree cap the
+    governing color budget ``3 * delta_cap`` is computed from; a cap below
+    4 or a maximum degree above it raises ValueError.  Tag priority G1 >
+    ... > G8, smallest vertex id first within a tag: the engine's first
+    plan on every vertex of ``g``.
     """
-    _girth7_cap(g, delta_cap)
-    if g.max_degree() > delta_cap:
-        raise ValueError(
-            f"maximum degree {g.max_degree()} exceeds delta_cap {delta_cap}")
-    return next(_peel(PeelState(g, range(g.n)), GIRTH7_MATCHERS, delta_cap),
-                None)
+    cap, over = _girth7_cap(g, delta_cap)
+    if over:
+        raise ValueError(over)
+    return next(_peel(PeelState(g, range(g.n)), GIRTH7_MATCHERS, cap), None)

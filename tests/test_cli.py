@@ -121,6 +121,37 @@ def test_rejection_exit_code_on_nonplanar_girth7(tmp_path, capsys):
                             f"on vertices {list(range(24))}\n")
 
 
+STAR5 = "".join(f"e 0 {i}\n" for i in range(1, 6))
+C6 = "".join(f"e {i} {(i + 1) % 6}\n" for i in range(6))
+
+
+@pytest.mark.parametrize("text, options, message", [
+    (STAR5, ["--pipeline", "mad3"],
+     "maximum degree 5 exceeds 4; the sparse pipeline does not apply"),
+    (STAR5, ["--pipeline", "girth7", "--delta-cap", "4"],
+     "maximum degree 5 exceeds the cap 4"),
+    (C6, ["--pipeline", "girth7"],
+     "girth 6 is below 7; the girth-7 pipeline does not apply")])
+def test_hypothesis_rejections_are_pinned(tmp_path, capsys, text, options,
+                                          message):
+    inst = write(tmp_path, "inst.txt", text)
+    assert run_command(["color", inst, *options]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"rejected: {message}\n"
+
+
+def test_audit_notes_a_degree_over_the_cap(tmp_path, capsys):
+    inst = write(tmp_path, "star.txt", STAR5 + "r 0 : 1 2 3 4 5\n")
+    assert run_command(["audit", inst, "--scheme", "girth7",
+                        "--delta-cap", "4"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert "detector: no reducible configuration found" in lines
+    assert "note: maximum degree 5 exceeds the cap 4" in lines
+
+
 def test_messages_name_labels_not_ids(tmp_path, capsys):
     # a K4 on labels 10..40 with a pendant: the density rejection names
     # the labels, as "mad" does; so does a girth-7 miss on the McGee graph
@@ -147,6 +178,14 @@ def test_color_has_no_fallback_option(tmp_path):
     with pytest.raises(SystemExit) as info:
         run_command(["color", inst, "--pipeline", "girth7",
                      "--fallback", "3"])
+    assert info.value.code == 2
+
+
+def test_exact_has_no_force_option(tmp_path):
+    # --edge-cap alone sets the cap
+    inst = write(tmp_path, "c5.txt", C5)
+    with pytest.raises(SystemExit) as info:
+        run_command(["exact", inst, "--force"])
     assert info.value.code == 2
 
 
@@ -454,7 +493,7 @@ def test_back_to_back_commands_do_not_share_options(tmp_path, capsys):
           "--colors", "20", "-o", out]),
         (["verify", inst, str(coloring)], ["verify", c5, out]),
         (["exact", c5], ["exact", c5, "--max-nodes", "10", "--edge-cap",
-                         "3", "--force", "-o", out]),
+                         "5", "-o", out]),
         (["mad", inst], ["mad", inst, "--threshold", "5/2"]),
         (["girth", inst], ["girth", c5]),
         (["audit", inst], ["audit", inst, "--scheme", "girth7",

@@ -14,9 +14,10 @@ import random
 
 import pytest
 
-from strongedge import (ClaimTag, GenSpec, build_graph,
-                        edges_within_distance_two, find_reducible_girth7,
-                        find_reducible_mad, generate, uniform_lists)
+from strongedge import (ClaimTag, GenSpec, HypothesisError, audit_girth7,
+                        build_graph, edges_within_distance_two,
+                        find_reducible_girth7, find_reducible_mad, generate,
+                        solve_girth7, trace_faces, uniform_lists)
 from strongedge.graph import INFINITY, PeelState
 from strongedge.reducer import (GIRTH7_MATCHERS, MAD_MATCHERS, _g1,
                                 _girth7_cap)
@@ -282,9 +283,34 @@ def test_girth7_detector_validates_arguments():
     with pytest.raises(ValueError, match="^delta_cap must be >= 4, got 3$"):
         find_reducible_girth7(g, 3)
     k6 = build_graph([(i, j) for i in range(6) for j in range(i + 1, 6)])
-    with pytest.raises(ValueError, match="exceeds"):
+    with pytest.raises(ValueError,
+                       match="^maximum degree 5 exceeds the cap 4$"):
         find_reducible_girth7(k6, 4)
-    assert _girth7_cap(g, None) == 4 and _girth7_cap(k6, None) == 5
+    assert _girth7_cap(g, None) == (4, None)
+    assert _girth7_cap(k6, None) == (5, None)
+    assert _girth7_cap(k6, 4) == (4, "maximum degree 5 exceeds the cap 4")
+
+
+def test_girth7_cap_rule_has_three_reactions():
+    # one over-cap text: the solve rejects, the detector refuses, the
+    # audit notes it and reports no plan
+    star = build_graph([(0, i) for i in range(1, 6)])
+    over = "maximum degree 5 exceeds the cap 4"
+    with pytest.raises(HypothesisError, match=f"^{over}$"):
+        solve_girth7(star, delta_cap=4)
+    with pytest.raises(ValueError, match=f"^{over}$"):
+        find_reducible_girth7(star, 4)
+    report = audit_girth7(trace_faces(star, [(1, 2, 3, 4, 5)] + [(0,)] * 5),
+                          4)
+    assert over in report.notes and report.plan is None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_girth7_detector_defaults_to_the_solves_cap(seed):
+    for n, delta in ((30, 4), (40, 5), (60, 6)):
+        g = generate(GenSpec("planar-girth7", n, delta=delta, seed=seed)).graph
+        assert find_reducible_girth7(g) == find_reducible_girth7(g, None) \
+            == find_reducible_girth7(g, max(4, g.max_degree()))
 
 
 def test_girth7_detector_none_on_cubic_girth7():
