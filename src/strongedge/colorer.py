@@ -19,9 +19,12 @@ are its configuration's formulas; each re-colored edge's colored
 conflicts are counted once, when it is re-colored, and checked against
 the formula, and its list must be longer than that count so that a color
 is spare.
-A detector miss is a density rejection with a witness when ``mad`` of
-the component it happened on reaches the pipeline's threshold (3, or
-14/5 for girth 7), and a "theorem violation" error below it.
+Neither pipeline checks the density before it peels: a coloring is
+correct by its certificate, so an input that peels is colored whatever
+its density.  A detector miss is a density rejection, with the densest
+set of the component it happened on as the witness, when ``mad`` of that
+component reaches the pipeline's threshold (3, or 14/5 for girth 7), and
+a "theorem violation" error below it.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .conflicts import edges_within_distance_two
-from .density import DensityWitness, mad, mad_below_3
+from .density import DensityWitness, mad
 from .graph import Graph, PeelState, girth as graph_girth
 from .instances import ColorLists
 from .reducer import (GIRTH7_MATCHERS, MAD_MATCHERS, ClaimTag, Matcher,
@@ -276,15 +279,6 @@ def _normalize_lists(g: Graph, lists: dict[int, Iterable[int]]) -> ColorLists:
     return {e: frozenset(lists[e]) for e in range(g.m)}
 
 
-def _too_dense(g: Graph, witness: DensityWitness,
-               threshold: Fraction | int) -> HypothesisError:
-    """The rejection of ``witness``, at or above ``threshold``, by labels."""
-    return HypothesisError(
-        f"maximum average degree is {witness.density} >= {threshold} on "
-        f"vertices {sorted(g.labels[v] for v in witness.vertices)}",
-        witness=witness)
-
-
 def _solve_components(g: Graph, lists: dict[int, Iterable[int]] | None,
                       matchers: tuple[Matcher, ...], delta_cap: int | None,
                       budget: int, formula: str,
@@ -327,10 +321,12 @@ def _solve_components(g: Graph, lists: dict[int, Iterable[int]] | None,
         plans = list(_peel(state, matchers, delta_cap))
         if state.adj:  # no matcher fired on what is left
             witness = mad(g.induced(comp))  # its id i is comp[i]
-            if witness.density >= threshold:
-                raise _too_dense(g, DensityWitness(
-                    frozenset(comp[v] for v in witness.vertices),
-                    witness.density), threshold)
+            if (density := witness.density) >= threshold:
+                dense = frozenset(comp[v] for v in witness.vertices)
+                raise HypothesisError(
+                    f"maximum average degree is {density} >= {threshold} "
+                    f"on vertices {sorted(g.labels[v] for v in dense)}",
+                    witness=DensityWitness(dense, density))
             raise TheoremViolationError(
                 f"no reducible configuration found on a "
                 f"hypothesis-satisfying graph with {len(state.adj)} "
@@ -362,18 +358,17 @@ def solve_mad3(g: Graph, lists: dict[int, Iterable[int]] | None = None
 
     Every list must have at least ``3*max_degree(g) + 1`` colors, the
     budget ``lists=None`` gives every edge: ``solve_mad3(g)`` is the
-    first theorem as stated.  Hypotheses are checked up front — the
-    density exactly, by a pebble game, with a max-flow witness only on
-    rejection — so a detector miss after they passed is a hard error,
-    because the theory says it cannot happen.
+    first theorem as stated.  Only the degree is checked up front.  A
+    miss is a :class:`HypothesisError` with a witness when ``mad`` of the
+    missed component is at least 3, and a :class:`TheoremViolationError`
+    below it, where the theory says it cannot happen; an input that the
+    M configurations peel to empty is colored whatever its density.
     """
     delta = g.max_degree()
     if delta > 4:
         raise HypothesisError(
             f"maximum degree {delta} exceeds 4; the sparse pipeline does "
             f"not apply")
-    if not mad_below_3(g):
-        raise _too_dense(g, mad(g), 3)
     return _solve_components(g, lists, MAD_MATCHERS, None,
                              3 * delta + 1, "3*max_degree+1", 3)
 

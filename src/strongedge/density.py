@@ -8,8 +8,8 @@ clearing denominators, never by floating point.  :func:`mad` finds the
 exact maximum by Dinkelbach's iteration over that flow (Goldberg, "Finding
 a maximum density subgraph", 1984), typically in one to four flow runs.
 
-The yes/no question ``mad(g) < 3`` that the sparse pipeline and its
-generator ask has a cheaper, incremental answer: :class:`MadBelowThree`
+The yes/no question ``mad(g) < 3`` that the sparse generator asks of
+each edge it adds has a cheaper, incremental answer: :class:`MadBelowThree`
 plays the (3,1)-pebble game of Lee and Streinu on the doubled multigraph.
 An edge goes in, both copies at once, when its ends gather 3 free
 pebbles.  A search that fails while they hold fewer than 2 proves the set
@@ -275,12 +275,6 @@ def _find(parent: list[int], x: int) -> int:
     while parent[x] != x:
         parent[x] = x = parent[parent[x]]
     return x
-
-
-def mad_below_3(g: Graph) -> bool:
-    """Is the maximum average degree of ``g`` below 3?  No flow needed."""
-    checker = MadBelowThree(g.n)
-    return all(checker.try_add(u, v) for u, v in g.edges)
 
 
 def mad_deficit_sum(g: Graph) -> int:

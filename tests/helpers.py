@@ -35,6 +35,7 @@ from strongedge import (ClaimTag, DensityWitness, ExtensionError,
                         edges_within_distance_two, girth, mad, trace_faces,
                         verify_strong)
 from strongedge.colorer import extend
+from strongedge.density import MadBelowThree
 from strongedge.reducer import ExtensionStep
 
 Edge = tuple[int, int]
@@ -160,6 +161,12 @@ def bisect_mad(g) -> DensityWitness:
     witness = density_exceeds(g, value - gap / 2)
     assert witness is not None and witness.density == value
     return witness
+
+
+def mad_below_3(g) -> bool:
+    """Is ``mad(g) < 3``?  Drives the library's game, not a reference."""
+    checker = MadBelowThree(g.n)
+    return all(checker.try_add(u, v) for u, v in g.edges)
 
 
 class ReferenceMadBelowThree:

@@ -173,6 +173,19 @@ def test_messages_name_labels_not_ids(tmp_path, capsys):
     assert f"3 >= 14/5 on vertices {labels}" in capsys.readouterr().err
 
 
+def test_color_certifies_a_dense_input_that_peels(tmp_path, capsys):
+    # mad 3 and maximum degree 4, yet the M configurations peel it to
+    # empty: the density is asked only on a miss, so it is colored
+    edges = "01 05 12 14 15 26 34 45 46 56".split()
+    inst = write(tmp_path, "dense.txt",
+                 "".join(f"e {u} {v}\n" for u, v in edges))
+    out = tmp_path / "dense.col"
+    assert run_command(["color", inst, "--pipeline", "mad3",
+                        "-o", str(out)]) == 0
+    assert run_command(["verify", inst, str(out)]) == 0
+    assert "rejected" not in capsys.readouterr().err
+
+
 def test_color_has_no_fallback_option(tmp_path):
     inst = write(tmp_path, "c5.txt", C5)
     with pytest.raises(SystemExit) as info:

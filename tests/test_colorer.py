@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +19,9 @@ from strongedge.graph import PeelState, girth as graph_girth
 from strongedge.reducer import (GIRTH7_MATCHERS, MAD_MATCHERS, ExtensionStep,
                                 _peel)
 
-from tests.helpers import (extend_partial, naive_strong_ok, naive_verdict,
-                           nonplanar_girth7, random_graph, reference_extend,
-                           set_count_g1, stars_of)
+from tests.helpers import (bisect_mad, extend_partial, naive_strong_ok,
+                           naive_verdict, nonplanar_girth7, random_graph,
+                           reference_extend, set_count_g1, stars_of)
 from tests.test_engine import (BOUNDARY_CASES, G8_WITNESS,
                                _subdivided_circulant)
 
@@ -301,7 +302,8 @@ def test_hypothesis_rejections():
 
 
 def test_density_rejection_on_a_long_graph():
-    # the pebble game rejects; the flow witness must still isolate the K4
+    # the path peels away and the K4 it ends in misses; the flow over the
+    # whole component must still isolate the K4
     n = 1500
     k4 = [(n + i, n + j) for i in range(4) for j in range(i + 1, 4)]
     g = build_graph([(i, i + 1) for i in range(n)] + k4)
@@ -435,18 +437,66 @@ def test_a_miss_is_explained_by_its_own_component(monkeypatch):
 
 def test_a_dense_component_is_rejected_by_its_own_flow():
     # a 20000-vertex planar component peels to empty, then the McGee graph
-    # beside it misses: the flow runs on its 24 vertices alone (0.2 s in
-    # all), not on the 20000 planar ones (over 4 s)
+    # beside it misses, on either pipeline: the flow runs on its 24
+    # vertices alone (0.2 s in all), not on the 20000 planar ones (over 4 s)
     planar = generate(GenSpec("planar-girth7", 20000, seed=1)).graph
     g = build_graph([planar.label_pair(e) for e in range(planar.m)]
                     + [(20000 + u, 20000 + v) for u, v in MCGEE.edges])
-    start = time.process_time()
-    with pytest.raises(HypothesisError) as info:
-        solve_girth7(g)
-    assert time.process_time() - start < 2
-    witness = info.value.witness
-    assert witness.vertices == frozenset(range(20000, 20024))
-    assert witness.check(g) and witness.density == 3
+    for solve in (solve_mad3, solve_girth7):
+        start = time.process_time()
+        with pytest.raises(HypothesisError) as info:
+            solve(g)
+        assert time.process_time() - start < 2
+        witness = info.value.witness
+        assert witness.vertices == frozenset(range(20000, 20024))
+        assert witness.check(g) and witness.density == 3
+
+
+def test_mad3_colors_a_dense_input_that_peels():
+    # mad 3 on vertices 0, 1, 2, 4, 5, 6 and maximum degree 4: outside the
+    # first theorem's hypothesis, yet M1-M3 peel it to empty, so it is
+    # colored, and every step's bound and the result are checked
+    g = build_graph([(0, 1), (0, 5), (1, 2), (1, 4), (1, 5), (2, 6), (3, 4),
+                     (4, 5), (4, 6), (5, 6)])
+    assert g.max_degree() == 4 and mad(g).density == 3
+    report = solve_mad3(g)
+    assert report.certified and not verify_strong(g, report.coloring)
+    assert len(report.coloring) == g.m
+    assert {r.claim_tag.value for r in report.trace} == {"M1", "M2", "M3"}
+
+
+def test_mad3_rejects_exactly_with_the_reference_witness():
+    # whatever the density of a connected graph of maximum degree <= 4,
+    # solve_mad3 either certifies it or rejects it with the witness and
+    # density of an independent bisection over the whole graph
+    rng = random.Random(34)
+    rejected = dense_colored = 0
+    for _ in range(2000):
+        n = rng.randint(4, 10)
+        edges, deg = [], [0] * n
+        for v in range(1, n):  # a random tree keeps g connected
+            u = rng.choice([u for u in range(v) if deg[u] < 4])
+            edges.append((u, v))
+            deg[u] += 1
+            deg[v] += 1
+        for u, v in combinations(range(n), 2):
+            if (deg[u] < 4 and deg[v] < 4 and (u, v) not in edges
+                    and rng.random() < 0.3):
+                edges.append((u, v))
+                deg[u] += 1
+                deg[v] += 1
+        g = build_graph(edges)
+        try:
+            report = solve_mad3(g)
+        except HypothesisError as exc:
+            rejected += 1
+            expected = bisect_mad(g)
+            assert exc.witness == expected and expected.density >= 3
+            continue
+        assert report.certified and len(report.coloring) == g.m
+        assert not verify_strong(g, report.coloring)
+        dense_colored += mad(g).density >= 3
+    assert rejected and dense_colored  # both sides of the rule are reached
 
 
 def test_girth7_certifies_nonplanar_inputs_below_the_density_threshold():

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from strongedge import (GenSpec, GraphError, build_graph, density_exceeds,
                         generate, mad, mad_deficit_sum)
 from strongedge import density
-from strongedge.density import MadBelowThree, mad_below_3
+from strongedge.density import MadBelowThree
 
-from tests.helpers import (ReferenceMadBelowThree, bisect_mad, random_graph,
-                           subset_mad)
+from tests.helpers import (ReferenceMadBelowThree, bisect_mad, mad_below_3,
+                           random_graph, subset_mad)
 
 generate_module = importlib.import_module("strongedge.generate")
 

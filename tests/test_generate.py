@@ -9,10 +9,9 @@ import pytest
 
 from strongedge import (GenSpec, generate, girth, mad, serialize_instance,
                         trace_faces)
-from strongedge.density import mad_below_3
 from strongedge.generate import _Fenwick, _planar_girth7
-from tests.helpers import (ExpandedCounts, bfs_girth, reference_planar_girth7,
-                           subset_mad)
+from tests.helpers import (ExpandedCounts, bfs_girth, mad_below_3,
+                           reference_planar_girth7, subset_mad)
 
 
 def edges_of(inst):
